@@ -17,8 +17,12 @@
 // core.Optimize call. Each shard is an LRU bounded by entry count;
 // eviction only considers completed entries, never in-flight ones.
 //
-// The cache stores immutable []byte values. Callers must not mutate a
-// returned slice; the serving layer writes it straight to the wire.
+// Store[V] holds values of any type; Cache, the []byte instantiation New
+// returns, holds serialized responses. Values are shared, not copied:
+// every hit returns the same value, so callers must treat it as
+// immutable. The serving layer stores each response's bytes beside the
+// few fields its handlers read from them, and writes the bytes straight
+// to the wire.
 package resultcache
 
 import (
@@ -39,7 +43,7 @@ const shardCount = 16
 // Options.Capacity is zero.
 const DefaultCapacity = 4096
 
-// Options tunes a Cache.
+// Options tunes a Store.
 type Options struct {
 	// Capacity is the target maximum number of completed entries across
 	// all shards; 0 means DefaultCapacity. The bound is enforced per
@@ -49,10 +53,10 @@ type Options struct {
 	Capacity int
 }
 
-// Cache is a sharded singleflight LRU. The zero value is not usable; use
-// New.
-type Cache struct {
-	shards [shardCount]shard
+// Store is a sharded singleflight LRU of values of type V. The zero value
+// is not usable; use NewOf.
+type Store[V any] struct {
+	shards [shardCount]shard[V]
 
 	hits      atomic.Int64 // completed entry found
 	misses    atomic.Int64 // this request ran the compute function
@@ -65,23 +69,29 @@ type Cache struct {
 	uncacheable atomic.Int64
 }
 
-type shard struct {
+// Cache is the Store of serialized responses.
+type Cache = Store[[]byte]
+
+type shard[V any] struct {
 	mu      sync.Mutex
-	entries map[string]*entry
+	entries map[string]*entry[V]
 	lru     *list.List // completed entries, front = most recent
 	cap     int
 }
 
-type entry struct {
+type entry[V any] struct {
 	key  string
 	done chan struct{}
-	val  []byte
+	val  V
 	err  error
 	elem *list.Element // nil while in flight
 }
 
-// New returns an empty cache.
-func New(opts Options) *Cache {
+// New returns an empty cache of serialized responses.
+func New(opts Options) *Cache { return NewOf[[]byte](opts) }
+
+// NewOf returns an empty store of values of type V.
+func NewOf[V any](opts Options) *Store[V] {
 	capacity := opts.Capacity
 	if capacity == 0 {
 		capacity = DefaultCapacity
@@ -90,9 +100,9 @@ func New(opts Options) *Cache {
 	if perShard < 1 {
 		perShard = 1
 	}
-	c := &Cache{}
+	c := &Store[V]{}
 	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*entry)
+		c.shards[i].entries = make(map[string]*entry[V])
 		c.shards[i].lru = list.New()
 		c.shards[i].cap = perShard
 	}
@@ -102,7 +112,7 @@ func New(opts Options) *Cache {
 // shardFor maps a key to its shard. Keys are content hashes (uniform hex
 // strings), so the first byte alone spreads them evenly; a short FNV pass
 // keeps arbitrary keys safe too.
-func (c *Cache) shardFor(key string) *shard {
+func (c *Store[V]) shardFor(key string) *shard[V] {
 	var h uint32 = 2166136261
 	for i := 0; i < len(key) && i < 8; i++ {
 		h = (h ^ uint32(key[i])) * 16777619
@@ -110,7 +120,7 @@ func (c *Cache) shardFor(key string) *shard {
 	return &c.shards[h%shardCount]
 }
 
-// Do returns the cached bytes for key, computing them at most once across
+// Do returns the cached value for key, computing it at most once across
 // concurrent callers. On a miss the calling goroutine runs compute; other
 // callers for the same key block until it finishes and share its value
 // (or its error — errors are never cached, so a later request retries).
@@ -118,8 +128,8 @@ func (c *Cache) shardFor(key string) *shard {
 // a completed entry or a joined in-flight compute) from a fresh compute
 // (false). A caller whose ctx expires while waiting unblocks with the
 // context's error; the compute keeps running for the others.
-func (c *Cache) Do(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error)) (val []byte, hit bool, err error) {
-	return c.DoCond(ctx, key, func(ctx context.Context) ([]byte, bool, error) {
+func (c *Store[V]) Do(ctx context.Context, key string, compute func(ctx context.Context) (V, error)) (val V, hit bool, err error) {
+	return c.DoCond(ctx, key, func(ctx context.Context) (V, bool, error) {
 		v, err := compute(ctx)
 		return v, true, err
 	})
@@ -132,7 +142,8 @@ func (c *Cache) Do(ctx context.Context, key string, compute func(ctx context.Con
 // recomputes. The serving layer uses it to keep degraded (deadline-cut)
 // results out of the content-addressed tier: a timeout must not poison
 // the entry a later, healthier request would otherwise be served from.
-func (c *Cache) DoCond(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, bool, error)) (val []byte, hit bool, err error) {
+func (c *Store[V]) DoCond(ctx context.Context, key string, compute func(ctx context.Context) (V, bool, error)) (val V, hit bool, err error) {
+	var zero V
 	sh := c.shardFor(key)
 	for {
 		sh.mu.Lock()
@@ -148,7 +159,7 @@ func (c *Cache) DoCond(ctx context.Context, key string, compute func(ctx context
 			select {
 			case <-e.done:
 			case <-ctx.Done():
-				return nil, false, ctx.Err()
+				return zero, false, ctx.Err()
 			}
 			if e.err != nil {
 				// The computing request failed; its entry is already
@@ -157,15 +168,15 @@ func (c *Cache) DoCond(ctx context.Context, key string, compute func(ctx context
 				// are shared, like singleflight.
 				if e.err == context.Canceled || e.err == context.DeadlineExceeded {
 					if err := ctx.Err(); err != nil {
-						return nil, false, err
+						return zero, false, err
 					}
 					continue
 				}
-				return nil, true, e.err
+				return zero, true, e.err
 			}
 			return e.val, true, nil
 		}
-		e := &entry{key: key, done: make(chan struct{})}
+		e := &entry[V]{key: key, done: make(chan struct{})}
 		sh.entries[key] = e
 		sh.mu.Unlock()
 		c.misses.Add(1)
@@ -203,7 +214,7 @@ func (c *Cache) DoCond(ctx context.Context, key string, compute func(ctx context
 			e.elem = sh.lru.PushFront(e)
 			for sh.lru.Len() > sh.cap {
 				oldest := sh.lru.Back()
-				old := oldest.Value.(*entry)
+				old := oldest.Value.(*entry[V])
 				sh.lru.Remove(oldest)
 				delete(sh.entries, old.key)
 				c.evictions.Add(1)
@@ -216,20 +227,20 @@ func (c *Cache) DoCond(ctx context.Context, key string, compute func(ctx context
 }
 
 // Get returns the completed entry for key without computing anything.
-func (c *Cache) Get(key string) (val []byte, ok bool) {
+func (c *Store[V]) Get(key string) (val V, ok bool) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e, present := sh.entries[key]
 	if !present || e.elem == nil {
-		return nil, false
+		return val, false
 	}
 	sh.lru.MoveToFront(e.elem)
 	return e.val, true
 }
 
 // Len returns the number of completed entries.
-func (c *Cache) Len() int {
+func (c *Store[V]) Len() int {
 	n := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -259,7 +270,7 @@ type Stats struct {
 }
 
 // Stats returns the current counters.
-func (c *Cache) Stats() Stats {
+func (c *Store[V]) Stats() Stats {
 	return Stats{
 		Hits:        c.hits.Load(),
 		Dedups:      c.dedups.Load(),

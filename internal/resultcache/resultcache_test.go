@@ -96,6 +96,36 @@ func TestGet(t *testing.T) {
 	}
 }
 
+// TestStoreOfStruct: a Store of a struct computes its value once, and
+// its hits and Get return that same value.
+func TestStoreOfStruct(t *testing.T) {
+	type result struct {
+		data []byte
+		n    int
+	}
+	c := NewOf[result](Options{})
+	computes := 0
+	compute := func(context.Context) (result, error) {
+		computes++
+		return result{data: []byte("v"), n: 7}, nil
+	}
+	for i, wantHit := range []bool{false, true} {
+		v, hit, err := c.Do(bg(), "k", compute)
+		if err != nil || hit != wantHit || string(v.data) != "v" || v.n != 7 {
+			t.Errorf("Do %d = (%+v, hit=%v, %v)", i, v, hit, err)
+		}
+	}
+	if v, ok := c.Get("k"); !ok || string(v.data) != "v" || v.n != 7 {
+		t.Errorf("Get = (%+v, %v)", v, ok)
+	}
+	if v, ok := c.Get("absent"); ok || v.data != nil || v.n != 0 {
+		t.Errorf("Get of an absent key = (%+v, %v), want the zero value", v, ok)
+	}
+	if computes != 1 {
+		t.Errorf("computes = %d, want 1", computes)
+	}
+}
+
 func TestWaiterContextCancellation(t *testing.T) {
 	c := New(Options{})
 	started := make(chan struct{})

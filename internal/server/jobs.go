@@ -426,18 +426,15 @@ func (s *Server) runOptimizeJob(ctx context.Context, raw []byte, sink jobs.Sink)
 		return err
 	}
 	sink.SetTotal(1)
-	data, _, err := s.computeSnapshot(ctx, env, solver, req.Config())
+	cfg := req.Config()
+	res, _, err := s.computeSnapshot(ctx, env, solver, cacheKey(env.hash, solver, cfg), cfg)
 	if err != nil {
 		return err
 	}
-	var view snapshotView
-	if err := json.Unmarshal(data, &view); err != nil {
-		return err
-	}
-	if view.Degraded {
+	if res.view.Degraded {
 		return errDegradedResult
 	}
-	return sink.Emit(data)
+	return sink.Emit(res.data)
 }
 
 // runSweepJob computes a sweep's rows on the engine pool and emits them
@@ -520,21 +517,17 @@ func (s *Server) runSweepJob(ctx context.Context, raw []byte, sink jobs.Sink) er
 // degraded designs return an error (abort the attempt, retry later);
 // input-shaped errors become error rows as in the synchronous sweep.
 func (s *Server) jobRowBytes(ctx context.Context, env *scenarioEnv, solver string, i int, point engine.Job) ([]byte, error) {
-	data, _, err := s.computeSnapshot(ctx, env, solver, point.Config)
+	res, _, err := s.computeSnapshot(ctx, env, solver, cacheKey(env.hash, solver, point.Config), point.Config)
 	if err != nil {
 		if jobRetryable(err) || ctx.Err() != nil {
 			return nil, err
 		}
 		return json.Marshal(SweepRow{Index: i, Name: point.Name, Error: err.Error()})
 	}
-	var view snapshotView
-	if err := json.Unmarshal(data, &view); err != nil {
-		return nil, err
-	}
-	if view.Degraded {
+	if res.view.Degraded {
 		return nil, fmt.Errorf("row %d (%s): %w", i, point.Name, errDegradedResult)
 	}
-	return json.Marshal(rowFromSnapshot(i, point.Name, &view))
+	return json.Marshal(rowFromSnapshot(i, point.Name, &res.view))
 }
 
 // runCompareJob runs the comparison and emits the whole delta table as
@@ -596,21 +589,17 @@ func (s *Server) runCompareJob(ctx context.Context, raw []byte, sink jobs.Sink) 
 // the job-layer failure classification (transient aborts, input errors
 // embed, degraded never persists).
 func (s *Server) jobCompareRow(ctx context.Context, env *scenarioEnv, solver string, cfg core.Config) (CompareRow, error) {
-	data, _, err := s.computeSnapshot(ctx, env, solver, cfg)
+	res, _, err := s.computeSnapshot(ctx, env, solver, cacheKey(env.hash, solver, cfg), cfg)
 	if err != nil {
 		if jobRetryable(err) || ctx.Err() != nil {
 			return CompareRow{}, err
 		}
 		return CompareRow{Solver: solver, Error: err.Error()}, nil
 	}
-	var view snapshotView
-	if err := json.Unmarshal(data, &view); err != nil {
-		return CompareRow{}, err
-	}
-	if view.Degraded {
+	if res.view.Degraded {
 		return CompareRow{}, fmt.Errorf("solver %s: %w", solver, errDegradedResult)
 	}
 	row := CompareRow{Solver: solver}
-	fillCompareRow(&row, &view)
+	fillCompareRow(&row, &res.view)
 	return row, nil
 }

@@ -330,14 +330,54 @@ func TestJobListsJobs(t *testing.T) {
 	}
 }
 
+// optimalD695 is a scenario the portfolio proves optimal (see
+// TestAnytimeCompletedOptimal); optimalD695Sweep is one sweep row of the
+// same design under another cost model.
+const (
+	optimalD695      = `{"soc":"d695","solver":"portfolio"}`
+	optimalD695Sweep = `{"soc":"d695","solver":"portfolio","contact_yields":[0.999]}`
+)
+
 // TestDiskCacheWarmsRestart: the L2 disk tier serves a restarted
-// process byte hits for scenarios computed before the restart.
+// process byte hits for scenarios computed before the restart, and every
+// tier answers with the snapshot's provenance: X-Optimal on the miss, on
+// the L1 hit, on each response of a concurrent herd and on the L2 hit,
+// and "optimal":true on a sweep row read from disk.
 func TestDiskCacheWarmsRestart(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newDurableServer(t, dir, Options{})
 	resp, first := post(t, ts1, "/v1/optimize", optimizeD695)
 	if got := resp.Header.Get("X-Cache"); got != "miss" {
 		t.Errorf("cold X-Cache = %q", got)
+	}
+
+	// A herd on a cold key: one request computes, the rest join it or
+	// hit the entry it stored.
+	headers, bodies := herd(t, ts1, "/v1/optimize", optimalD695, 8)
+	if t.Failed() {
+		t.FailNow()
+	}
+	misses := 0
+	for i, h := range headers {
+		if h.Get("X-Cache") == "miss" {
+			misses++
+		}
+		if h.Get("X-Optimal") != "true" {
+			t.Errorf("herd response %d (X-Cache %s): X-Optimal = %q", i, h.Get("X-Cache"), h.Get("X-Optimal"))
+		}
+		if string(bodies[i]) != string(bodies[0]) {
+			t.Errorf("herd response %d has different bytes", i)
+		}
+	}
+	if misses != 1 {
+		t.Errorf("herd of %d had %d misses, want 1", len(headers), misses)
+	}
+	resp, _ = post(t, ts1, "/v1/optimize", optimalD695)
+	if resp.Header.Get("X-Cache") != "hit" || resp.Header.Get("X-Optimal") != "true" {
+		t.Errorf("L1 hit: X-Cache %q, X-Optimal %q", resp.Header.Get("X-Cache"), resp.Header.Get("X-Optimal"))
+	}
+	if resp, data := post(t, ts1, "/v1/sweep", optimalD695Sweep); resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep status %d: %s", resp.StatusCode, data)
 	}
 	if err := s1.Close(context.Background()); err != nil {
 		t.Fatal(err)
@@ -352,8 +392,48 @@ func TestDiskCacheWarmsRestart(t *testing.T) {
 	if string(first) != string(second) {
 		t.Errorf("disk-served bytes differ from computed bytes")
 	}
-	if _, m := get(t, ts2, "/metrics"); !strings.Contains(string(m), "multisite_diskcache_hits_total 1") {
-		t.Error("metrics missing multisite_diskcache_hits_total 1")
+	resp, data := post(t, ts2, "/v1/optimize", optimalD695)
+	if resp.Header.Get("X-Cache") != "miss" || resp.Header.Get("X-Optimal") != "true" {
+		t.Errorf("L2 hit: X-Cache %q, X-Optimal %q", resp.Header.Get("X-Cache"), resp.Header.Get("X-Optimal"))
+	}
+	if string(data) != string(bodies[0]) {
+		t.Errorf("L2 hit bytes differ from the herd's")
+	}
+	_, data = post(t, ts2, "/v1/sweep", optimalD695Sweep)
+	var row SweepRow
+	if err := json.Unmarshal(data, &row); err != nil || !row.Optimal || row.Error != "" {
+		t.Errorf("disk-served sweep row %s (err %v), want optimal", data, err)
+	}
+	if _, m := get(t, ts2, "/metrics"); !strings.Contains(string(m), "multisite_diskcache_hits_total 3") {
+		t.Error("metrics missing multisite_diskcache_hits_total 3")
+	}
+}
+
+// TestDiskEntryNotSnapshotRecomputed: an L2 entry whose checksum holds
+// but whose bytes are not a snapshot is never served. The request
+// recomputes (X-Cache: miss, the computed bytes) and the compute
+// overwrites the disk entry.
+func TestDiskEntryNotSnapshotRecomputed(t *testing.T) {
+	_, ref := newTestServer(t, Options{})
+	resp, want := post(t, ref, "/v1/optimize", optimizeD695)
+	key := resp.Header.Get(HeaderCacheKey)
+
+	s, ts := newDurableServer(t, t.TempDir(), Options{})
+	if err := s.disk.Put(key, []byte("not a snapshot")); err != nil {
+		t.Fatal(err)
+	}
+	resp, got := post(t, ts, "/v1/optimize", optimizeD695)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("status %d, X-Cache %q: %s", resp.StatusCode, resp.Header.Get("X-Cache"), got)
+	}
+	if string(got) != string(want) {
+		t.Errorf("served %q, want the computed bytes", got)
+	}
+	if disk, ok := s.disk.Get(key); !ok || string(disk) != string(want) {
+		t.Errorf("disk entry = %q (present %v), want it overwritten by the computed bytes", disk, ok)
+	}
+	if resp, got := post(t, ts, "/v1/optimize", optimizeD695); resp.Header.Get("X-Cache") != "hit" || string(got) != string(want) {
+		t.Errorf("repeat: X-Cache %q, bytes %q", resp.Header.Get("X-Cache"), got)
 	}
 }
 

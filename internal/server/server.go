@@ -32,8 +32,10 @@
 // stores finished response bytes keyed on (canonical SOC hash, ATE, TAM
 // options, cost model), deduplicating concurrent identical requests
 // singleflight-style: a thundering herd of equal /v1/optimize calls runs
-// exactly one core.Optimize. Sweeps read and populate the same cache, so
-// a sweep warms the point-query path and vice versa.
+// exactly one core.Optimize. Each entry keeps the few fields rows and
+// headers read beside the bytes, so no hit decodes JSON. Sweeps read and
+// populate the same cache, so a sweep warms the point-query path and vice
+// versa.
 //
 // Compute is bounded by a server-wide concurrency budget (Options.
 // Concurrency) layered under the per-sweep engine worker pool, and every
@@ -151,7 +153,7 @@ type Options struct {
 type Server struct {
 	opts  Options
 	memo  *engine.Memo
-	cache *resultcache.Cache
+	cache *resultcache.Store[cachedResult]
 	sem   chan struct{}
 
 	// disk is the persistent L2 behind the in-memory result cache, and
@@ -200,7 +202,7 @@ func New(opts Options) *Server {
 		opts:      opts,
 		fleet:     fl,
 		memo:      engine.NewMemoBounded(maxMemoDesigns),
-		cache:     resultcache.New(resultcache.Options{Capacity: opts.CacheCapacity}),
+		cache:     resultcache.NewOf[cachedResult](resultcache.Options{Capacity: opts.CacheCapacity}),
 		sem:       make(chan struct{}, opts.Concurrency),
 		socs:      make(map[string]*soc.SOC),
 		socHashes: make(map[string]string),
@@ -378,57 +380,75 @@ func resolveSolver(name string) (string, int, error) {
 	return sv.Name(), 0, nil
 }
 
+// cachedResult is one result-cache entry: a snapshot's response bytes
+// and the view of them that rows and headers read.
+type cachedResult struct {
+	data []byte
+	view snapshotView
+}
+
 // computeSnapshot produces the serialized optimization snapshot for one
 // scenario under the named backend (a canonical solver name from
 // resolveSolver), through both cache tiers: resultcache bytes first, then
-// the memoized design re-scored under the scenario's cost model. The
-// compute slot is held only while actually optimizing — never while
-// waiting on a cache entry another request is computing.
-func (s *Server) computeSnapshot(ctx context.Context, env *scenarioEnv, solver string, cfg core.Config) ([]byte, bool, error) {
+// the memoized design re-scored under the scenario's cost model. key is
+// the scenario's cacheKey, which the caller derives once. The compute
+// slot is held only while actually optimizing — never while waiting on a
+// cache entry another request is computing.
+func (s *Server) computeSnapshot(ctx context.Context, env *scenarioEnv, solver, key string, cfg core.Config) (cachedResult, bool, error) {
 	cfg = cfg.Normalized()
 	if err := cfg.ATE.Validate(); err != nil {
-		return nil, false, err
+		return cachedResult{}, false, err
 	}
 	if err := cfg.Probe.Validate(); err != nil {
-		return nil, false, err
+		return cachedResult{}, false, err
 	}
-	key := cacheKey(env.hash, solver, cfg)
-	return s.cache.DoCond(ctx, key, func(ctx context.Context) ([]byte, bool, error) {
+	return s.cache.DoCond(ctx, key, func(ctx context.Context) (cachedResult, bool, error) {
 		// The disk tier is consulted inside the singleflight compute, so
 		// a thundering herd on a cold in-memory cache still reads the
-		// persisted bytes exactly once. Every read is checksum-verified;
-		// a corrupt entry is quarantined and reported as a miss, never
-		// served (diskcache.Get).
+		// persisted bytes, and decodes their view, exactly once. Every
+		// read is checksum-verified; a corrupt entry is quarantined and
+		// reported as a miss, never served (diskcache.Get). Bytes that
+		// pass the checksum but do not decode are recomputed, and the
+		// Put below overwrites them.
 		if s.disk != nil {
 			if data, ok := s.disk.Get(key); ok {
-				return data, true, nil
+				var view snapshotView
+				err := json.Unmarshal(data, &view)
+				if err == nil {
+					return cachedResult{data: data, view: view}, true, nil
+				}
+				s.logf("disk cache entry %s is not a snapshot, recomputing: %v", key, err)
 			}
 		}
 		if err := s.acquire(ctx); err != nil {
-			return nil, false, err
+			return cachedResult{}, false, err
 		}
 		defer s.release()
 		design, err := env.memo.DesignSolverCtx(ctx, solver, env.soc, cfg)
 		if err != nil {
-			return nil, false, err
+			return cachedResult{}, false, err
 		}
 		curve, best := design.ReEvaluate(cfg)
 		step1Curve := make([]core.SiteEval, design.MaxSites)
 		for n := 1; n <= design.MaxSites; n++ {
 			step1Curve[n-1] = cfg.EvaluateAt(design.Step1, n)
 		}
-		data, err := design.SnapshotUnder(cfg, curve, step1Curve, best).MarshalBytes()
+		snap := design.SnapshotUnder(cfg, curve, step1Curve, best)
+		data, err := snap.MarshalBytes()
+		if err != nil {
+			return cachedResult{}, false, err
+		}
 		// A degraded design is served but never stored — in either tier:
 		// the design memo already refused it, and caching its bytes would
 		// pin a deadline-cut answer on a key that a later, uncut request
 		// would otherwise improve.
 		store := !design.Degraded
-		if err == nil && store && s.disk != nil {
+		if store && s.disk != nil {
 			// Best-effort spill: a failed Put is counted and logged by
 			// the disk tier; the in-memory entry still serves.
 			s.disk.Put(key, data)
 		}
-		return data, store, err
+		return cachedResult{data: data, view: viewOf(snap)}, store, nil
 	})
 }
 
@@ -457,7 +477,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.handleOptimizeAnytime(ctx, w, r, env, solver, req.Config())
 		return
 	}
-	data, cached, err := s.computeSnapshot(ctx, env, solver, req.Config())
+	res, cached, err := s.computeSnapshot(ctx, env, solver, key, req.Config())
 	if err != nil {
 		writeError(w, s.computeStatus(r, err), err)
 		return
@@ -465,20 +485,16 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", cacheHeader(cached))
 	w.Header().Set(HeaderCacheKey, key)
-	// The provenance flags ride in the response body; decoding the view
-	// (rather than threading flags through the cache) also covers
-	// waiters who joined another request's in-flight compute.
-	var view snapshotView
-	if json.Unmarshal(data, &view) == nil {
-		if view.Degraded {
-			w.Header().Set("X-Degraded", "true")
-			s.degraded.Add(1)
-		}
-		if view.Optimal {
-			w.Header().Set("X-Optimal", "true")
-		}
+	// The provenance flags come from the entry's view, which every tier
+	// and every waiter joined to another request's compute receives.
+	if res.view.Degraded {
+		w.Header().Set("X-Degraded", "true")
+		s.degraded.Add(1)
 	}
-	w.Write(data)
+	if res.view.Optimal {
+		w.Header().Set("X-Optimal", "true")
+	}
+	w.Write(res.data)
 }
 
 // handleOptimizeAnytime streams one optimization as NDJSON AnytimeEvents:
@@ -645,17 +661,13 @@ func (s *Server) rowBytes(ctx context.Context, env *scenarioEnv, solver string, 
 				Error: fmt.Sprintf("internal: %v", p)})
 		}
 	}()
-	row := func() SweepRow {
-		data, _, err := s.computeSnapshot(ctx, env, solver, job.Config)
-		if err != nil {
-			return SweepRow{Index: i, Name: job.Name, Error: err.Error()}
-		}
-		var view snapshotView
-		if err := json.Unmarshal(data, &view); err != nil {
-			return SweepRow{Index: i, Name: job.Name, Error: err.Error()}
-		}
-		return rowFromSnapshot(i, job.Name, &view)
-	}()
+	row := SweepRow{Index: i, Name: job.Name}
+	res, _, err := s.computeSnapshot(ctx, env, solver, cacheKey(env.hash, solver, job.Config), job.Config)
+	if err != nil {
+		row.Error = err.Error()
+	} else {
+		row = rowFromSnapshot(i, job.Name, &res.view)
+	}
 	data, err := json.Marshal(row)
 	if err != nil {
 		data, _ = json.Marshal(SweepRow{Index: i, Name: job.Name, Error: err.Error()})
@@ -772,17 +784,12 @@ func (s *Server) compareRow(ctx context.Context, env *scenarioEnv, solver string
 			row = CompareRow{Solver: solver, Error: fmt.Sprintf("internal: %v", p)}
 		}
 	}()
-	data, _, err := s.computeSnapshot(ctx, env, solver, cfg)
+	res, _, err := s.computeSnapshot(ctx, env, solver, cacheKey(env.hash, solver, cfg), cfg)
 	if err != nil {
 		row.Error = err.Error()
 		return row
 	}
-	var view snapshotView
-	if err := json.Unmarshal(data, &view); err != nil {
-		row.Error = err.Error()
-		return row
-	}
-	fillCompareRow(&row, &view)
+	fillCompareRow(&row, &res.view)
 	return row
 }
 

@@ -20,31 +20,7 @@ func TestConcurrentIdenticalOptimizeComputesOnce(t *testing.T) {
 	const clients = 32
 	body := `{"soc":"pnx8550","channels":512,"depth":"7M","clock_hz":5e6,"broadcast":true}`
 
-	responses := make([][]byte, clients)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Errorf("client %d: %v", i, err)
-				return
-			}
-			data, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Errorf("client %d: status %d, %v", i, resp.StatusCode, err)
-				return
-			}
-			responses[i] = data
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-
+	_, responses := herd(t, ts, "/v1/optimize", body, clients)
 	for i := 1; i < clients; i++ {
 		if !bytes.Equal(responses[i], responses[0]) {
 			t.Fatalf("client %d got different bytes", i)
@@ -67,6 +43,37 @@ func TestConcurrentIdenticalOptimizeComputesOnce(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
 	}
+}
+
+// herd sends n identical POSTs at once and returns every response's
+// header and body (goroutine-safe: no Fatal).
+func herd(t *testing.T, ts *httptest.Server, path, body string, n int) ([]http.Header, [][]byte) {
+	t.Helper()
+	headers, bodies := make([]http.Header, n), make([][]byte, n)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Errorf("client %d: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			data, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("client %d: status %d, %v: %s", i, resp.StatusCode, err, data)
+				return
+			}
+			headers[i], bodies[i] = resp.Header, data
+		}()
+	}
+	close(start)
+	wg.Wait()
+	return headers, bodies
 }
 
 // sweep96 expands to exactly 96 scenarios: 6 depths x 2 broadcast x
