@@ -115,6 +115,25 @@ func BenchmarkWrapperFit(b *testing.B) {
 	}
 }
 
+// BenchmarkDesignerBuild measures the wrapper time-table build a
+// never-seen chip pays once before Step 1: a fresh Designer, then every
+// testable module's table.
+func BenchmarkDesignerBuild(b *testing.B) {
+	for _, name := range []string{"d695", "pnx8550"} {
+		b.Run(name, func(b *testing.B) {
+			s := benchdata.Shared(name)
+			modules := s.TestableModules()
+			b.ReportAllocs()
+			for b.Loop() {
+				d := wrapper.NewDesigner(s)
+				for _, mi := range modules {
+					d.MinTime(mi)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkDesignerTimeTable measures the Designer time-query hot path as
 // the Step 1/Step 2 inner loops use it — one TimeTable hoist per module,
 // then indexed width queries — over every testable PNX8550 module at

@@ -90,10 +90,13 @@ func MinAreaWithin(d *wrapper.Designer, mi, maxW int, depth int64) (int64, bool)
 //
 // ok=false means some module cannot fit the depth at any width ≤ maxW.
 func LowerBoundWires(d *wrapper.Designer, depth int64, maxW int) (int, bool) {
-	s := d.SOC()
+	modules := d.Modules()
 	var area int64
 	maxMin := 0
-	for _, mi := range s.TestableModules() {
+	for mi := range modules {
+		if !modules[mi].IsTestable() {
+			continue
+		}
 		a, ok := MinAreaWithin(d, mi, maxW, depth)
 		if !ok {
 			return 0, false

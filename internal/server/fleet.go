@@ -125,8 +125,9 @@ func (s *Server) redirectRemote(w http.ResponseWriter, r *http.Request, key stri
 }
 
 // builtinHashes memoizes name → canonical hash for the built-in
-// benchmark SOCs, for routing-key derivation outside a *Server (the
-// gateway path of FleetRouteKey).
+// benchmark SOCs. Servers read it in resolveSOC and GET /v1/socs, and so
+// does routing-key derivation outside a *Server (the gateway path of
+// FleetRouteKey).
 var builtinHashes = func() map[string]string {
 	m := make(map[string]string)
 	for _, name := range benchdata.Names() {

@@ -166,9 +166,8 @@ type Server struct {
 	// mode (see fleet.go).
 	fleet *fleetInfo
 
-	socs      map[string]*soc.SOC
-	socHashes map[string]string
-	names     []string
+	socs  map[string]*soc.SOC
+	names []string
 
 	// breakers holds one circuit breaker per registry backend; solvers
 	// maps each backend's canonical name to its served instance —
@@ -205,15 +204,12 @@ func New(opts Options) *Server {
 		cache:     resultcache.NewOf[cachedResult](resultcache.Options{Capacity: opts.CacheCapacity}),
 		sem:       make(chan struct{}, opts.Concurrency),
 		socs:      make(map[string]*soc.SOC),
-		socHashes: make(map[string]string),
 		names:     benchdata.Names(),
 		requests:  make(map[string]*atomic.Int64),
 		durations: make(map[string]*histogram),
 	}
 	for _, name := range s.names {
-		chip := benchdata.Shared(name)
-		s.socs[name] = chip
-		s.socHashes[name] = chip.Hash()
+		s.socs[name] = benchdata.Shared(name)
 	}
 
 	// Adopt every registry backend behind its own circuit breaker, with
@@ -355,7 +351,7 @@ func (s *Server) resolveSOC(req *ScenarioRequest) (*scenarioEnv, int, error) {
 		if !ok {
 			return nil, http.StatusNotFound, fmt.Errorf("unknown soc %q; see GET /v1/socs", req.SOC)
 		}
-		return &scenarioEnv{soc: chip, hash: s.socHashes[req.SOC], memo: s.memo}, 0, nil
+		return &scenarioEnv{soc: chip, hash: builtinHashes[req.SOC], memo: s.memo}, 0, nil
 	case req.SOCText != "":
 		chip, err := soc.ParseString(req.SOCText)
 		if err != nil {
@@ -864,7 +860,7 @@ func (s *Server) handleSOCs(w http.ResponseWriter, r *http.Request) {
 		chip := s.socs[name]
 		out = append(out, SOCInfo{
 			Name:          name,
-			Hash:          s.socHashes[name],
+			Hash:          builtinHashes[name],
 			Modules:       len(chip.Modules),
 			Testable:      len(chip.TestableModules()),
 			TotalTestBits: chip.TotalTestBits(),

@@ -1,70 +1,90 @@
 package wrapper
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
+	"weak"
 
 	"multisite/internal/soc"
 )
 
-// MaxTableWidth caps the per-module design table. No realistic ATE in the
+// MaxTableWidth caps the per-module time table. No realistic ATE in the
 // paper's evaluation offers more than 1024 channels (512 TAM wires), so
 // designs are never queried beyond this width; times saturate at the cap.
 const MaxTableWidth = 512
 
 // Designer memoizes wrapper designs per module. Architecture optimization
 // (Step 1 fitting, Step 2 widening, baseline packing) queries module test
-// times at many widths; the Designer computes the per-chain-count design
-// table once per module and answers every width query from the prefix
-// minimum of that table.
+// times at many widths; the Designer tabulates each module's best time per
+// width once, with the time-only kernel of chainTimes, and answers every
+// width query from that table. Fit builds a full Design only for the
+// chain count it returns, once per (module, chain count).
 //
 // A Designer is safe for concurrent use: queries on an already-built
-// module table are lock-free, so parallel architecture optimizations of
-// the same SOC (the sweep engine's common case) do not contend.
+// module table and Fit calls for an already-built design are lock-free,
+// so parallel architecture optimizations of the same SOC (the sweep
+// engine's common case) do not contend.
 type Designer struct {
-	soc *soc.SOC
+	// modules is the SOC's module slice. The Designer keeps the slice
+	// rather than the *soc.SOC so that For's cache entry does not keep
+	// its own weak key alive.
+	modules []soc.Module
 	// mu serializes table builds only; lookups go through the sync.Map.
 	mu sync.Mutex
-	// tables maps a module index to its immutable *moduleTable, built
-	// lazily on first query.
+	// tables maps a module index to its *moduleTable, built lazily on
+	// first query.
 	tables sync.Map
 }
 
-// moduleTable is the per-module design table; immutable once published.
+// moduleTable is the per-module time table. Its slices are immutable once
+// published; only the designs slots fill in, each at most once.
 type moduleTable struct {
-	// designs[c-1] is the design of the module with exactly c wrapper
-	// chains, for c in 1..min(MaxUsefulWidth, MaxTableWidth).
-	designs []Design
-	// prefixBest[c-1] is the index (chain count - 1) of the best design
-	// among chain counts 1..c.
-	prefixBest []int
-	// times[w-1] is the best test time at TAM width w: the prefix minimum
-	// of the per-chain-count design times. Architecture optimization's
-	// inner loops index this flat table instead of copying Design structs.
+	// times[w-1] is the best test time at TAM width w, for w in
+	// 1..min(MaxUsefulWidth, MaxTableWidth): the prefix minimum of the
+	// per-chain-count times. Architecture optimization's inner loops
+	// index this flat table instead of copying Design structs.
 	times []int64
+	// chains[w-1] is the chain count of the design behind times[w-1]:
+	// the fewest chains among 1..w that reach that time.
+	chains []int32
+	// designs[c-1] is the design with exactly c chains, built by Fit on
+	// first use.
+	designs []atomic.Pointer[Design]
 }
 
 // NewDesigner returns a Designer for the given SOC.
 func NewDesigner(s *soc.SOC) *Designer {
-	return &Designer{soc: s}
+	return &Designer{modules: s.Modules}
 }
 
-// designers caches one Designer per SOC value so that repeated
+// designers caches one Designer per live SOC value so that repeated
 // architecture designs for the same chip (parameter sweeps, benchmarks)
-// reuse the wrapper-fit tables.
-var designers sync.Map // *soc.SOC -> *Designer
+// reuse the time tables. Keys are weak: a cleanup deletes the entry once
+// its SOC is unreachable, so a parsed upload does not pin its tables for
+// the life of the process.
+var designers sync.Map // weak.Pointer[soc.SOC] -> *Designer
 
 // For returns the cached Designer for the SOC, creating it on first use.
-// The SOC must not be mutated after the first call.
+// The SOC must not be mutated after the first call. It must be allocated
+// at run time, as every SOC the parser, benchdata and a composite literal
+// inside a function produce is: Go 1.24's weak.Make aborts the process on
+// a pointer into static data, such as a package-level SOC variable.
 func For(s *soc.SOC) *Designer {
-	if d, ok := designers.Load(s); ok {
+	key := weak.Make(s)
+	if d, ok := designers.Load(key); ok {
 		return d.(*Designer)
 	}
-	d, _ := designers.LoadOrStore(s, NewDesigner(s))
+	d, loaded := designers.LoadOrStore(key, NewDesigner(s))
+	if !loaded {
+		runtime.AddCleanup(s, func(k weak.Pointer[soc.SOC]) { designers.Delete(k) }, key)
+	}
 	return d.(*Designer)
 }
 
-// SOC returns the SOC this designer was built for.
-func (d *Designer) SOC() *soc.SOC { return d.soc }
+// Modules returns the module slice of the SOC this designer was built
+// for. The slice is shared and must not be mutated.
+func (d *Designer) Modules() []soc.Module { return d.modules }
 
 func (d *Designer) table(mi int) *moduleTable {
 	if v, ok := d.tables.Load(mi); ok {
@@ -75,30 +95,26 @@ func (d *Designer) table(mi int) *moduleTable {
 	if v, ok := d.tables.Load(mi); ok {
 		return v.(*moduleTable)
 	}
-	m := &d.soc.Modules[mi]
-	cMax := MaxUsefulWidth(m)
-	if cMax > MaxTableWidth {
-		cMax = MaxTableWidth
+	m := &d.modules[mi]
+	n := min(MaxUsefulWidth(m), MaxTableWidth)
+	tab := &moduleTable{
+		times:   make([]int64, n),
+		chains:  make([]int32, n),
+		designs: make([]atomic.Pointer[Design], n),
 	}
-	t := make([]Design, cMax)
-	pb := make([]int, cMax)
-	times := make([]int64, cMax)
-	lengths := m.SortedChainLengths()
-	for c := 1; c <= cMax; c++ {
-		if m.Patterns == 0 {
-			t[c-1] = Design{Width: c, Chains: 0, Time: 0}
-		} else {
-			t[c-1] = fitChains(m, lengths, c)
-			t[c-1].Width = c
-		}
-		if c == 1 || t[c-1].Time < t[pb[c-2]].Time {
-			pb[c-1] = c - 1
-		} else {
-			pb[c-1] = pb[c-2]
-		}
-		times[c-1] = t[pb[c-1]].Time
+	if m.Patterns != 0 {
+		chainTimes(m, m.SortedChainLengths(), tab.times)
 	}
-	tab := &moduleTable{designs: t, prefixBest: pb, times: times}
+	// Prefix minimum in place, ties to the fewest chains: times[best]
+	// still holds the per-chain-count time of the best chain count.
+	best := 0
+	for c, t := range tab.times {
+		if t < tab.times[best] {
+			best = c
+		}
+		tab.times[c] = tab.times[best]
+		tab.chains[c] = int32(best + 1)
+	}
 	d.tables.Store(mi, tab)
 	return tab
 }
@@ -110,11 +126,19 @@ func (d *Designer) Fit(mi, w int) Design {
 		panic("wrapper.Designer.Fit: width < 1")
 	}
 	t := d.table(mi)
-	c := w
-	if c > len(t.designs) {
-		c = len(t.designs)
+	c := int(t.chains[min(w, len(t.chains))-1])
+	slot := &t.designs[c-1]
+	p := slot.Load()
+	if p == nil {
+		m := &d.modules[mi]
+		var built Design // a zero-pattern module: no chains, no time
+		if m.Patterns != 0 {
+			built = fitChains(m, m.SortedChainLengths(), c)
+		}
+		slot.CompareAndSwap(nil, &built)
+		p = slot.Load()
 	}
-	best := t.designs[t.prefixBest[c-1]]
+	best := *p
 	best.Width = w
 	return best
 }

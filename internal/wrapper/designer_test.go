@@ -2,8 +2,11 @@ package wrapper
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"multisite/internal/soc"
 )
@@ -81,6 +84,12 @@ func TestDesignerFitSharesMemoizedDesigns(t *testing.T) {
 	if d1.Time != d2.Time || d1.Chains != d2.Chains {
 		t.Errorf("repeated Fit differs: %+v vs %+v", d1, d2)
 	}
+	if &d1.ScanIn[0] != &d2.ScanIn[0] {
+		t.Error("repeated Fit built the design twice")
+	}
+	if n := testing.AllocsPerRun(100, func() { d.Fit(3, 8) }); n != 0 {
+		t.Errorf("memoized Fit allocates %v times per call", n)
+	}
 	if err := d1.Validate(&s.Modules[3]); err != nil {
 		t.Errorf("memoized design invalid: %v", err)
 	}
@@ -97,20 +106,28 @@ func TestDesignerWidthCap(t *testing.T) {
 
 func TestDesignerConcurrent(t *testing.T) {
 	s := designerSOC()
-	d := NewDesigner(s)
+	d := For(s)
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
+			if For(s) != d {
+				errs <- "For returned another designer under concurrency"
+				return
+			}
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 200; i++ {
 				mi := 1 + rng.Intn(3)
 				w := 1 + rng.Intn(16)
-				want := Fit(&s.Modules[mi], w).Time
-				if got := d.Time(mi, w); got != want {
-					errs <- "mismatch under concurrency"
+				want := Fit(&s.Modules[mi], w)
+				if got := d.Time(mi, w); got != want.Time {
+					errs <- "time mismatch under concurrency"
+					return
+				}
+				if got := d.Fit(mi, w); !reflect.DeepEqual(got, want) {
+					errs <- "design mismatch under concurrency"
 					return
 				}
 			}
@@ -131,6 +148,33 @@ func TestForCachesPerSOC(t *testing.T) {
 	other := designerSOC()
 	if For(s) == For(other) {
 		t.Error("For shared a designer across distinct SOC values")
+	}
+}
+
+func cachedDesigners() int {
+	n := 0
+	designers.Range(func(_, _ any) bool { n++; return true })
+	return n
+}
+
+func TestForReleasesUnreachableSOCs(t *testing.T) {
+	before := cachedDesigners()
+	for i := 0; i < 100; i++ {
+		For(designerSOC()).Time(3, 4)
+	}
+	// Cleanups run on their own goroutine after the collection that
+	// finds the SOCs unreachable, so poll.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		n := cachedDesigners()
+		if n <= before {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("designer cache holds %d entries after dropping 100 SOCs, %d before", n, before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -71,28 +71,88 @@ func Fit(m *soc.Module, w int) Design {
 	if m.Patterns == 0 {
 		return Design{Width: w, Chains: 0, Time: 0}
 	}
-	best := Design{Time: -1}
-	// Beyond cMax additional chains cannot help: every scan chain is
-	// alone and every cell is alone.
-	cMax := len(m.ScanChains) + m.InputCells()
-	if alt := len(m.ScanChains) + m.OutputCells(); alt > cMax {
-		cMax = alt
-	}
-	if cMax < 1 {
-		cMax = 1
-	}
-	if cMax > w {
-		cMax = w
-	}
+	// Beyond MaxUsefulWidth additional chains cannot help: every scan
+	// chain is alone and every cell is alone.
 	lengths := m.SortedChainLengths()
-	for c := 1; c <= cMax; c++ {
-		d := fitChains(m, lengths, c)
-		if best.Time < 0 || d.Time < best.Time {
-			d.Width = w
-			best = d
+	times := make([]int64, min(MaxUsefulWidth(m), w))
+	chainTimes(m, lengths, times)
+	best := 0
+	for c, t := range times {
+		if t < times[best] {
+			best = c
 		}
 	}
-	return best
+	d := fitChains(m, lengths, best+1)
+	d.Width = w
+	return d
+}
+
+// chainTimes sets times[c-1] to the test time of the design
+// fitChains(m, lengths, c) builds, for c in 1..len(times), without
+// building any design; lengths are the module's scan chain lengths in
+// descending order. Callers give a zero-pattern module time 0 at every
+// width instead, as Fit does. Only two numbers of a c-chain design decide
+// its time: the longest LPT bin and the total scan load, which every
+// chain count shares. waterLevel turns them into the longest scan-in and
+// scan-out chain.
+func chainTimes(m *soc.Module, lengths []int, times []int64) {
+	total := 0
+	for _, l := range lengths {
+		total += l
+	}
+	in, out := m.InputCells(), m.OutputCells()
+	bins := make([]int, len(lengths)) // LPT scratch, reused across chain counts
+	for c := 1; c <= len(times); c++ {
+		longest := 0
+		switch {
+		case c < len(lengths):
+			longest = lptLongest(lengths, bins[:c])
+		case len(lengths) > 0:
+			longest = lengths[0] // each chain alone
+		}
+		times[c-1] = TestTime(waterLevel(longest, total, c, in),
+			waterLevel(longest, total, c, out), m.Patterns)
+	}
+}
+
+// lptLongest returns the longest bin fitChains' LPT partition builds from
+// the descending lengths over len(bins) bins. Which of several equally
+// loaded bins takes a chain does not change the multiset of loads, so a
+// binary min-heap of loads reproduces fitChains' lowest-index argmin.
+func lptLongest(lengths, bins []int) int {
+	clear(bins)
+	longest := 0
+	for _, l := range lengths {
+		bins[0] += l
+		longest = max(longest, bins[0])
+		// Sift the grown root down.
+		for i := 0; ; {
+			j := i
+			if kid := 2*i + 1; kid < len(bins) && bins[kid] < bins[j] {
+				j = kid
+			}
+			if kid := 2*i + 2; kid < len(bins) && bins[kid] < bins[j] {
+				j = kid
+			}
+			if j == i {
+				break
+			}
+			bins[i], bins[j] = bins[j], bins[i]
+			i = j
+		}
+	}
+	return longest
+}
+
+// waterLevel returns the longest chain after waterFill spreads n unit
+// cells over c bins whose loads sum to total and peak at longest. The
+// cells first fill the c·longest − total of headroom below the peak, and
+// only what spills over raises the peak, evenly across all c bins.
+func waterLevel(longest, total, c, n int) int {
+	if spill := n - (c*longest - total); spill > 0 {
+		return longest + (spill+c-1)/c
+	}
+	return longest
 }
 
 // FitExact designs a wrapper with exactly min(w, MaxUsefulWidth) wrapper
