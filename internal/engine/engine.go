@@ -12,7 +12,8 @@
 //   - Run executes a job list on a pool of Workers goroutines; results are
 //     returned (and delivered to the Progress callback) in job order, no
 //     matter which worker finishes first, so reducers and golden files
-//     never see scheduling nondeterminism.
+//     never see scheduling nondeterminism. The pool and that ordered
+//     delivery are Ordered, which Map and the server's row streams share.
 //   - Memo caches the expensive Step 1+2 architecture design keyed on
 //     (SOC, ATE, TAM options); jobs that differ only in cost-model fields
 //     re-score the cached design via Result.ReEvaluate, which is orders of
@@ -130,63 +131,41 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]JobResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	results := make([]JobResult, len(jobs))
-	if len(jobs) == 0 {
-		return results, ctx.Err()
-	}
 	memo := opts.Memo
 	if memo == nil {
 		memo = NewMemo()
 	}
-
-	completed := make([]bool, len(jobs))
-	var mu sync.Mutex // guards completed[i] flips and ordered delivery
-	next := 0
-	deliver := func(i int) {
-		mu.Lock()
-		defer mu.Unlock()
-		completed[i] = true
-		for next < len(jobs) && completed[next] {
-			if opts.Progress != nil {
-				opts.Progress(Progress{Done: next + 1, Total: len(jobs), Result: results[next]})
-			}
-			next++
+	results := make([]JobResult, len(jobs))
+	done := 0
+	deliver := func(i int, r JobResult) {
+		results[i] = r
+		done = i + 1
+		if opts.Progress != nil {
+			opts.Progress(Progress{Done: done, Total: len(jobs), Result: r})
 		}
 	}
-
-	// The pool itself is Map's; Run adds job semantics on top (captured
-	// per-job errors in results, ordered Progress delivery). The worker
-	// function never returns an error, so Map's only possible error is
-	// the context's, handled below.
-	_, _ = Map(ctx, len(jobs), opts.Workers, func(ctx context.Context, i int) (struct{}, error) {
-		results[i] = runJob(ctx, i, jobs[i], memo)
-		deliver(i)
-		return struct{}{}, nil
+	err := Ordered(ctx, len(jobs), opts.Workers, func(ctx context.Context, i int) (JobResult, error) {
+		return runJob(ctx, i, jobs[i], memo), nil
+	}, func(i int, r JobResult, err error) error {
+		if err != nil { // runJob panicked
+			r = JobResult{Index: i, Job: jobs[i], Err: err}
+		}
+		deliver(i, r)
+		return nil
 	})
-
-	if err := ctx.Err(); err != nil {
-		// Jobs the feeder never handed out: report the cancellation and
-		// flush them through the ordered delivery path, so the Progress
-		// stream still sees every job exactly once, in order.
-		for i := range jobs {
-			if !completed[i] {
-				results[i] = JobResult{Index: i, Job: jobs[i], Err: err}
-				deliver(i)
-			}
+	if err != nil {
+		// Jobs the pool never started: report the cancellation in order,
+		// so the Progress stream still sees every job exactly once.
+		for i := done; i < len(jobs); i++ {
+			deliver(i, JobResult{Index: i, Job: jobs[i], Err: err})
 		}
-		return results, err
 	}
-	return results, nil
+	return results, ctx.Err()
 }
 
-// runJob executes one job, capturing errors and panics.
+// runJob executes one job, capturing its error.
 func runJob(ctx context.Context, i int, j Job, memo *Memo) (r JobResult) {
 	r = JobResult{Index: i, Job: j}
-	defer func() {
-		if p := recover(); p != nil {
-			r.Err = fmt.Errorf("engine: job %d (%s): panic: %v", i, j.Name, p)
-		}
-	}()
 	if err := ctx.Err(); err != nil {
 		r.Err = err
 		return r
@@ -220,13 +199,36 @@ func runJob(ctx context.Context, i int, j Job, memo *Memo) (r JobResult) {
 // is returned alongside the full result slice. A cancelled context leaves
 // unstarted indices at their zero value with the context error recorded.
 func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	var first error
+	err := Ordered(ctx, n, workers, fn, func(i int, v T, err error) error {
+		out[i] = v
+		if first == nil {
+			first = err
+		}
+		return nil
+	})
+	if first == nil {
+		first = err
+	}
+	return out, first
+}
+
+// Ordered runs fn over the indices 0..n-1 on a bounded worker pool and
+// hands each outcome to emit in index order, as soon as every lower index
+// has been emitted — the gap-closing delivery a streamed sweep needs,
+// whichever worker finishes first. emit runs one call at a time, on a
+// worker goroutine; a panicking fn reaches it as an error. The first
+// error emit returns stops further emits, cancels the indices not yet
+// started, and is returned. A cancelled context stops the pool from
+// starting indices: started ones are still emitted, the unstarted suffix
+// never is, and Ordered returns the context's error.
+func Ordered[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error), emit func(i int, v T, err error) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make([]T, n)
-	errs := make([]error, n)
 	if n == 0 {
-		return out, ctx.Err()
+		return ctx.Err()
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -234,52 +236,84 @@ func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context
 	if workers > n {
 		workers = n
 	}
+	poolCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
 
+	var (
+		mu       sync.Mutex
+		vals     = make([]T, n)
+		errs     = make([]error, n)
+		done     = make([]bool, n)
+		next     int
+		emitting bool // one worker at a time drains the ready prefix
+		emitErr  error
+	)
+	// deliver records index i; the worker that finds the next index ready
+	// and nobody emitting becomes the emitter and drains the ready prefix,
+	// calling emit outside the lock so the other workers keep computing.
+	deliver := func(i int, v T, err error) {
+		mu.Lock()
+		vals[i], errs[i], done[i] = v, err, true
+		if emitting {
+			mu.Unlock() // the emitter re-checks done[next] after each emit
+			return
+		}
+		emitting = true
+		for emitErr == nil && next < n && done[next] {
+			j, v, err := next, vals[next], errs[next]
+			var zero T
+			vals[j] = zero // emitted: let the value go
+			next++
+			mu.Unlock()
+			err = emit(j, v, err)
+			mu.Lock()
+			if err != nil {
+				emitErr = err
+				cancel()
+			}
+		}
+		emitting = false
+		mu.Unlock()
+	}
+
+	// Indices start in order, so the started ones are always a prefix and
+	// each of them is delivered: no gap is ever left open.
 	feed := make(chan int)
 	go func() {
 		defer close(feed)
-		for i := 0; i < n; i++ {
+		for i := 0; i < n && poolCtx.Err() == nil; i++ {
 			select {
 			case feed <- i:
-			case <-ctx.Done():
-				return
+			case <-poolCtx.Done():
 			}
 		}
 	}()
-
-	started := make([]bool, n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range feed {
-				started[i] = true
-				out[i], errs[i] = safeCall(ctx, i, fn)
+				v, err := safeCall(poolCtx, i, fn)
+				deliver(i, v, err)
 			}
 		}()
 	}
 	wg.Wait()
 
-	if err := ctx.Err(); err != nil {
-		for i := range errs {
-			if !started[i] {
-				errs[i] = err
-			}
-		}
+	if emitErr != nil {
+		return emitErr
 	}
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
+	if next < n {
+		return ctx.Err()
 	}
-	return out, nil
+	return nil
 }
 
 func safeCall[T any](ctx context.Context, i int, fn func(context.Context, int) (T, error)) (out T, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("engine: map index %d: panic: %v", i, p)
+			err = fmt.Errorf("engine: index %d: panic: %v", i, p)
 		}
 	}()
 	return fn(ctx, i)

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"multisite/internal/ate"
 	"multisite/internal/benchdata"
@@ -336,5 +339,162 @@ func TestRanges(t *testing.T) {
 	}
 	if got := IntRange(10, 1, 1); got != nil {
 		t.Errorf("IntRange inverted = %v", got)
+	}
+}
+
+// TestOrderedEmitOrder: emit sees every index exactly once, in index
+// order, whatever order randomized delays make the workers finish in.
+func TestOrderedEmitOrder(t *testing.T) {
+	const n = 64
+	for _, workers := range []int{1, 2, 8} {
+		rng := rand.New(rand.NewSource(int64(workers)))
+		delays := make([]time.Duration, n)
+		for i := range delays {
+			delays[i] = time.Duration(rng.Intn(300)) * time.Microsecond
+		}
+		var got []int
+		err := Ordered(context.Background(), n, workers, func(_ context.Context, i int) (int, error) {
+			time.Sleep(delays[i])
+			return i * i, nil
+		}, func(i, v int, err error) error {
+			if err != nil || v != i*i {
+				t.Errorf("workers=%d: emit(%d, %d, %v)", workers, i, v, err)
+			}
+			got = append(got, i)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(got) != n {
+			t.Fatalf("workers=%d: emitted %d of %d", workers, len(got), n)
+		}
+		for i, idx := range got {
+			if idx != i {
+				t.Fatalf("workers=%d: emit out of order at %d: %v", workers, i, got)
+			}
+		}
+	}
+}
+
+// TestOrderedEmitErrorStops: the first emit error ends the emits, cancels
+// the work in flight, starts nothing more, and is what Ordered returns.
+func TestOrderedEmitErrorStops(t *testing.T) {
+	const n, workers, stop = 100, 4, 5
+	boom := errors.New("boom")
+	var started atomic.Int64
+	var emitted []int
+	err := Ordered(context.Background(), n, workers, func(ctx context.Context, i int) (int, error) {
+		started.Add(1)
+		if i <= stop {
+			return i, nil
+		}
+		// Later indices wait for the cancellation the emit error causes.
+		select {
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		case <-time.After(10 * time.Second):
+			t.Errorf("index %d was never cancelled", i)
+			return i, nil
+		}
+	}, func(i, _ int, _ error) error {
+		emitted = append(emitted, i)
+		if i == stop {
+			return fmt.Errorf("emit %d: %w", i, boom)
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the emit error", err)
+	}
+	if len(emitted) != stop+1 || emitted[stop] != stop {
+		t.Errorf("emitted %v, want 0..%d", emitted, stop)
+	}
+	if s := started.Load(); s > stop+1+workers {
+		t.Errorf("%d indices started, want at most %d: the rest must stay unstarted", s, stop+1+workers)
+	}
+}
+
+// TestOrderedPanicReachesEmit: a panicking fn is an error at its own
+// index, and the indices around it are delivered as usual.
+func TestOrderedPanicReachesEmit(t *testing.T) {
+	var errs []error
+	err := Ordered(context.Background(), 4, 2, func(_ context.Context, i int) (int, error) {
+		if i == 2 {
+			panic("kaboom")
+		}
+		return i, nil
+	}, func(i, _ int, err error) error {
+		errs = append(errs, err)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Ordered = %v, want nil (emit accepted every index)", err)
+	}
+	if len(errs) != 4 {
+		t.Fatalf("emitted %d of 4", len(errs))
+	}
+	for i, e := range errs {
+		if (i == 2) != (e != nil) {
+			t.Errorf("index %d: err = %v", i, e)
+		}
+	}
+	if !strings.Contains(errs[2].Error(), "kaboom") {
+		t.Errorf("panic error %q does not carry the panic value", errs[2])
+	}
+}
+
+// TestOrderedCancelledContext: cancelling the caller's context emits
+// exactly the indices that started — a prefix — never the unstarted
+// suffix, and Ordered returns the context's error. A context cancelled
+// up front starts nothing.
+func TestOrderedCancelledContext(t *testing.T) {
+	const n, cancelAt = 50, 3
+	for _, workers := range []int{1, 2, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var mu sync.Mutex
+		started := map[int]bool{}
+		var emitted []int
+		err := Ordered(ctx, n, workers, func(ctx context.Context, i int) (int, error) {
+			mu.Lock()
+			started[i] = true
+			mu.Unlock()
+			if i > cancelAt {
+				// Hold the pool busy until the cancellation lands.
+				<-ctx.Done()
+			}
+			return i, nil
+		}, func(i, _ int, _ error) error {
+			emitted = append(emitted, i)
+			if i == cancelAt {
+				cancel()
+			}
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if len(emitted) != len(started) || len(emitted) >= n || len(emitted) <= cancelAt {
+			t.Errorf("workers=%d: emitted %d, started %d of %d", workers, len(emitted), len(started), n)
+		}
+		for i, idx := range emitted {
+			if idx != i || !started[i] {
+				t.Fatalf("workers=%d: emitted %v is not the started prefix", workers, emitted)
+			}
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	calls := 0
+	err := Ordered(ctx, n, 4, func(_ context.Context, i int) (int, error) {
+		t.Errorf("index %d started under a cancelled context", i)
+		return i, nil
+	}, func(int, int, error) error {
+		calls++
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) || calls != 0 {
+		t.Errorf("pre-cancelled: err = %v, %d emits; want context.Canceled and none", err, calls)
 	}
 }

@@ -493,8 +493,11 @@ func (m *Manager) Enqueue(spec Spec) (Snapshot, error) {
 	m.mu.Unlock()
 	m.enqueued.Add(1)
 	m.pending.Add(1)
+	// Snapshot before dispatch: the acknowledgement describes the job as
+	// accepted, not whatever state a fast worker has already moved it to.
+	snap := jb.snapshot()
 	m.dispatch(jb)
-	return jb.snapshot(), nil
+	return snap, nil
 }
 
 // trimRetainedLocked forgets the oldest terminal jobs past the

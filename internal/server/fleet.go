@@ -6,11 +6,7 @@ import (
 	"net/http"
 	"sync/atomic"
 
-	"multisite/internal/benchdata"
-	"multisite/internal/cachekey"
 	"multisite/internal/fleet"
-	"multisite/internal/jobs"
-	"multisite/internal/soc"
 )
 
 // This file is the peer half of fleet mode: N shared-nothing serve
@@ -124,52 +120,15 @@ func (s *Server) redirectRemote(w http.ResponseWriter, r *http.Request, key stri
 	return true
 }
 
-// builtinHashes memoizes name → canonical hash for the built-in
-// benchmark SOCs. Servers read it in resolveSOC and GET /v1/socs, and so
-// does routing-key derivation outside a *Server (the gateway path of
-// FleetRouteKey).
-var builtinHashes = func() map[string]string {
-	m := make(map[string]string)
-	for _, name := range benchdata.Names() {
-		m[name] = benchdata.Shared(name).Hash()
-	}
-	return m
-}()
-
-// routeSOCHash resolves the scenario's chip to its canonical hash
-// without building a compute environment: the routing-key half of
-// resolveSOC, shared by the gateway (which has no *Server) and the
-// peers' own redirect checks via FleetRouteKey.
-func routeSOCHash(req *ScenarioRequest) (string, int, error) {
-	switch {
-	case req.SOC != "" && req.SOCText != "":
-		return "", http.StatusBadRequest, fmt.Errorf("use either soc or soc_text, not both")
-	case req.SOC != "":
-		h, ok := builtinHashes[req.SOC]
-		if !ok {
-			return "", http.StatusNotFound, fmt.Errorf("unknown soc %q; see GET /v1/socs", req.SOC)
-		}
-		return h, 0, nil
-	case req.SOCText != "":
-		chip, err := soc.ParseString(req.SOCText)
-		if err != nil {
-			return "", http.StatusUnprocessableEntity, fmt.Errorf("soc_text: %v", err)
-		}
-		return chip.Hash(), 0, nil
-	default:
-		return "", http.StatusBadRequest, fmt.Errorf("specify soc (a benchmark name) or soc_text (inline ITC'02 text)")
-	}
-}
-
 // FleetRouteKey derives the fleet routing key of one request body —
 // the single function both the gateway and the peers' proxyless
 // redirect path go through, so the two sides structurally cannot route
 // one request to two shards. endpoint is the URL path
 // ("/v1/optimize", "/v1/sweep", "/v1/compare", "/v1/jobs"); body is
-// the raw JSON request body. The error carries the HTTP status the
-// request would earn from the serving peer (strict decode, SOC and
-// solver resolution), so a gateway can reject malformed requests
-// without burning a hop.
+// the raw JSON request body. The key and the error come from the very
+// parse a serving peer runs before anything else (parseOp), so a body
+// the gateway rejects earns the same status and error text from the
+// peer, and rejecting it costs no hop.
 //
 // Key selection per endpoint:
 //
@@ -188,62 +147,9 @@ func routeSOCHash(req *ScenarioRequest) (string, int, error) {
 //	           durable sweep job routes exactly where the synchronous
 //	           sweep would.
 func FleetRouteKey(endpoint string, body []byte) (string, int, error) {
-	switch endpoint {
-	case "/v1/optimize":
-		var req ScenarioRequest
-		if err := strictUnmarshal(body, &req); err != nil {
-			return "", http.StatusBadRequest, fmt.Errorf("request body: %v", err)
-		}
-		return scenarioRouteKey(&req)
-	case "/v1/sweep":
-		var req SweepRequest
-		if err := strictUnmarshal(body, &req); err != nil {
-			return "", http.StatusBadRequest, fmt.Errorf("request body: %v", err)
-		}
-		return scenarioRouteKey(&req.ScenarioRequest)
-	case "/v1/compare":
-		var req CompareRequest
-		if err := strictUnmarshal(body, &req); err != nil {
-			return "", http.StatusBadRequest, fmt.Errorf("request body: %v", err)
-		}
-		hash, status, err := routeSOCHash(&req.ScenarioRequest)
-		if err != nil {
-			return "", status, err
-		}
-		return cachekey.RouteCompare(hash, req.Config()), 0, nil
-	case "/v1/jobs":
-		var req JobSubmitRequest
-		if err := strictUnmarshal(body, &req); err != nil {
-			return "", http.StatusBadRequest, fmt.Errorf("request body: %v", err)
-		}
-		return jobRouteKey(jobs.Type(req.Type), req.Request)
-	}
-	return "", http.StatusNotFound, fmt.Errorf("no fleet route for %q", endpoint)
-}
-
-// scenarioRouteKey is the optimize/sweep half of FleetRouteKey: the
-// scenario's canonical cache key under its canonical solver name.
-func scenarioRouteKey(req *ScenarioRequest) (string, int, error) {
-	hash, status, err := routeSOCHash(req)
+	o, status, err := parseRequest(endpoint, body)
 	if err != nil {
 		return "", status, err
 	}
-	solver, status, err := resolveSolver(req.Solver)
-	if err != nil {
-		return "", status, err
-	}
-	return cachekey.Scenario(hash, solver, req.Config()), 0, nil
-}
-
-// jobRouteKey routes a durable job by its inner spec.
-func jobRouteKey(typ jobs.Type, raw []byte) (string, int, error) {
-	switch typ {
-	case jobs.TypeOptimize:
-		return FleetRouteKey("/v1/optimize", raw)
-	case jobs.TypeSweep:
-		return FleetRouteKey("/v1/sweep", raw)
-	case jobs.TypeCompare:
-		return FleetRouteKey("/v1/compare", raw)
-	}
-	return "", http.StatusBadRequest, fmt.Errorf("unknown job type %q; use optimize, sweep, or compare", typ)
+	return o.key, 0, nil
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -135,6 +136,43 @@ func TestFleetRouteKeyAgreesWithServerKey(t *testing.T) {
 	}
 	if _, status, err := FleetRouteKey("/v1/optimize", []byte(`{"bogus":1}`)); err == nil || status != http.StatusBadRequest {
 		t.Errorf("bogus field: status = %d, err = %v; want 400", status, err)
+	}
+
+	// A body the gateway rejects earns the same status and error text
+	// from a standalone server, so rejecting it without a hop is
+	// invisible to the client.
+	_, ts := newDurableServer(t, t.TempDir(), Options{})
+	bad := []struct{ path, body string }{
+		{"/v1/optimize", `{`},
+		{"/v1/optimize", `{"soc":"d695","soc_text":"SocName x"}`},
+		{"/v1/optimize", `{"soc_text":"SocName broken\nModule"}`},
+		{"/v1/optimize", `{"soc":"d695","solver":"simplex"}`},
+		{"/v1/optimize", `{"soc":"d695","channels":1}`},
+		{"/v1/sweep", `{"soc":"d695","depths":"1K:4097K:1K"}`},
+		{"/v1/sweep", `{"soc":"d695","solvers":["exact"]}`},
+		{"/v1/compare", `{"soc":"nope","solver":"exact"}`},
+		{"/v1/compare", `{"soc":"d695","solvers":["exact"]}`},
+		{"/v1/compare", `{"soc":"d695","channels":1}`},
+		{"/v1/jobs", `{"type":"sweep","request":{"soc":"d695","solver":"nope"}}`},
+		{"/v1/jobs", `{"type":"optimize","request":{"soc":"d695","anytime":true}}`},
+		{"/v1/jobs", `{"type":"bogus","request":{"soc":"d695"}}`},
+		{"/v1/jobs", `{"type":"optimize"}`},
+	}
+	for _, c := range bad {
+		_, status, err := FleetRouteKey(c.path, []byte(c.body))
+		if err == nil {
+			t.Errorf("%s %s: FleetRouteKey accepted it", c.path, c.body)
+			continue
+		}
+		resp, data := post(t, ts, c.path, c.body)
+		var e errorResponse
+		if jsonErr := json.Unmarshal(data, &e); jsonErr != nil {
+			t.Errorf("%s %s: server answered %d %s", c.path, c.body, resp.StatusCode, data)
+			continue
+		}
+		if resp.StatusCode != status || e.Error != err.Error() {
+			t.Errorf("%s %s: gateway %d %q, server %d %q", c.path, c.body, status, err, resp.StatusCode, e.Error)
+		}
 	}
 }
 

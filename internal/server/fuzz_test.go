@@ -1,46 +1,67 @@
 package server
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
+
+	"multisite/internal/jobs"
+	"multisite/internal/solve"
 )
 
-// FuzzCompareRequest smokes the /v1/compare request decoder with
-// adversarial bodies: whatever the bytes, decoding must not panic, and a
-// body the strict decoder accepts must yield a request whose derived
-// configuration and solver list are safe to process (expansion is
-// caller-bounded, never decoder-driven). The real handler adds the
-// registry validation and limits on top; this pins the decode layer the
-// CI fuzz-smoke step exercises.
-func FuzzCompareRequest(f *testing.F) {
-	f.Add(`{"soc":"d695","channels":256,"depth":"64K"}`)
-	f.Add(`{"soc":"d695","solvers":["heuristic","exact","baseline"]}`)
-	f.Add(`{"soc_text":"SocName x","solvers":[]}`)
-	f.Add(`{"solvers":["` + strings.Repeat("a", 1024) + `"]}`)
-	f.Add(`{"soc":"d695","depth":"1e308","clock_hz":-1}`)
-	f.Add(`{"soc":"d695","solvers":null}`)
-	f.Add(`[]`)
-	f.Add(`{"soc":"d695","solvers":["exact"],"channels":9223372036854775807}`)
-	f.Fuzz(func(t *testing.T, body string) {
-		var req CompareRequest
-		dec := json.NewDecoder(strings.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			return // malformed bodies simply fail the decode; nothing to check
+// FuzzParseOp smokes the one parser every compute body goes through —
+// synchronous, job submit, job replay and gateway routing alike — with
+// adversarial (type, body) pairs. Whatever the bytes, parsing must not
+// panic. An accepted body must route where FleetRouteKey routes it, with
+// a safe configuration (the Size type rejects NaN/overflow spellings at
+// decode), a sweep of 1 to maxSweepScenarios points and canonical,
+// distinct solvers no more numerous than the body is long (a solver list
+// is a plain array; only a size range string may expand, and that is
+// bounded).
+func FuzzParseOp(f *testing.F) {
+	for _, body := range []string{
+		`{"soc":"d695","channels":256,"depth":"64K"}`,
+		`{"soc":"d695","solvers":["heuristic","exact","baseline"]}`,
+		`{"soc_text":"SocName x","solvers":[]}`,
+		`{"solvers":["` + strings.Repeat("a", 1024) + `"]}`,
+		`{"soc":"d695","depth":"1e308","clock_hz":-1}`,
+		`{"soc":"d695","solvers":null}`,
+		`[]`,
+		`{"soc":"d695","solvers":["exact"],"channels":9223372036854775807}`,
+	} {
+		f.Add("compare", body)
+	}
+	f.Add("optimize", `{"soc":"d695","solver":"HEURISTIC","channels":256}`)
+	f.Add("sweep", `{"soc":"d695","depths":"48K:96K:16K","channels_list":[4,256],"retest_both":true}`)
+	f.Add("sweep", `{"soc":"p93791","solver":"exact","contact_yields":[1,0.99]}`)
+	f.Add("bogus", `{"soc":"d695"}`)
+	f.Fuzz(func(t *testing.T, typ, body string) {
+		o, status, err := parseOp(jobs.Type(typ), []byte(body))
+		if err != nil {
+			if status < 400 || status > 499 {
+				t.Errorf("rejected %s %q with status %d", typ, body, status)
+			}
+			return
 		}
-		// The derived configuration must always be constructible; the
-		// Size type already rejected NaN/overflow spellings at decode.
-		cfg := req.Config()
-		if cfg.ATE.Depth < 0 {
+		key, _, err := FleetRouteKey("/v1/"+typ, []byte(body))
+		if err != nil || key != o.key {
+			t.Errorf("FleetRouteKey(%s) = %q, %v; parseOp key %q", typ, key, err, o.key)
+		}
+		if o.cfg.ATE.Depth < 0 {
 			t.Errorf("decoded negative depth from %q", body)
 		}
-		// The solver list is used verbatim by the handler; make sure the
-		// decode cannot smuggle an unbounded expansion the way a size
-		// range string could (it is a plain array — its length is the
-		// body's length).
-		if len(req.Solvers) > len(body) {
-			t.Errorf("solver list longer than the body itself: %d", len(req.Solvers))
+		if o.typ == jobs.TypeSweep && (len(o.points) < 1 || len(o.points) > maxSweepScenarios) {
+			t.Errorf("sweep of %d points accepted from %q", len(o.points), body)
+		}
+		if len(o.solvers) > len(body) {
+			t.Errorf("solver list longer than the body itself: %d", len(o.solvers))
+		}
+		seen := map[string]bool{}
+		for _, name := range o.solvers {
+			sv, err := solve.Get(name)
+			if err != nil || sv.Name() != name || seen[name] {
+				t.Errorf("solver %q is not canonical and distinct in %v", name, o.solvers)
+			}
+			seen[name] = true
 		}
 	})
 }

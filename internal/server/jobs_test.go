@@ -249,6 +249,7 @@ func TestJobSubmitValidation(t *testing.T) {
 		{"anytime rejected", `{"type":"optimize","request":{"soc":"d695","anytime":true}}`, http.StatusBadRequest},
 		{"soc and soc_text", `{"type":"optimize","request":{"soc":"d695","soc_text":"x"}}`, http.StatusBadRequest},
 		{"oversized sweep", `{"type":"sweep","request":{"soc":"d695","depths":"1:8192:1"}}`, http.StatusBadRequest},
+		{"sweep unknown solver", `{"type":"sweep","request":{"soc":"d695","solver":"nope"}}`, http.StatusBadRequest},
 		{"compare solver field", `{"type":"compare","request":{"soc":"d695","solver":"exact"}}`, http.StatusBadRequest},
 		{"compare one solver", `{"type":"compare","request":{"soc":"d695","solvers":["exact"]}}`, http.StatusBadRequest},
 		{"valid optimize", `{"type":"optimize","request":{"soc":"d695"}}`, http.StatusAccepted},
@@ -438,7 +439,7 @@ func TestDiskEntryNotSnapshotRecomputed(t *testing.T) {
 }
 
 // TestJobCompare: a compare job persists the full delta table as one
-// row, matching the synchronous endpoint's response.
+// row, the same bytes the synchronous endpoint serves.
 func TestJobCompare(t *testing.T) {
 	const body = `{"soc":"d695","channels":256,"depth":"64K","solvers":["heuristic","baseline"]}`
 	_, ts := newDurableServer(t, t.TempDir(), Options{})
@@ -448,15 +449,29 @@ func TestJobCompare(t *testing.T) {
 	}
 	snap := submitJob(t, ts, "compare", body)
 	waitJob(t, ts, snap.ID, jobs.StateDone)
-	got := jobResult(t, ts, snap.ID, 0)
-	var fromJob, fromSync CompareResponse
-	if err := json.Unmarshal(got, &fromJob); err != nil {
-		t.Fatalf("job compare row: %v", err)
+	if got := jobResult(t, ts, snap.ID, 0); string(got) != string(syncData) {
+		t.Errorf("job result differs from synchronous response:\n%s\nvs\n%s", got, syncData)
 	}
-	if err := json.Unmarshal(syncData, &fromSync); err != nil {
-		t.Fatal(err)
+}
+
+// TestJobSweepMatchesSync: a sweep job's durable result is the same
+// NDJSON bytes the synchronous stream serves, error rows included (d695
+// cannot fit one site on 4 channels).
+func TestJobSweepMatchesSync(t *testing.T) {
+	const body = `{"soc":"d695","channels_list":[4,256],"depths":"48K,64K"}`
+	_, ts := newDurableServer(t, t.TempDir(), Options{})
+	resp, syncData := post(t, ts, "/v1/sweep", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sync sweep status %d: %s", resp.StatusCode, syncData)
 	}
-	if len(fromJob.Rows) != len(fromSync.Rows) || fromJob.Reference != fromSync.Reference {
-		t.Errorf("job table %+v differs from sync table %+v", fromJob, fromSync)
+	if n := strings.Count(string(syncData), `"error"`); n != 2 {
+		t.Fatalf("sync sweep has %d error rows, want 2: %s", n, syncData)
+	}
+	snap := submitJob(t, ts, "sweep", body)
+	if done := waitJob(t, ts, snap.ID, jobs.StateDone); done.RowsDone != 4 {
+		t.Errorf("job rows = %d, want 4", done.RowsDone)
+	}
+	if got := jobResult(t, ts, snap.ID, 0); string(got) != string(syncData) {
+		t.Errorf("job result differs from synchronous stream:\n%s\nvs\n%s", got, syncData)
 	}
 }

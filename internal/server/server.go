@@ -37,6 +37,15 @@
 // populate the same cache, so a sweep warms the point-query path and vice
 // versa.
 //
+// Each operation is defined once (op.go). Every compute body — a
+// synchronous request, a job submission or replay (jobs.go), a body the
+// fleet gateway routes (fleet.go) — is decoded and validated by parseOp,
+// which also derives its routing key. Sweep rows and compare rows run on
+// engine.Ordered, the one ordered-delivery primitive, under a failure
+// policy the caller picks: the synchronous endpoints embed failures as
+// error rows, the job runner aborts the attempt on anything a retry could
+// improve.
+//
 // Compute is bounded by a server-wide concurrency budget (Options.
 // Concurrency) layered under the per-sweep engine worker pool, and every
 // request is subject to Options.RequestTimeout via its context, which
@@ -55,7 +64,6 @@ import (
 	"time"
 
 	"multisite/internal/benchdata"
-	"multisite/internal/cachekey"
 	"multisite/internal/core"
 	"multisite/internal/diskcache"
 	"multisite/internal/engine"
@@ -166,9 +174,6 @@ type Server struct {
 	// mode (see fleet.go).
 	fleet *fleetInfo
 
-	socs  map[string]*soc.SOC
-	names []string
-
 	// breakers holds one circuit breaker per registry backend; solvers
 	// maps each backend's canonical name to its served instance —
 	// Options.WrapSolver innermost, the breaker outermost, and the
@@ -203,13 +208,8 @@ func New(opts Options) *Server {
 		memo:      engine.NewMemoBounded(maxMemoDesigns),
 		cache:     resultcache.NewOf[cachedResult](resultcache.Options{Capacity: opts.CacheCapacity}),
 		sem:       make(chan struct{}, opts.Concurrency),
-		socs:      make(map[string]*soc.SOC),
-		names:     benchdata.Names(),
 		requests:  make(map[string]*atomic.Int64),
 		durations: make(map[string]*histogram),
-	}
-	for _, name := range s.names {
-		s.socs[name] = benchdata.Shared(name)
 	}
 
 	// Adopt every registry backend behind its own circuit breaker, with
@@ -330,52 +330,6 @@ func (s *Server) requestCtx(r *http.Request, timeoutMS int) (context.Context, co
 	return context.WithCancel(r.Context())
 }
 
-// scenarioEnv is the resolved compute environment of one request: the
-// chip, its canonical hash, and the memo designs go through — the shared
-// per-process memo for built-in benchmarks, a per-request one for inline
-// SOCs (pointer-keyed state must not accumulate across requests).
-type scenarioEnv struct {
-	soc  *soc.SOC
-	hash string
-	memo *engine.Memo
-}
-
-// resolveSOC turns the request's soc / soc_text fields into an
-// environment, or an HTTP-status-carrying error.
-func (s *Server) resolveSOC(req *ScenarioRequest) (*scenarioEnv, int, error) {
-	switch {
-	case req.SOC != "" && req.SOCText != "":
-		return nil, http.StatusBadRequest, fmt.Errorf("use either soc or soc_text, not both")
-	case req.SOC != "":
-		chip, ok := s.socs[req.SOC]
-		if !ok {
-			return nil, http.StatusNotFound, fmt.Errorf("unknown soc %q; see GET /v1/socs", req.SOC)
-		}
-		return &scenarioEnv{soc: chip, hash: builtinHashes[req.SOC], memo: s.memo}, 0, nil
-	case req.SOCText != "":
-		chip, err := soc.ParseString(req.SOCText)
-		if err != nil {
-			return nil, http.StatusUnprocessableEntity, fmt.Errorf("soc_text: %v", err)
-		}
-		memo := engine.NewMemo()
-		memo.SetResolver(s.solverFor)
-		return &scenarioEnv{soc: chip, hash: chip.Hash(), memo: memo}, 0, nil
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("specify soc (a benchmark name) or soc_text (inline ITC'02 text)")
-	}
-}
-
-// resolveSolver validates a request's solver name against the registry
-// and returns its canonical name (the spelling cache keys and memo keys
-// use), or an HTTP-status-carrying error listing the valid names.
-func resolveSolver(name string) (string, int, error) {
-	sv, err := solve.Get(name)
-	if err != nil {
-		return "", http.StatusBadRequest, err
-	}
-	return sv.Name(), 0, nil
-}
-
 // cachedResult is one result-cache entry: a snapshot's response bytes
 // and the view of them that rows and headers read.
 type cachedResult struct {
@@ -384,13 +338,13 @@ type cachedResult struct {
 }
 
 // computeSnapshot produces the serialized optimization snapshot for one
-// scenario under the named backend (a canonical solver name from
-// resolveSolver), through both cache tiers: resultcache bytes first, then
-// the memoized design re-scored under the scenario's cost model. key is
-// the scenario's cacheKey, which the caller derives once. The compute
-// slot is held only while actually optimizing — never while waiting on a
-// cache entry another request is computing.
-func (s *Server) computeSnapshot(ctx context.Context, env *scenarioEnv, solver, key string, cfg core.Config) (cachedResult, bool, error) {
+// scenario of chip under the named backend (a canonical solver name),
+// through both cache tiers: resultcache bytes first, then memo's design
+// re-scored under the scenario's cost model. key is the scenario's
+// cacheKey, which the caller derives once. The compute slot is held only
+// while actually optimizing — never while waiting on a cache entry
+// another request is computing.
+func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *soc.SOC, solver, key string, cfg core.Config) (cachedResult, bool, error) {
 	cfg = cfg.Normalized()
 	if err := cfg.ATE.Validate(); err != nil {
 		return cachedResult{}, false, err
@@ -420,7 +374,7 @@ func (s *Server) computeSnapshot(ctx context.Context, env *scenarioEnv, solver, 
 			return cachedResult{}, false, err
 		}
 		defer s.release()
-		design, err := env.memo.DesignSolverCtx(ctx, solver, env.soc, cfg)
+		design, err := memo.DesignSolverCtx(ctx, solver, chip, cfg)
 		if err != nil {
 			return cachedResult{}, false, err
 		}
@@ -449,38 +403,24 @@ func (s *Server) computeSnapshot(ctx context.Context, env *scenarioEnv, solver, 
 }
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	var req ScenarioRequest
-	if !decodeJSON(w, r, &req) {
+	o := s.admit(w, r, "/v1/optimize")
+	if o == nil {
 		return
 	}
-	env, status, err := s.resolveSOC(&req)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	solver, status, err := resolveSolver(req.Solver)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	key := cacheKey(env.hash, solver, req.Config())
-	if s.redirectRemote(w, r, key) {
-		return
-	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
+	ctx, cancel := s.requestCtx(r, o.timeoutMS)
 	defer cancel()
-	if req.Anytime {
-		s.handleOptimizeAnytime(ctx, w, r, env, solver, req.Config())
+	if o.anytime {
+		s.handleOptimizeAnytime(ctx, w, r, o)
 		return
 	}
-	res, cached, err := s.computeSnapshot(ctx, env, solver, key, req.Config())
+	res, cached, err := s.computeSnapshot(ctx, s.memoFor(o), o.chip, o.solvers[0], o.key, o.cfg)
 	if err != nil {
 		writeError(w, s.computeStatus(r, err), err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", cacheHeader(cached))
-	w.Header().Set(HeaderCacheKey, key)
+	w.Header().Set(HeaderCacheKey, o.key)
 	// The provenance flags come from the entry's view, which every tier
 	// and every waiter joined to another request's compute receives.
 	if res.view.Degraded {
@@ -500,17 +440,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // cache tiers — its value is watching the search move, and its improving
 // prefixes must never be mistaken for results — but holds a compute slot
 // like any other optimization.
-func (s *Server) handleOptimizeAnytime(ctx context.Context, w http.ResponseWriter, r *http.Request, env *scenarioEnv, solver string, cfg core.Config) {
-	cfg = cfg.Normalized()
-	if err := cfg.ATE.Validate(); err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	if err := cfg.Probe.Validate(); err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	sv, err := s.solverFor(solver)
+func (s *Server) handleOptimizeAnytime(ctx context.Context, w http.ResponseWriter, r *http.Request, o *op) {
+	cfg := o.cfg.Normalized()
+	sv, err := s.solverFor(o.solvers[0])
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -545,7 +477,7 @@ func (s *Server) handleOptimizeAnytime(ctx context.Context, w http.ResponseWrite
 		s.anytimeEvents.Add(1)
 	}
 
-	res, err := solve.SolveAnytimeOf(ctx, sv, env.soc, cfg, nil, func(r *core.Result) {
+	res, err := solve.SolveAnytimeOf(ctx, sv, o.chip, cfg, nil, func(r *core.Result) {
 		emit(AnytimeEvent{Wires: r.Step1.Wires(), TestCycles: r.Step1.TestCycles()})
 	})
 	if err != nil {
@@ -572,103 +504,28 @@ func (s *Server) handleOptimizeAnytime(ctx context.Context, w http.ResponseWrite
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if !decodeJSON(w, r, &req) {
+	o := s.admit(w, r, "/v1/sweep")
+	if o == nil {
 		return
 	}
-	env, status, err := s.resolveSOC(&req.ScenarioRequest)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	solver, status, err := resolveSolver(req.Solver)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	// The whole sweep routes on its base scenario's key (see
-	// FleetRouteKey), so the NDJSON stream stays on one shard.
-	if s.redirectRemote(w, r, cacheKey(env.hash, solver, req.Config())) {
-		return
-	}
-	grid := req.Grid(env.soc)
-	if n := grid.Size(); n > maxSweepScenarios {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("sweep expands to %d scenarios; the limit is %d", n, maxSweepScenarios))
-		return
-	}
-	jobs := grid.Jobs()
-	if len(jobs) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("sweep expands to no scenarios"))
-		return
-	}
-
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
+	ctx, cancel := s.requestCtx(r, o.timeoutMS)
 	defer cancel()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Sweep-Scenarios", fmt.Sprint(len(jobs)))
+	w.Header().Set("X-Sweep-Scenarios", fmt.Sprint(len(o.points)))
 	flusher, _ := w.(http.Flusher)
-
-	// Rows stream in job order no matter which worker finishes first:
-	// the same gap-closing delivery the engine uses, with the row bytes
-	// written under the lock (ResponseWriter is not concurrency-safe).
-	rows := make([][]byte, len(jobs))
-	completed := make([]bool, len(jobs))
-	var mu sync.Mutex
-	next := 0
-	deliver := func(i int) {
-		mu.Lock()
-		defer mu.Unlock()
-		completed[i] = true
-		for next < len(jobs) && completed[next] {
-			if rows[next] == nil { // belt-and-braces: never emit a blank line
-				rows[next], _ = json.Marshal(SweepRow{Index: next,
-					Name: jobs[next].Name, Error: "internal: row lost"})
-			}
-			w.Write(rows[next])
-			w.Write([]byte("\n"))
-			if flusher != nil {
-				flusher.Flush()
-			}
-			s.sweepRows.Add(1)
-			next++
+	// Rows arrive one at a time (ResponseWriter is not concurrency-safe),
+	// in grid order. A cancelled context (client gone, timeout) simply
+	// truncates the stream; rows already delivered are valid NDJSON.
+	s.sweep(ctx, o, false, func(row []byte) error {
+		w.Write(row)
+		w.Write([]byte("\n"))
+		if flusher != nil {
+			flusher.Flush()
 		}
-	}
-	_, _ = engine.Map(ctx, len(jobs), s.opts.Workers, func(ctx context.Context, i int) (struct{}, error) {
-		// deliver must run even if the row computation panics — a gap at
-		// index i would silently drop every later row from the stream.
-		defer deliver(i)
-		rows[i] = s.rowBytes(ctx, env, solver, i, jobs[i])
-		return struct{}{}, nil
+		s.sweepRows.Add(1)
+		return nil
 	})
-	// A cancelled context (client gone, timeout) simply truncates the
-	// stream; rows already delivered are valid NDJSON.
-}
-
-// rowBytes computes one sweep row through the result cache, so grid
-// points shared with earlier optimize calls (or earlier sweeps) are
-// served from bytes, and this sweep's points warm the point-query path.
-// A panicking compute becomes an error row, never a hole in the stream.
-func (s *Server) rowBytes(ctx context.Context, env *scenarioEnv, solver string, i int, job engine.Job) (out []byte) {
-	defer func() {
-		if p := recover(); p != nil {
-			out, _ = json.Marshal(SweepRow{Index: i, Name: job.Name,
-				Error: fmt.Sprintf("internal: %v", p)})
-		}
-	}()
-	row := SweepRow{Index: i, Name: job.Name}
-	res, _, err := s.computeSnapshot(ctx, env, solver, cacheKey(env.hash, solver, job.Config), job.Config)
-	if err != nil {
-		row.Error = err.Error()
-	} else {
-		row = rowFromSnapshot(i, job.Name, &res.view)
-	}
-	data, err := json.Marshal(row)
-	if err != nil {
-		data, _ = json.Marshal(SweepRow{Index: i, Name: job.Name, Error: err.Error()})
-	}
-	return data
 }
 
 // handleSolvers lists the registered optimizer backends — the menu the
@@ -695,102 +552,27 @@ func (s *Server) handleSolvers(w http.ResponseWriter, r *http.Request) {
 // concurrently on the engine pool, and one infeasible backend (the exact
 // solver on a too-large SOC) becomes an error row, not a failed request.
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	var req CompareRequest
-	if !decodeJSON(w, r, &req) {
+	o := s.admit(w, r, "/v1/compare")
+	if o == nil {
 		return
 	}
-	solvers, status, err := resolveCompareSolvers(&req)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	env, status, err := s.resolveSOC(&req.ScenarioRequest)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	if s.redirectRemote(w, r, cachekey.RouteCompare(env.hash, req.Config())) {
-		return
-	}
-
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
+	ctx, cancel := s.requestCtx(r, o.timeoutMS)
 	defer cancel()
-	cfg := req.Config()
-	rows := make([]CompareRow, len(solvers))
-	_, _ = engine.Map(ctx, len(solvers), s.opts.Workers, func(ctx context.Context, i int) (struct{}, error) {
-		rows[i] = s.compareRow(ctx, env, solvers[i], cfg)
-		return struct{}{}, nil
-	})
-	if err := ctx.Err(); err != nil {
+	resp, err := s.compare(ctx, o, false)
+	if err == nil {
 		// The whole comparison shares one deadline; a partial table would
 		// silently misreport the slow backends.
+		err = ctx.Err()
+	}
+	if err != nil {
 		writeError(w, s.computeStatus(r, err), err)
 		return
 	}
-
-	resp := CompareResponse{SOC: env.soc.Name, SOCHash: env.hash, Rows: rows}
-	resp.Reference = referenceRow(rows)
-	applyDeltas(&resp)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
 }
 
-// resolveCompareSolvers validates a comparison's backend list — the
-// canonical names in response-row order — under the rules both the
-// synchronous endpoint and the job layer enforce.
-func resolveCompareSolvers(req *CompareRequest) ([]string, int, error) {
-	if req.Solver != "" {
-		return nil, http.StatusBadRequest,
-			errors.New("use solvers (a list) to choose comparison backends, not solver")
-	}
-	names := req.Solvers
-	if len(names) == 0 {
-		names = solve.Names()
-	}
-	if len(names) > maxCompareSolvers {
-		return nil, http.StatusBadRequest,
-			fmt.Errorf("comparing %d solvers; the limit is %d", len(names), maxCompareSolvers)
-	}
-	if len(names) < 2 {
-		return nil, http.StatusBadRequest,
-			errors.New("a comparison needs at least two solvers")
-	}
-	solvers := make([]string, len(names))
-	seen := make(map[string]bool, len(names))
-	for i, name := range names {
-		canonical, status, err := resolveSolver(name)
-		if err != nil {
-			return nil, status, err
-		}
-		if seen[canonical] {
-			return nil, http.StatusBadRequest, fmt.Errorf("duplicate solver %q", canonical)
-		}
-		seen[canonical] = true
-		solvers[i] = canonical
-	}
-	return solvers, 0, nil
-}
-
-// compareRow computes one backend's comparison row through the result
-// cache. A panicking compute becomes an error row.
-func (s *Server) compareRow(ctx context.Context, env *scenarioEnv, solver string, cfg core.Config) (row CompareRow) {
-	row = CompareRow{Solver: solver}
-	defer func() {
-		if p := recover(); p != nil {
-			row = CompareRow{Solver: solver, Error: fmt.Sprintf("internal: %v", p)}
-		}
-	}()
-	res, _, err := s.computeSnapshot(ctx, env, solver, cacheKey(env.hash, solver, cfg), cfg)
-	if err != nil {
-		row.Error = err.Error()
-		return row
-	}
-	fillCompareRow(&row, &res.view)
-	return row
-}
-
-// fillCompareRow projects a snapshot view onto a comparison row — shared
-// by the synchronous handler and the job runner.
+// fillCompareRow projects a snapshot view onto a comparison row.
 func fillCompareRow(row *CompareRow, view *snapshotView) {
 	row.Wires = view.Channels / 2
 	row.Channels = view.Channels
@@ -855,9 +637,10 @@ func applyDeltas(resp *CompareResponse) {
 }
 
 func (s *Server) handleSOCs(w http.ResponseWriter, r *http.Request) {
-	out := make([]SOCInfo, 0, len(s.names))
-	for _, name := range s.names {
-		chip := s.socs[name]
+	names := benchdata.Names()
+	out := make([]SOCInfo, 0, len(names))
+	for _, name := range names {
+		chip := benchdata.Shared(name)
 		out = append(out, SOCInfo{
 			Name:          name,
 			Hash:          builtinHashes[name],
@@ -870,18 +653,6 @@ func (s *Server) handleSOCs(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(struct {
 		SOCs []SOCInfo `json:"socs"`
 	}{out})
-}
-
-// decodeJSON reads the request body strictly; on failure it writes the
-// error response and reports false.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("request body: %v", err))
-		return false
-	}
-	return true
 }
 
 // statusClientClosedRequest is nginx's convention for "the client went

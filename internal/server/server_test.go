@@ -466,6 +466,7 @@ func TestErrorStatuses(t *testing.T) {
 		{"/v1/optimize", `{"soc":"d695","channels":4,"depth":"64K"}`, http.StatusUnprocessableEntity},
 		// Invalid tester.
 		{"/v1/optimize", `{"soc":"d695","channels":1}`, http.StatusUnprocessableEntity},
+		{"/v1/compare", `{"soc":"d695","channels":1}`, http.StatusUnprocessableEntity},
 		{"/v1/sweep", `{"soc":"d695","depths":"64K:48K:16K"}`, http.StatusBadRequest},
 		{"/v1/sweep", `{"soc":"d695","channels_list":[256,512],"depths":"1K:4096K:1K"}`, http.StatusBadRequest},
 		// A tiny range string must not expand to petabytes of entries

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"multisite/internal/benchdata"
+	"multisite/internal/jobs"
 	"multisite/internal/soc"
 )
 
@@ -15,11 +16,11 @@ import (
 // do, and returns the result-cache entry it produced.
 func computeEntry(t *testing.T, s *Server, req ScenarioRequest, timeout time.Duration) cachedResult {
 	t.Helper()
-	env, _, err := s.resolveSOC(&req)
+	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	solver, _, err := resolveSolver(req.Solver)
+	o, _, err := parseOp(jobs.TypeOptimize, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,10 +30,9 @@ func computeEntry(t *testing.T, s *Server, req ScenarioRequest, timeout time.Dur
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	cfg := req.Config()
-	res, _, err := s.computeSnapshot(ctx, env, solver, cacheKey(env.hash, solver, cfg), cfg)
+	res, _, err := s.computeSnapshot(ctx, s.memoFor(o), o.chip, o.solvers[0], o.key, o.cfg)
 	if err != nil {
-		t.Fatalf("%s under %s: %v", req.SOC, solver, err)
+		t.Fatalf("%s under %s: %v", req.SOC, o.solvers[0], err)
 	}
 	return res
 }
