@@ -29,7 +29,6 @@ import (
 	"multisite/internal/soc"
 	"multisite/internal/tam"
 	"multisite/internal/tap"
-	"multisite/internal/vectors"
 	"multisite/internal/wafersim"
 	"multisite/internal/wrapper"
 )
@@ -127,7 +126,7 @@ func BenchmarkDesignerBuild(b *testing.B) {
 			for b.Loop() {
 				d := wrapper.NewDesigner(s)
 				for _, mi := range modules {
-					d.MinTime(mi)
+					d.TimeTable(mi)
 				}
 			}
 		})
@@ -249,21 +248,6 @@ func BenchmarkSimBitPNX8550(b *testing.B) {
 	}
 }
 
-// BenchmarkVectorsBuild measures laying out the PNX8550 ATE memory image.
-func BenchmarkVectorsBuild(b *testing.B) {
-	s := benchdata.Shared("pnx8550")
-	arch, err := tam.DesignStep1(s, ate.ATE{Channels: 512, Depth: 7 * benchdata.Mi, ClockHz: 5e6})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := vectors.Build(arch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMonteCarlo measures 1000 simulated touchdowns of an 8-site
 // test with re-testing.
 func BenchmarkMonteCarlo(b *testing.B) {
@@ -350,9 +334,8 @@ func BenchmarkExpectedAbortSavings(b *testing.B) {
 // familySweepJobs is the fleet-scale acceptance grid: every benchmark SOC
 // of the paper's Table 1 plus PNX8550, at its paper channel count, over
 // representative depths, with a contact-yield × re-test cost-model sweep.
-// 96 scenarios over 24 Step 1 design keys: the engine's memo re-scores
-// each design four times, and the designs themselves fan out across the
-// worker pool.
+// 80 scenarios (5 chips × 4 depths × 4 contact yields) over 20 Step 1
+// design keys: the engine's memo re-scores each design four times.
 func familySweepJobs() []engine.Job {
 	probe := ate.DefaultProbeStation()
 	pcs := []float64{1, 0.999, 0.998, 0.99}
@@ -423,12 +406,14 @@ func BenchmarkSweepSerialNaive(b *testing.B) {
 }
 
 // BenchmarkSweepEngine runs the same family grid on the sweep engine at
-// growing worker counts. Speedup over BenchmarkSweepSerialNaive comes from
-// two composing levers: the memo re-scores each Step 1 design across the
-// cost-model variants (~4x fewer designs on this grid, independent of
-// CPU count), and the remaining designs fan out across workers (near-
-// linear in GOMAXPROCS on multi-core hardware). Results are byte-identical
-// across all variants (TestEngineFamilySweepDeterministic).
+// growing worker counts. Its speedup over BenchmarkSweepSerialNaive comes
+// from the memo, which re-scores each Step 1 design across the cost-model
+// variants (4x fewer designs on this grid, independent of CPU count).
+// Extra workers do not help in grid order: neighbouring jobs share a
+// design key, so a second worker waits on the design the first is
+// computing (ROADMAP item 2 measured ~28.7 ms at 2 workers vs ~30.4 ms at
+// 1 on a 2-core host). Results are byte-identical across all variants
+// (TestEngineFamilySweepDeterministic).
 func BenchmarkSweepEngine(b *testing.B) {
 	jobs := familySweepJobs()
 	counts := []int{1, 2, 4}

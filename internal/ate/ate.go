@@ -8,7 +8,6 @@ package ate
 
 import (
 	"fmt"
-	"time"
 )
 
 // ATE describes the tester resources available for multi-site testing.
@@ -71,11 +70,6 @@ func (a ATE) MaxSites(k int) int {
 // SecondsFor converts a cycle count to seconds at the ATE test clock.
 func (a ATE) SecondsFor(cycles int64) float64 {
 	return float64(cycles) / a.ClockHz
-}
-
-// CyclesFor converts a duration to test clock cycles (rounded down).
-func (a ATE) CyclesFor(d time.Duration) int64 {
-	return int64(d.Seconds() * a.ClockHz)
 }
 
 // ProbeStation carries the wafer prober timing constants of the paper's

@@ -3,7 +3,6 @@ package ate
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestATEValidate(t *testing.T) {
@@ -88,9 +87,6 @@ func TestSecondsCyclesRoundTrip(t *testing.T) {
 	a := ATE{Channels: 2, Depth: 1, ClockHz: 5e6}
 	if got := a.SecondsFor(5_000_000); got != 1.0 {
 		t.Errorf("SecondsFor = %g", got)
-	}
-	if got := a.CyclesFor(2 * time.Second); got != 10_000_000 {
-		t.Errorf("CyclesFor = %d", got)
 	}
 }
 

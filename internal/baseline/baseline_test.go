@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -154,4 +155,53 @@ func TestPropertyPackingValid(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestCycles returns the packing's makespan: the highest occupied row.
+func (p *Packing) TestCycles() int64 {
+	var n int64
+	for _, pl := range p.Placements {
+		if end := pl.Start + pl.Time; end > n {
+			n = end
+		}
+	}
+	return n
+}
+
+// Validate checks that placements stay inside the bin, do not overlap, and
+// use genuine wrapper test times.
+func (p *Packing) Validate() error {
+	d := wrapper.For(p.SOC)
+	seen := make(map[int]bool)
+	for i, pl := range p.Placements {
+		if pl.Wire < 0 || pl.Wire+pl.Width > p.Wires {
+			return fmt.Errorf("placement %d: wires [%d,%d) outside bin width %d",
+				i, pl.Wire, pl.Wire+pl.Width, p.Wires)
+		}
+		if pl.Start < 0 || pl.Start+pl.Time > p.Depth {
+			return fmt.Errorf("placement %d: cycles [%d,%d) outside depth %d",
+				i, pl.Start, pl.Start+pl.Time, p.Depth)
+		}
+		if want := d.Time(pl.Module, pl.Width); pl.Time != want {
+			return fmt.Errorf("placement %d: time %d != wrapper time %d at width %d",
+				i, pl.Time, want, pl.Width)
+		}
+		if seen[pl.Module] {
+			return fmt.Errorf("module %d placed twice", pl.Module)
+		}
+		seen[pl.Module] = true
+		for j := 0; j < i; j++ {
+			o := p.Placements[j]
+			if pl.Wire < o.Wire+o.Width && o.Wire < pl.Wire+pl.Width &&
+				pl.Start < o.Start+o.Time && o.Start < pl.Start+pl.Time {
+				return fmt.Errorf("placements %d and %d overlap", j, i)
+			}
+		}
+	}
+	for _, mi := range p.SOC.TestableModules() {
+		if !seen[mi] {
+			return fmt.Errorf("testable module %d not placed", mi)
+		}
+	}
+	return nil
 }

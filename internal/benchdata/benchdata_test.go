@@ -155,22 +155,11 @@ func TestSharedStable(t *testing.T) {
 		t.Error("unknown name should be nil")
 	}
 	for _, name := range Names() {
-		if Shared(name) == nil {
+		s := Shared(name)
+		if s == nil {
 			t.Errorf("benchmark %s missing", name)
+			continue
 		}
-	}
-}
-
-func TestAllFresh(t *testing.T) {
-	a := All()
-	if len(a) != len(Names()) {
-		t.Fatalf("All() has %d entries, want %d", len(a), len(Names()))
-	}
-	// All returns fresh copies, distinct from the shared templates.
-	if a["d695"] == Shared("d695") {
-		t.Error("All() returned the shared instance")
-	}
-	for name, s := range a {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%s invalid: %v", name, err)
 		}

@@ -278,19 +278,3 @@ func Names() []string {
 	return append([]string{"d695", "p22810", "p34392", "p93791", "pnx8550"},
 		FamilyNames()...)
 }
-
-// All returns every benchmark SOC keyed by name. The SOCs are freshly
-// built and safe to mutate.
-func All() map[string]*soc.SOC {
-	out := map[string]*soc.SOC{
-		"d695":    D695(),
-		"p22810":  P22810(),
-		"p34392":  P34392(),
-		"p93791":  P93791(),
-		"pnx8550": PNX8550(),
-	}
-	for name, s := range familySOCs() {
-		out[name] = s
-	}
-	return out
-}

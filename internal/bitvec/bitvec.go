@@ -6,7 +6,7 @@
 //
 // The invariant throughout is that the unused high bits of the last word
 // are zero; every mutator preserves it, so whole-vector operations
-// (PopCount, Compare, Equal) never need per-bit masking.
+// (Compare) never need per-bit masking.
 package bitvec
 
 import "math/bits"
@@ -22,15 +22,11 @@ type Vec struct {
 // WordsFor returns the number of 64-bit words needed for n bits.
 func WordsFor(n int) int { return (n + 63) >> 6 }
 
-// New allocates a zeroed vector of n bits.
-func New(n int) Vec {
-	return Vec{w: make([]uint64, WordsFor(n)), n: n}
-}
-
 // FromWords wraps an existing word slice as an n-bit vector, sharing the
 // storage — the slab allocator the simulator uses to carve per-chain
 // registers out of one backing array. len(w) must be WordsFor(n); the
-// caller is responsible for the high-bit invariant (Zero establishes it).
+// caller is responsible for the high-bit invariant (all-zero words, or
+// MaskTail after writing them, establish it).
 func FromWords(w []uint64, n int) Vec {
 	if len(w) != WordsFor(n) {
 		panic("bitvec: word slice does not match bit length")
@@ -54,23 +50,8 @@ func (v Vec) MaskTail() {
 	}
 }
 
-// Get reports bit i.
-func (v Vec) Get(i int) bool {
-	return v.w[i>>6]&(1<<uint(i&63)) != 0
-}
-
-// Set sets bit i to 1.
-func (v Vec) Set(i int) { v.w[i>>6] |= 1 << uint(i&63) }
-
 // Flip inverts bit i.
 func (v Vec) Flip(i int) { v.w[i>>6] ^= 1 << uint(i&63) }
-
-// Zero clears every bit.
-func (v Vec) Zero() {
-	for i := range v.w {
-		v.w[i] = 0
-	}
-}
 
 // CopyFrom copies u's bits into v. The lengths must match.
 func (v Vec) CopyFrom(u Vec) {
@@ -78,69 +59,6 @@ func (v Vec) CopyFrom(u Vec) {
 		panic("bitvec: length mismatch in CopyFrom")
 	}
 	copy(v.w, u.w)
-}
-
-// PopCount returns the number of set bits.
-func (v Vec) PopCount() int {
-	c := 0
-	for _, w := range v.w {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// FirstSet returns the index of the lowest set bit, or -1 if none.
-func (v Vec) FirstSet() int {
-	for i, w := range v.w {
-		if w != 0 {
-			return i<<6 + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
-}
-
-// ShiftRight shifts the vector k bits toward bit 0 (dropping the k lowest
-// bits, zero-filling from the top) — the shift-window primitive for
-// PARTIAL drains: after a k-cycle scan window the register holds its
-// former contents k positions closer to the output. The current protocol
-// never needs it (every comparing window is at least the register length,
-// so registers drain whole — see internal/sim); it is kept, pinned by the
-// model tests, for engines whose windows can be shorter than a chain.
-func (v Vec) ShiftRight(k int) {
-	if k <= 0 {
-		return
-	}
-	if k >= v.n {
-		v.Zero()
-		return
-	}
-	words, rem := k>>6, uint(k&63)
-	w := v.w
-	if rem == 0 {
-		copy(w, w[words:])
-	} else {
-		last := len(w) - words - 1
-		for i := 0; i < last; i++ {
-			w[i] = w[i+words]>>rem | w[i+words+1]<<(64-rem)
-		}
-		w[last] = w[len(w)-1] >> rem
-	}
-	for i := len(w) - words; i < len(w); i++ {
-		w[i] = 0
-	}
-}
-
-// Equal reports whether two vectors hold identical bits.
-func Equal(a, b Vec) bool {
-	if a.n != b.n {
-		return false
-	}
-	for i := range a.w {
-		if a.w[i] != b.w[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Compare XOR-diffs two equal-length vectors in one pass and returns the

@@ -8,6 +8,12 @@ import (
 // model is the executable specification: a plain bool slice.
 type model []bool
 
+// newVec allocates a zeroed n-bit vector.
+func newVec(n int) Vec { return FromWords(make([]uint64, WordsFor(n)), n) }
+
+// bit reports bit i of v, read straight from the backing words.
+func bit(v Vec, i int) bool { return v.Words()[i>>6]>>uint(i&63)&1 != 0 }
+
 func (m model) popCount() int {
 	c := 0
 	for _, b := range m {
@@ -27,22 +33,12 @@ func (m model) firstSet() int {
 	return -1
 }
 
-func (m model) shiftRight(k int) {
-	if k > len(m) {
-		k = len(m)
-	}
-	copy(m, m[k:])
-	for i := len(m) - k; i < len(m); i++ {
-		m[i] = false
-	}
-}
-
 func randomPair(rng *rand.Rand, n int) (Vec, model) {
-	v := New(n)
+	v := newVec(n)
 	m := make(model, n)
 	for i := 0; i < n; i++ {
 		if rng.Intn(2) == 1 {
-			v.Set(i)
+			v.Flip(i)
 			m[i] = true
 		}
 	}
@@ -55,15 +51,17 @@ func checkMatch(t *testing.T, v Vec, m model, ctx string) {
 		t.Fatalf("%s: length %d vs model %d", ctx, v.Len(), len(m))
 	}
 	for i := range m {
-		if v.Get(i) != m[i] {
-			t.Fatalf("%s: bit %d = %v, model %v", ctx, i, v.Get(i), m[i])
+		if bit(v, i) != m[i] {
+			t.Fatalf("%s: bit %d = %v, model %v", ctx, i, bit(v, i), m[i])
 		}
 	}
-	if got, want := v.PopCount(), m.popCount(); got != want {
-		t.Fatalf("%s: popcount %d, model %d", ctx, got, want)
+	// Against an all-zero vector, Compare counts and locates the set bits.
+	count, first := Compare(v, newVec(v.Len()))
+	if want := m.popCount(); count != want {
+		t.Fatalf("%s: popcount %d, model %d", ctx, count, want)
 	}
-	if got, want := v.FirstSet(), m.firstSet(); got != want {
-		t.Fatalf("%s: firstset %d, model %d", ctx, got, want)
+	if want := m.firstSet(); first != want {
+		t.Fatalf("%s: firstset %d, model %d", ctx, first, want)
 	}
 }
 
@@ -75,23 +73,8 @@ func TestRandomizedAgainstModel(t *testing.T) {
 		checkMatch(t, v, m, "fresh")
 		for op := 0; op < 20; op++ {
 			i := rng.Intn(n)
-			switch rng.Intn(4) {
-			case 0:
-				v.Set(i)
-				m[i] = true
-			case 1:
-				v.Flip(i)
-				m[i] = !m[i]
-			case 2:
-				k := rng.Intn(n + 10)
-				v.ShiftRight(k)
-				m.shiftRight(k)
-			case 3:
-				v.Zero()
-				for j := range m {
-					m[j] = false
-				}
-			}
+			v.Flip(i)
+			m[i] = !m[i]
 			checkMatch(t, v, m, "after op")
 		}
 	}
@@ -102,7 +85,7 @@ func TestCompareAgainstModel(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(260)
 		a, am := randomPair(rng, n)
-		b := New(n)
+		b := newVec(n)
 		bm := make(model, n)
 		b.CopyFrom(a)
 		copy(bm, am)
@@ -125,24 +108,22 @@ func TestCompareAgainstModel(t *testing.T) {
 		if count != wantCount || first != wantFirst {
 			t.Fatalf("n=%d: Compare = (%d,%d), model (%d,%d)", n, count, first, wantCount, wantFirst)
 		}
-		if !Equal(a, b) != (wantCount > 0) {
-			t.Fatalf("Equal inconsistent with Compare")
-		}
 	}
 }
 
 func TestMaskTailAfterWordWrites(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 127, 128, 130} {
-		v := New(n)
+		v := newVec(n)
 		for i := range v.Words() {
 			v.Words()[i] = ^uint64(0)
 		}
 		v.MaskTail()
-		if got := v.PopCount(); got != n {
-			t.Errorf("n=%d: popcount after MaskTail = %d", n, got)
+		count, first := Compare(v, newVec(n))
+		if count != n {
+			t.Errorf("n=%d: popcount after MaskTail = %d", n, count)
 		}
-		if v.FirstSet() != 0 {
-			t.Errorf("n=%d: firstset = %d", n, v.FirstSet())
+		if first != 0 {
+			t.Errorf("n=%d: firstset = %d", n, first)
 		}
 	}
 }
@@ -150,7 +131,7 @@ func TestMaskTailAfterWordWrites(t *testing.T) {
 func TestFromWordsSharesStorage(t *testing.T) {
 	w := make([]uint64, WordsFor(100))
 	a := FromWords(w, 100)
-	a.Set(99)
+	a.Flip(99)
 	if w[1] == 0 {
 		t.Fatal("FromWords did not share storage")
 	}
@@ -160,18 +141,4 @@ func TestFromWordsSharesStorage(t *testing.T) {
 		}
 	}()
 	FromWords(w, 1000)
-}
-
-func TestShiftRightWordAligned(t *testing.T) {
-	v := New(200)
-	v.Set(64)
-	v.Set(199)
-	v.ShiftRight(64)
-	if !v.Get(0) || !v.Get(135) || v.PopCount() != 2 {
-		t.Errorf("word-aligned shift wrong: popcount=%d", v.PopCount())
-	}
-	v.ShiftRight(300)
-	if v.PopCount() != 0 {
-		t.Error("over-length shift did not clear")
-	}
 }

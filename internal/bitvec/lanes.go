@@ -16,11 +16,11 @@ const LaneCount = 64
 // cycles of one trial.
 //
 // Because all lanes of a window share the stimulus, the expectation side
-// is a plain Vec broadcast across lanes (Broadcast) and per-scenario
+// is a plain Vec broadcast across lanes (BroadcastFrom) and per-scenario
 // faults are per-lane XOR masks at their bit position (FlipLanes); the
 // mismatch extraction walks the window's words once, front to back, and
 // resolves every lane's first differing position in the same sweep
-// (FirstDiffPerLane).
+// (FirstDiffPerLaneFrom).
 //
 // The zero value is an empty view. Like Vec, Lanes is a small header over
 // a word slice; copying aliases the storage.
@@ -28,37 +28,17 @@ type Lanes struct {
 	w []uint64
 }
 
-// NewLanes allocates a zeroed lane view of n bit positions.
-func NewLanes(n int) Lanes { return Lanes{w: make([]uint64, n)} }
-
 // LanesFromWords wraps an existing word slice as a lane view — one word
 // per bit position — sharing the storage, so one scratch slab can serve
 // every (pattern, chain) window of a scenario block.
 func LanesFromWords(w []uint64) Lanes { return Lanes{w: w} }
 
-// Positions returns the number of bit positions (words) in the view.
-func (l Lanes) Positions() int { return len(l.w) }
-
-// Words exposes the backing words (word i = lane mask at position i).
-func (l Lanes) Words() []uint64 { return l.w }
-
-// Fill sets every position to the same lane word — the constant
-// broadcast-fill (all-lanes-zero, all-lanes-one, or any fixed mask).
-func (l Lanes) Fill(word uint64) {
-	for i := range l.w {
-		l.w[i] = word
-	}
-}
-
-// Broadcast fills the view from a packed expectation vector: position i
-// becomes all-ones when bit i of v is set, all-zeros otherwise — every
-// scenario lane receives the same expected response stream, which is what
-// a shared-stimulus Monte-Carlo window looks like before fault injection.
-// v must cover at least Positions() bits.
-func (l Lanes) Broadcast(v Vec) { l.BroadcastFrom(v, 0) }
-
-// BroadcastFrom is Broadcast restricted to positions [from, Positions()):
-// callers that know the earlier positions will never be read (no fault
+// BroadcastFrom fills positions [from, len) of the view from a packed
+// expectation vector: position i becomes all-ones when bit i of v is set,
+// all-zeros otherwise — every scenario lane receives the same expected
+// response stream, which is what a shared-stimulus Monte-Carlo window
+// looks like before fault injection. v must cover every position.
+// Callers that know the earlier positions will never be read (no fault
 // can flip them, so response and expectation are equal there by
 // construction) skip materializing them. Positions below from are left
 // untouched.
@@ -84,24 +64,18 @@ func (l Lanes) FlipLanes(pos int, mask uint64) {
 	l.w[pos] ^= mask
 }
 
-// FirstDiffPerLane is the batched per-lane first-set extraction: it walks
-// the mismatch words of one shift window — the lane-transposed responses r
-// against the broadcast expectation e — once, front to back, and records
-// for every lane in pending the first position at which that lane's
-// response differs from the expectation. firstPos must have LaneCount
-// entries; firstPos[s] is written only for resolved lanes. The returned
-// mask holds the lanes that mismatched somewhere in the window; the walk
-// stops as soon as every pending lane has resolved, and positions beyond
-// the expectation's length are never read. e must cover at least
-// Positions() bits.
-func FirstDiffPerLane(r Lanes, e Vec, pending uint64, firstPos []int) uint64 {
-	return FirstDiffPerLaneFrom(r, e, pending, firstPos, 0)
-}
-
-// FirstDiffPerLaneFrom is FirstDiffPerLane starting the walk at position
-// from — for windows where every injected fault sits at or above from,
-// positions below it cannot mismatch and need not be scanned (or even
-// broadcast, see BroadcastFrom).
+// FirstDiffPerLaneFrom is the batched per-lane first-set extraction: it
+// walks the mismatch words of one shift window — the lane-transposed
+// responses r against the broadcast expectation e — once, front to back
+// from position from, and records for every lane in pending the first
+// position at which that lane's response differs from the expectation.
+// firstPos must have LaneCount entries; firstPos[s] is written only for
+// resolved lanes. The returned mask holds the lanes that mismatched
+// somewhere in the window; the walk stops as soon as every pending lane
+// has resolved, and positions beyond the expectation's length are never
+// read. e must cover every position of r. When every injected fault sits
+// at or above from, positions below it cannot mismatch and need not be
+// scanned (or even broadcast, see BroadcastFrom).
 func FirstDiffPerLaneFrom(r Lanes, e Vec, pending uint64, firstPos []int, from int) uint64 {
 	if len(firstPos) < LaneCount {
 		panic("bitvec: firstPos shorter than LaneCount")

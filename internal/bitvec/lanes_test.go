@@ -6,28 +6,30 @@ import (
 )
 
 func TestLanesBroadcast(t *testing.T) {
-	v := New(130)
+	v := newVec(130)
 	for _, i := range []int{0, 5, 63, 64, 77, 129} {
-		v.Set(i)
+		v.Flip(i)
 	}
-	l := NewLanes(130)
-	l.Broadcast(v)
+	w := make([]uint64, 130)
+	LanesFromWords(w).BroadcastFrom(v, 0)
 	for i := 0; i < 130; i++ {
 		want := uint64(0)
-		if v.Get(i) {
+		if bit(v, i) {
 			want = ^uint64(0)
 		}
-		if l.Words()[i] != want {
-			t.Fatalf("position %d: broadcast word %#x, want %#x", i, l.Words()[i], want)
+		if w[i] != want {
+			t.Fatalf("position %d: broadcast word %#x, want %#x", i, w[i], want)
 		}
 	}
 }
 
 func TestLanesFillAndFlip(t *testing.T) {
-	l := NewLanes(8)
-	l.Fill(0xff00ff00ff00ff00)
-	l.FlipLanes(3, 1<<8|1<<9)
-	for i, w := range l.Words() {
+	words := make([]uint64, 8)
+	for i := range words {
+		words[i] = 0xff00ff00ff00ff00
+	}
+	LanesFromWords(words).FlipLanes(3, 1<<8|1<<9)
+	for i, w := range words {
 		want := uint64(0xff00ff00ff00ff00)
 		if i == 3 {
 			want ^= 1<<8 | 1<<9
@@ -40,12 +42,12 @@ func TestLanesFillAndFlip(t *testing.T) {
 
 func TestFirstDiffPerLaneBasic(t *testing.T) {
 	// Expectation: alternating bits over 100 positions.
-	e := New(100)
+	e := newVec(100)
 	for i := 0; i < 100; i += 2 {
-		e.Set(i)
+		e.Flip(i)
 	}
-	l := NewLanes(100)
-	l.Broadcast(e)
+	l := LanesFromWords(make([]uint64, 100))
+	l.BroadcastFrom(e, 0)
 	// Lane 0 flips position 7, lane 3 positions 2 and 90 (first wins),
 	// lane 63 position 0; lane 5 stays clean.
 	l.FlipLanes(7, 1<<0)
@@ -65,9 +67,9 @@ func TestFirstDiffPerLaneBasic(t *testing.T) {
 }
 
 func TestFirstDiffPerLaneIgnoresNonPending(t *testing.T) {
-	e := New(10)
-	l := NewLanes(10)
-	l.Broadcast(e)
+	e := newVec(10)
+	l := LanesFromWords(make([]uint64, 10))
+	l.BroadcastFrom(e, 0)
 	l.FlipLanes(4, 1<<7)
 	var first [LaneCount]int
 	if got := FirstDiffPerLane(l, e, 0, first[:]); got != 0 {
@@ -84,14 +86,14 @@ func TestFirstDiffPerLaneMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(200)
-		e := New(n)
+		e := newVec(n)
 		for i := 0; i < n; i++ {
 			if rng.Intn(2) == 1 {
-				e.Set(i)
+				e.Flip(i)
 			}
 		}
-		l := NewLanes(n)
-		l.Broadcast(e)
+		l := LanesFromWords(make([]uint64, n))
+		l.BroadcastFrom(e, 0)
 		type flip struct{ pos, lane int }
 		var flips []flip
 		for k := rng.Intn(8); k > 0; k-- {
@@ -143,23 +145,23 @@ func TestBroadcastFromAndFirstDiffFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(300)
-		e := New(n)
+		e := newVec(n)
 		for i := 0; i < n; i++ {
 			if rng.Intn(2) == 1 {
-				e.Set(i)
+				e.Flip(i)
 			}
 		}
 		lo := rng.Intn(n)
-		full := NewLanes(n)
-		full.Broadcast(e)
-		ranged := NewLanes(n)
+		fullWords, rangedWords := make([]uint64, n), make([]uint64, n)
+		full, ranged := LanesFromWords(fullWords), LanesFromWords(rangedWords)
+		full.BroadcastFrom(e, 0)
 		// Positions below lo are deliberately left as garbage.
 		for i := 0; i < lo; i++ {
-			ranged.Words()[i] = rng.Uint64()
+			rangedWords[i] = rng.Uint64()
 		}
 		ranged.BroadcastFrom(e, lo)
 		for i := lo; i < n; i++ {
-			if ranged.Words()[i] != full.Words()[i] {
+			if rangedWords[i] != fullWords[i] {
 				t.Fatalf("trial %d: position %d differs after BroadcastFrom(%d)", trial, i, lo)
 			}
 		}
@@ -188,4 +190,10 @@ func TestBroadcastFromAndFirstDiffFrom(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FirstDiffPerLane is FirstDiffPerLaneFrom over the whole window: the
+// full-range walk the ranged variant is checked against.
+func FirstDiffPerLane(r Lanes, e Vec, pending uint64, firstPos []int) uint64 {
+	return FirstDiffPerLaneFrom(r, e, pending, firstPos, 0)
 }

@@ -12,10 +12,10 @@ func TestGainOverStep1CapBeyondMaxSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncapped := res.GainOverStep1(res.MaxSites)
+	uncapped := CurveGain(res.Step1Curve, res.Curve, res.MaxSites)
 	for _, capN := range []int{res.MaxSites + 1, res.MaxSites * 10, math.MaxInt32} {
-		if g := res.GainOverStep1(capN); g != uncapped {
-			t.Errorf("GainOverStep1(%d) = %g, want %g", capN, g, uncapped)
+		if g := CurveGain(res.Step1Curve, res.Curve, capN); g != uncapped {
+			t.Errorf("CurveGain cap %d = %g, want %g", capN, g, uncapped)
 		}
 	}
 }
@@ -28,17 +28,17 @@ func TestGainOverStep1ZeroThroughput(t *testing.T) {
 		Curve:      make([]SiteEval, 3),
 		Step1Curve: make([]SiteEval, 3),
 	}
-	if g := res.GainOverStep1(3); g != 0 {
+	if g := CurveGain(res.Step1Curve, res.Curve, 3); g != 0 {
 		t.Errorf("zero curves: gain = %g, want 0", g)
 	}
 	// Zero base but positive Step 1+2 curve still guards the division.
 	res.Curve[1].Throughput = 1000
-	if g := res.GainOverStep1(3); g != 0 || math.IsNaN(g) || math.IsInf(g, 0) {
+	if g := CurveGain(res.Step1Curve, res.Curve, 3); g != 0 || math.IsNaN(g) || math.IsInf(g, 0) {
 		t.Errorf("zero base curve: gain = %g, want 0", g)
 	}
 	// Empty curves (no feasible site count) behave the same way.
 	empty := &Result{}
-	if g := empty.GainOverStep1(5); g != 0 {
+	if g := CurveGain(empty.Step1Curve, empty.Curve, 5); g != 0 {
 		t.Errorf("empty curves: gain = %g, want 0", g)
 	}
 }
@@ -51,8 +51,8 @@ func TestGainOverStep1NonPositiveCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, capN := range []int{0, -1} {
-		if g := res.GainOverStep1(capN); g != 0 {
-			t.Errorf("GainOverStep1(%d) = %g, want 0", capN, g)
+		if g := CurveGain(res.Step1Curve, res.Curve, capN); g != 0 {
+			t.Errorf("CurveGain cap %d = %g, want 0", capN, g)
 		}
 	}
 }

@@ -211,8 +211,8 @@ func buildResult(ctx context.Context, s *soc.SOC, cfg Config, step1 *tam.Archite
 // is the architecture at n sites (shared with step1 where no redistribution
 // was possible).
 //
-// The widening budget grows monotonically as n decreases, and Widen is a
-// deterministic, memoryless greedy — widening to budget b and then
+// The widening budget grows monotonically as n decreases, and WidenOnce
+// is a deterministic, memoryless greedy — widening to budget b and then
 // continuing to b' > b lands in exactly the state widening to b' from
 // scratch would. The whole curve is therefore one widening sequence: a
 // single running architecture advances from each site count's budget to
@@ -311,13 +311,6 @@ func (cfg Config) evaluate(arch *tam.Architecture, n int) SiteEval {
 // (used by the experiment harness for Fig. 7(b)-style sweeps).
 func (cfg Config) EvaluateAt(arch *tam.Architecture, n int) SiteEval {
 	return cfg.normalized().evaluate(arch, n)
-}
-
-// GainOverStep1 returns the relative throughput gain of Step 1+2 over
-// Step 1 alone when the usable site count is capped at maxN (the paper's
-// "34% more throughput at n = 10" claim for PNX8550 with broadcast).
-func (r *Result) GainOverStep1(maxN int) float64 {
-	return CurveGain(r.Step1Curve, r.Curve, maxN)
 }
 
 // CurveGain returns the relative gain of the best throughput on curve over

@@ -211,7 +211,7 @@ func TestGainOverStep1NonNegative(t *testing.T) {
 		t.Fatal(err)
 	}
 	for capN := 1; capN <= res.MaxSites; capN++ {
-		if g := res.GainOverStep1(capN); g < -1e-9 {
+		if g := CurveGain(res.Step1Curve, res.Curve, capN); g < -1e-9 {
 			t.Errorf("cap %d: negative gain %g", capN, g)
 		}
 	}
@@ -284,7 +284,8 @@ func TestStep2ArchesMatchCloneRewiden(t *testing.T) {
 				naive := step1
 				if budget := target.MaxWiresPerSite(n) - step1.Wires(); budget > 0 {
 					c := step1.Clone()
-					c.Widen(budget)
+					for i := 0; i < budget && c.WidenOnce(); i++ {
+					}
 					naive = c
 				}
 				if got, want := arches[n-1].WriteString(), naive.WriteString(); got != want {

@@ -32,7 +32,7 @@ type Snapshot struct {
 	Curve      []SiteEval `json:"curve"`
 	Step1Curve []SiteEval `json:"step1_curve"`
 	// Gain is the relative throughput gain of Step 1+2 over Step 1
-	// alone across the full curve (GainOverStep1 at MaxSites),
+	// alone across the full curve (CurveGain at MaxSites),
 	// precomputed so row projections need not decode the curves.
 	Gain float64 `json:"gain_over_step1"`
 	// Step1Arch and BestArch are the Step 1 and best redistributed
@@ -77,23 +77,9 @@ func (r *Result) SnapshotUnder(cfg Config, curve, step1Curve []SiteEval, best Si
 	return s
 }
 
-// GainOverStep1 mirrors Result.GainOverStep1 on the serialized form.
-func (s *Snapshot) GainOverStep1(maxN int) float64 {
-	return CurveGain(s.Step1Curve, s.Curve, maxN)
-}
-
 // MarshalBytes renders the snapshot as compact JSON. The output is
 // deterministic for a given snapshot, so it doubles as the cached
 // response body.
 func (s *Snapshot) MarshalBytes() ([]byte, error) {
 	return json.Marshal(s)
-}
-
-// ParseSnapshot decodes a snapshot previously produced by MarshalBytes.
-func ParseSnapshot(data []byte) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, err
-	}
-	return &s, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	"multisite/internal/ate"
@@ -26,8 +27,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseSnapshot(data)
-	if err != nil {
+	back := new(Snapshot)
+	if err := json.Unmarshal(data, back); err != nil {
 		t.Fatal(err)
 	}
 	data2, err := back.MarshalBytes()
@@ -97,8 +98,8 @@ func TestSnapshotUnder(t *testing.T) {
 	if !snap.Config.Retest || snap.Config.ContactYield != 0.97 {
 		t.Errorf("config not echoed: %+v", snap.Config)
 	}
-	if g, want := snap.GainOverStep1(res.MaxSites), CurveGain(step1Curve, curve, res.MaxSites); g != want {
-		t.Errorf("gain mismatch: %g vs %g", g, want)
+	if want := CurveGain(step1Curve, curve, res.MaxSites); snap.Gain != want {
+		t.Errorf("gain mismatch: %g vs %g", snap.Gain, want)
 	}
 }
 

@@ -144,9 +144,6 @@ func Open(opts Options) (*Cache, error) {
 	return c, nil
 }
 
-// Dir returns the cache root.
-func (c *Cache) Dir() string { return c.dir }
-
 // pathFor maps a key to its entry path. Keys are expected to be the
 // serving layer's lowercase-hex content hashes; anything else is
 // re-hashed so arbitrary strings stay path-safe.

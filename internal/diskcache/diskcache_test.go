@@ -236,7 +236,7 @@ func TestNonHexKeysAreSafe(t *testing.T) {
 		t.Fatalf("Get = %q, %v", got, ok)
 	}
 	path := c.pathFor(key)
-	rel, err := filepath.Rel(c.Dir(), path)
+	rel, err := filepath.Rel(c.dir, path)
 	if err != nil || filepath.IsAbs(rel) || rel == ".." || len(rel) > 0 && rel[0] == '.' {
 		t.Errorf("non-hex key mapped outside the root: %s", path)
 	}

@@ -9,11 +9,7 @@
 // throughput gain outruns the capital.
 package econ
 
-import (
-	"fmt"
-
-	"multisite/internal/ate"
-)
+import "multisite/internal/ate"
 
 // TestCell is the capital and operating profile of one wafer test cell.
 type TestCell struct {
@@ -29,20 +25,6 @@ type TestCell struct {
 	// OperatingUSDPerHour covers floor space, power, maintenance, and
 	// operators, independent of utilization.
 	OperatingUSDPerHour float64
-}
-
-// Validate checks the profile.
-func (c TestCell) Validate() error {
-	if c.ATECapitalUSD < 0 || c.ProberCapitalUSD < 0 || c.OperatingUSDPerHour < 0 {
-		return fmt.Errorf("econ: negative cost")
-	}
-	if c.DepreciationYears <= 0 {
-		return fmt.Errorf("econ: depreciation years must be positive")
-	}
-	if c.Utilization <= 0 || c.Utilization > 1 {
-		return fmt.Errorf("econ: utilization %g outside (0,1]", c.Utilization)
-	}
-	return nil
 }
 
 // hoursPerYear is the wall-clock hours a production cell is scheduled:
@@ -99,14 +81,4 @@ func CellForATE(a ate.ATE, prices ate.PriceModel) TestCell {
 	}
 	cell.ATECapitalUSD = mainframeUSD + channelsUSD + depthUSD
 	return cell
-}
-
-// CostCurve returns cost-per-device for a throughput curve (indexed by
-// site count − 1, as core.Result.Curve is).
-func CostCurve(cell TestCell, throughputs []float64) []float64 {
-	out := make([]float64, len(throughputs))
-	for i, d := range throughputs {
-		out[i] = cell.CostPerDevice(d)
-	}
-	return out
 }

@@ -15,9 +15,9 @@
 //     never see scheduling nondeterminism. The pool and that ordered
 //     delivery are Ordered, which Map and the server's row streams share.
 //   - Memo caches the expensive Step 1+2 architecture design keyed on
-//     (SOC, ATE, TAM options); jobs that differ only in cost-model fields
-//     re-score the cached design via Result.ReEvaluate, which is orders of
-//     magnitude cheaper than a fresh design.
+//     (solver backend, SOC, ATE, TAM options); jobs that differ only in
+//     cost-model fields re-score the cached design via Result.ReEvaluate,
+//     which is orders of magnitude cheaper than a fresh design.
 //   - Grid expands SOC × ATE × cost-model axes into a deterministic job
 //     list ordered so that design-key axes vary slowest, maximizing memo
 //     locality.

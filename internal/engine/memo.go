@@ -95,39 +95,28 @@ func designConfig(cfg core.Config) core.Config {
 	return core.Config{ATE: cfg.ATE, TAM: cfg.TAM}
 }
 
-// Design returns the architecture portfolio for the configuration's design
-// key, computing it at most once per key. The returned Result is shared:
-// callers must treat it as read-only and re-score it via ReEvaluate (the
-// embedded Curve/Best reflect the canonical design-time cost model, not
-// any particular job's). Sharing is two-level: the Result is shared
-// across jobs, and within it Result.Arches shares one architecture
-// snapshot across site counts whose widening budgets coincide — both are
-// safe because evaluation never mutates an architecture.
-func (m *Memo) Design(s *soc.SOC, cfg core.Config) (*core.Result, error) {
-	return m.DesignCtx(context.Background(), s, cfg)
-}
-
-// DesignSolver is DesignSolverCtx without cancellation.
-func (m *Memo) DesignSolver(solver string, s *soc.SOC, cfg core.Config) (*core.Result, error) {
-	return m.DesignSolverCtx(context.Background(), solver, s, cfg)
-}
-
-// DesignCtx is Design with cancellation semantics fit for a serving
-// layer: concurrent requests for one key still compute exactly once
-// (singleflight), but a waiter whose own context expires unblocks
-// immediately with that context's error while the computation proceeds
-// for the others. If the computing request itself is cancelled mid-design,
-// the poisoned entry is dropped so the next request recomputes instead of
-// replaying a stale cancellation error forever.
-func (m *Memo) DesignCtx(ctx context.Context, s *soc.SOC, cfg core.Config) (*core.Result, error) {
-	return m.DesignSolverCtx(ctx, "", s, cfg)
-}
-
-// DesignSolverCtx is DesignCtx with an explicit solver backend: the design
-// is produced by the named registry backend (empty means the default
-// heuristic) and cached under a key that includes the solver's canonical
-// name, so two backends' designs for one (SOC, ATE, TAM) never alias. An
-// unknown solver name errors immediately and is never cached.
+// DesignSolverCtx returns the architecture portfolio for the
+// configuration's design key, computing it at most once per key. The
+// design is produced by the named registry backend (empty means the
+// default heuristic) and cached under a key that includes the solver's
+// canonical name, so two backends' designs for one (SOC, ATE, TAM) never
+// alias. An unknown solver name errors immediately and is never cached.
+//
+// The returned Result is shared: callers must treat it as read-only and
+// re-score it via ReEvaluate (the embedded Curve/Best reflect the
+// canonical design-time cost model, not any particular job's). Sharing is
+// two-level: the Result is shared across jobs, and within it
+// Result.Arches shares one architecture snapshot across site counts whose
+// widening budgets coincide — both are safe because evaluation never
+// mutates an architecture.
+//
+// Cancellation semantics fit a serving layer: concurrent requests for one
+// key still compute exactly once (singleflight), but a waiter whose own
+// context expires unblocks immediately with that context's error while
+// the computation proceeds for the others. If the computing request
+// itself is cancelled mid-design, the poisoned entry is dropped so the
+// next request recomputes instead of replaying a stale cancellation error
+// forever.
 func (m *Memo) DesignSolverCtx(ctx context.Context, solver string, s *soc.SOC, cfg core.Config) (*core.Result, error) {
 	sv, err := m.resolve(solver)
 	if err != nil {

@@ -31,7 +31,7 @@ func TestMemoSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := memo.DesignCtx(context.Background(), s, memoConfig())
+			res, err := memo.DesignSolverCtx(context.Background(), "", s, memoConfig())
 			if err != nil {
 				t.Errorf("caller %d: %v", i, err)
 				return
@@ -58,10 +58,10 @@ func TestMemoCancelledComputeNotCached(t *testing.T) {
 	s := benchdata.Shared("d695")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := memo.DesignCtx(ctx, s, memoConfig()); err != context.Canceled {
+	if _, err := memo.DesignSolverCtx(ctx, "", s, memoConfig()); err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	res, err := memo.DesignCtx(context.Background(), s, memoConfig())
+	res, err := memo.DesignSolverCtx(context.Background(), "", s, memoConfig())
 	if err != nil || res == nil {
 		t.Fatalf("recompute after cancellation failed: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestMemoWaiterCancellation(t *testing.T) {
 	started := make(chan struct{})
 	go func() {
 		close(started)
-		if _, err := memo.DesignCtx(context.Background(), s, cfg); err != nil {
+		if _, err := memo.DesignSolverCtx(context.Background(), "", s, cfg); err != nil {
 			t.Errorf("computing caller failed: %v", err)
 		}
 	}()
@@ -93,11 +93,11 @@ func TestMemoWaiterCancellation(t *testing.T) {
 	// The waiter either beats the computation (joins it and gets the
 	// result) or times out with its own error — never a shared
 	// cancellation from someone else's context.
-	if _, err := memo.DesignCtx(ctx, s, cfg); err != nil && err != context.DeadlineExceeded {
+	if _, err := memo.DesignSolverCtx(ctx, "", s, cfg); err != nil && err != context.DeadlineExceeded {
 		t.Errorf("waiter got foreign error: %v", err)
 	}
 	// The background design must still land and be reusable.
-	if _, err := memo.DesignCtx(context.Background(), s, cfg); err != nil {
+	if _, err := memo.DesignSolverCtx(context.Background(), "", s, cfg); err != nil {
 		t.Errorf("design after waiter cancellation failed: %v", err)
 	}
 }
@@ -160,7 +160,7 @@ func TestMemoBoundedResets(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		cfg := memoConfig()
 		cfg.ATE.Depth += int64(i) * benchdata.Ki // distinct design keys
-		res, err := memo.DesignCtx(context.Background(), s, cfg)
+		res, err := memo.DesignSolverCtx(context.Background(), "", s, cfg)
 		if err != nil {
 			t.Fatalf("depth variant %d: %v", i, err)
 		}
@@ -171,7 +171,7 @@ func TestMemoBoundedResets(t *testing.T) {
 	}
 	// A re-request after the resets recomputes but matches the original.
 	cfg := memoConfig()
-	res, err := memo.DesignCtx(context.Background(), s, cfg)
+	res, err := memo.DesignSolverCtx(context.Background(), "", s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,10 @@
 // A Plan is a finite sequence of steps consumed one per Solve call
 // (atomically, so concurrent calls each draw their own step). Past the
 // end the plan passes calls through untouched, unless built to repeat.
-// Plans come from three constructors: NewPlan for tests that want exact
-// control, ParsePlan for the CLI's -inject flag ("delay:50ms,error,pass"
-// with an optional trailing "repeat"), and Random for seeded chaos — the
-// same seed always yields the same schedule, which is what makes a chaos
-// failure reproducible.
+// Plans come from two constructors: NewPlan for tests that want exact
+// control, and ParsePlan for the CLI's -inject flag
+// ("delay:50ms,error,pass" with an optional trailing "repeat"). A plan is
+// a fixed schedule, which is what makes a chaos failure reproducible.
 //
 // Injected errors match solve.ErrTransient, so the caching tiers refuse
 // to store anything an injected fault touched, and the circuit breakers
@@ -20,7 +19,6 @@ package faultinject
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -135,35 +133,6 @@ func ParsePlan(s string) (*Plan, error) {
 		return nil, fmt.Errorf("faultinject: empty plan %q", s)
 	}
 	return NewPlan(steps, repeat), nil
-}
-
-// Random builds an n-step repeating plan from a seeded PRNG: roughly
-// half the steps pass, the rest split among delays (up to maxDelay),
-// errors, panics, and hangs. Equal seeds yield equal schedules.
-func Random(seed int64, n int, maxDelay time.Duration) *Plan {
-	if n < 1 {
-		n = 1
-	}
-	if maxDelay <= 0 {
-		maxDelay = 50 * time.Millisecond
-	}
-	rng := rand.New(rand.NewSource(seed))
-	steps := make([]Step, n)
-	for i := range steps {
-		switch r := rng.Intn(8); r {
-		case 0, 1, 2, 3:
-			steps[i] = Step{Mode: Pass}
-		case 4:
-			steps[i] = Step{Mode: Delay, Delay: time.Duration(rng.Int63n(int64(maxDelay)) + 1)}
-		case 5:
-			steps[i] = Step{Mode: Error}
-		case 6:
-			steps[i] = Step{Mode: Panic}
-		default:
-			steps[i] = Step{Mode: Hang}
-		}
-	}
-	return NewPlan(steps, true)
 }
 
 // draw returns the next step. Past a non-repeating schedule it passes.

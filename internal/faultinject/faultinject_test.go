@@ -130,18 +130,6 @@ func TestPanicMode(t *testing.T) {
 	sv.Solve(context.Background(), s, cfg)
 }
 
-func TestRandomDeterministic(t *testing.T) {
-	a := faultinject.Random(7, 20, 10*time.Millisecond)
-	b := faultinject.Random(7, 20, 10*time.Millisecond)
-	if a.String() != b.String() {
-		t.Errorf("equal seeds, different schedules:\n%s\n%s", a, b)
-	}
-	c := faultinject.Random(8, 20, 10*time.Millisecond)
-	if a.String() == c.String() {
-		t.Errorf("different seeds produced identical schedules: %s", a)
-	}
-}
-
 func TestWrapPreservesAnytime(t *testing.T) {
 	s := benchdata.Generate(benchdata.PropSpec(42))
 	cfg := core.Config{ATE: benchdata.PropATE(42), Probe: ate.DefaultProbeStation()}

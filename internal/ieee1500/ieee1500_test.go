@@ -1,7 +1,6 @@
 package ieee1500
 
 import (
-	"strings"
 	"testing"
 
 	"multisite/internal/ate"
@@ -50,39 +49,6 @@ func TestWIRChainBits(t *testing.T) {
 	}
 }
 
-func TestProgramSelectsIntest(t *testing.T) {
-	a := arch(t)
-	cc := ForArchitecture(a)
-	active := []int{cc.Wrappers[0].Module, cc.Wrappers[3].Module}
-	prog, err := cc.Program(active)
-	if err != nil {
-		t.Fatal(err)
-	}
-	intest := 0
-	for i, ins := range prog {
-		switch ins {
-		case WSIntestScan:
-			intest++
-			if cc.Wrappers[i].Module != active[0] && cc.Wrappers[i].Module != active[1] {
-				t.Errorf("wrapper %d unexpectedly in INTEST", i)
-			}
-		case WSBypass:
-		default:
-			t.Errorf("wrapper %d: unexpected %v", i, ins)
-		}
-	}
-	if intest != 2 {
-		t.Errorf("INTEST count = %d, want 2", intest)
-	}
-}
-
-func TestProgramUnknownModule(t *testing.T) {
-	cc := ForArchitecture(arch(t))
-	if _, err := cc.Program([]int{9999}); err == nil {
-		t.Error("unknown module accepted")
-	}
-}
-
 func TestOverheadIsNegligible(t *testing.T) {
 	// The paper ignores wrapper-control overhead; verify the
 	// assumption: far below 1% of the test length for d695.
@@ -107,22 +73,5 @@ func TestInstructionStrings(t *testing.T) {
 	}
 	if Instruction(200).String() == "" {
 		t.Error("unknown instruction should render")
-	}
-}
-
-func TestWriteNetlist(t *testing.T) {
-	cc := ForArchitecture(arch(t))
-	var b strings.Builder
-	if err := cc.WriteNetlist(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"module wsc_chain", "wrapper1500", "u_s38584", "endmodule", ".wso(wso)"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("netlist missing %q", want)
-		}
-	}
-	if got := strings.Count(out, "wrapper1500"); got != 10 {
-		t.Errorf("wrapper instances = %d, want 10", got)
 	}
 }

@@ -293,10 +293,10 @@ func Open(opts Options) (*Manager, error) {
 		jobs:  make(map[string]*job),
 	}
 	m.corrupt.Store(int64(corrupt))
-	if corrupt > 0 {
-		m.logf("jobs: dropped %d corrupt journal records", corrupt)
-	}
 	m.replay(recs)
+	if n := m.corrupt.Load(); n > 0 {
+		m.logf("jobs: dropped %d corrupt journal records", n)
+	}
 	for i := 0; i < opts.Workers; i++ {
 		m.wg.Add(1)
 		go m.worker()
@@ -316,7 +316,9 @@ func (m *Manager) logf(format string, args ...any) {
 func (m *Manager) Ready() <-chan struct{} { return m.ready }
 
 // replay folds journal records into in-memory job state, last write
-// wins per job.
+// wins per job. A state record only ever carries pending or running;
+// one naming any other state is counted as corrupt and skipped, so no
+// job is left in a state recovery does not know.
 func (m *Manager) replay(recs []*record) {
 	for _, rec := range recs {
 		switch rec.Op {
@@ -333,6 +335,10 @@ func (m *Manager) replay(recs []*record) {
 				m.order = append(m.order, rec.ID)
 			}
 		case "state":
+			if rec.State != StatePending && rec.State != StateRunning {
+				m.corrupt.Add(1)
+				continue
+			}
 			if jb := m.jobs[rec.ID]; jb != nil {
 				jb.state = rec.State
 				jb.attempts = rec.Attempt

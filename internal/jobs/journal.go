@@ -120,16 +120,13 @@ func openJournal(dir, idPrefix string, inject func(op diskcache.Op) diskcache.Fa
 	var maxSeq int64
 	count := 0
 	if data, err := os.ReadFile(path); err == nil {
-		text := string(data)
-		torn := !strings.HasSuffix(text, "\n")
-		lines := strings.Split(text, "\n")
+		lines := strings.Split(string(data), "\n")
 		// The element after the final newline is "" (or the torn tail).
 		last := len(lines) - 1
 		for i, line := range lines {
 			if i == last {
 				// A torn tail is the expected artifact of a crash
 				// mid-append: the record was never acknowledged.
-				_ = torn
 				break
 			}
 			if line == "" {

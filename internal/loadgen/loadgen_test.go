@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -366,6 +367,35 @@ func TestRunCancelled(t *testing.T) {
 	}
 	if res == nil || res.Total >= len(sched.Requests) {
 		t.Errorf("cancelled run did not truncate: %+v", res)
+	}
+}
+
+// TestRunLatencyFromDueTime: five requests due at once against one
+// in-flight slot and a 50 ms server queue behind each other, and that
+// wait is part of their latency rather than dropped from it.
+func TestRunLatencyFromDueTime(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		time.Sleep(50 * time.Millisecond)
+	}))
+	defer ts.Close()
+	sched := &Schedule{Requests: make([]Request, 5)}
+	for i := range sched.Requests {
+		sched.Requests[i] = Request{Index: i, Class: ClassHot, Path: "/v1/optimize", Body: json.RawMessage(`{}`)}
+	}
+	res, err := Run(context.Background(), sched, RunOptions{BaseURL: ts.URL, MaxInflight: 1, NoScrape: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 || len(res.Classes) != 1 || res.Classes[0].Count != 5 {
+		t.Fatalf("run = %+v", res)
+	}
+	// The last request waits for the four ahead of it (4 × 50 ms) before
+	// it is sent, then takes its own 50 ms.
+	if p99 := res.Classes[0].P99Ms; p99 < 200 {
+		t.Errorf("p99 = %.1f ms, want ≥ 200 (the queueing behind the in-flight bound)", p99)
+	}
+	if res.LateP99Ms < 200 {
+		t.Errorf("late p99 = %.1f ms, want ≥ 200", res.LateP99Ms)
 	}
 }
 

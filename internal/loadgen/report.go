@@ -27,8 +27,8 @@ func (r *Result) WriteTable(w io.Writer) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\n%d requests in %.2fs (target rate %.1f/s, seed %d): %.1f responses/sec, %d errors\n",
-		r.Total, r.Elapsed.Seconds(), r.Rate, r.Seed, r.ResponsesPerSec, r.Errors)
+	fmt.Fprintf(w, "\n%d requests in %.2fs (target rate %.1f/s, seed %d): %.1f responses/sec, %d errors, sends p99 %.2f ms late\n",
+		r.Total, r.Elapsed.Seconds(), r.Rate, r.Seed, r.ResponsesPerSec, r.Errors, r.LateP99Ms)
 	if r.Server.Scraped {
 		fmt.Fprintf(w, "server cache: %d hits + %d dedups / %d computes — hit rate %.1f%%\n",
 			r.Server.CacheHits, r.Server.CacheDedups, r.Server.CacheComputes, 100*r.Server.HitRate)

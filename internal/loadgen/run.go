@@ -23,7 +23,7 @@ type RunOptions struct {
 	// MaxInflight bounds concurrently outstanding requests; once the
 	// bound is hit, later arrivals wait for a slot (the generator
 	// degrades closed-loop under overload instead of spawning without
-	// bound). 0 means 64.
+	// bound), and that wait counts in their latency. 0 means 64.
 	MaxInflight int
 	// NoScrape skips the /metrics scrape (for servers that are not
 	// cmd/serve).
@@ -39,9 +39,14 @@ type RunOptions struct {
 
 // sample is one completed request's measurement.
 type sample struct {
-	class   Class
+	class Class
+	// latency runs from the request's due instant (run start + At) to
+	// the end of its response, so a send held back by the in-flight
+	// bound or a late timer is counted, not omitted.
 	latency time.Duration
-	err     bool
+	// late is the send instant minus the due instant.
+	late time.Duration
+	err  bool
 	// cache is "hit", "miss", or "" (endpoint does not report X-Cache).
 	cache string
 	// degraded is true when the response carried X-Degraded: a 200 whose
@@ -50,6 +55,7 @@ type sample struct {
 }
 
 // ClassReport aggregates one traffic class of a finished run. Latency
+// runs from each request's scheduled arrival, not from its send, and its
 // percentiles are nearest-rank over successful requests only; errors are
 // counted, not timed.
 type ClassReport struct {
@@ -104,6 +110,10 @@ type Result struct {
 	Total           int     `json:"total"`
 	Errors          int     `json:"errors"`
 	ResponsesPerSec float64 `json:"responses_per_sec"`
+	// LateP99Ms is the p99 over every sent request of its send instant
+	// minus its due instant: how far the generator fell behind its
+	// schedule.
+	LateP99Ms float64 `json:"late_p99_ms"`
 
 	Classes []ClassReport `json:"classes"`
 	Server  ServerStats   `json:"server"`
@@ -178,7 +188,7 @@ func Run(ctx context.Context, sched *Schedule, opts RunOptions) (*Result, error)
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			s := send(ctx, client, base, req)
+			s := send(ctx, client, base, req, start.Add(req.At))
 			mu.Lock()
 			samples = append(samples, s)
 			mu.Unlock()
@@ -199,27 +209,27 @@ func Run(ctx context.Context, sched *Schedule, opts RunOptions) (*Result, error)
 	return res, launchErr
 }
 
-// send issues one scheduled request and fully consumes the response —
-// for a sweep that means draining the whole NDJSON stream, so the sample
-// is the end-to-end delivery a client experiences.
-func send(ctx context.Context, client *http.Client, base string, r *Request) sample {
-	s := sample{class: r.Class}
+// send issues one scheduled request, due at the instant due, and fully
+// consumes the response — for a sweep that means draining the whole
+// NDJSON stream, so the sample is the end-to-end delivery a client
+// experiences.
+func send(ctx context.Context, client *http.Client, base string, r *Request, due time.Time) sample {
+	s := sample{class: r.Class, late: time.Since(due)}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+r.Path, bytes.NewReader(r.Body))
 	if err != nil {
 		s.err = true
 		return s
 	}
 	req.Header.Set("Content-Type", "application/json")
-	start := time.Now()
 	resp, err := client.Do(req)
 	if err != nil {
 		s.err = true
-		s.latency = time.Since(start)
+		s.latency = time.Since(due)
 		return s
 	}
 	_, copyErr := io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	s.latency = time.Since(start)
+	s.latency = time.Since(due)
 	// 202 is the jobs class's success: the submission was journaled and
 	// accepted; the compute happens after the response.
 	if copyErr != nil || (resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted) {
@@ -240,9 +250,13 @@ func aggregate(sched *Schedule, samples []sample, elapsed time.Duration) *Result
 		Elapsed:  elapsed,
 	}
 	byClass := make(map[Class][]sample, len(Classes))
+	late := make([]time.Duration, 0, len(samples))
 	for _, s := range samples {
 		byClass[s.class] = append(byClass[s.class], s)
+		late = append(late, s.late)
 	}
+	sort.Slice(late, func(i, j int) bool { return late[i] < late[j] })
+	res.LateP99Ms = ms(percentile(late, 0.99))
 	ok := 0
 	for _, c := range Classes {
 		group := byClass[c]

@@ -132,9 +132,6 @@ func (p Params) UniqueThroughput() float64 {
 	return d / (1 + p.RetestRate())
 }
 
-// DevicesPerTouchdown returns n, for symmetry in reporting code.
-func (p Params) DevicesPerTouchdown() int { return p.Sites }
-
 // TouchdownTime returns the full per-touchdown time ti + t in seconds.
 func (p Params) TouchdownTime() float64 {
 	return p.IndexTime + p.EffectiveTestTime()

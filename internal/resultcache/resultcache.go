@@ -120,22 +120,16 @@ func (c *Store[V]) shardFor(key string) *shard[V] {
 	return &c.shards[h%shardCount]
 }
 
-// Do returns the cached value for key, computing it at most once across
-// concurrent callers. On a miss the calling goroutine runs compute; other
-// callers for the same key block until it finishes and share its value
-// (or its error — errors are never cached, so a later request retries).
-// The hit result distinguishes a served-from-cache response (true, either
-// a completed entry or a joined in-flight compute) from a fresh compute
-// (false). A caller whose ctx expires while waiting unblocks with the
-// context's error; the compute keeps running for the others.
-func (c *Store[V]) Do(ctx context.Context, key string, compute func(ctx context.Context) (V, error)) (val V, hit bool, err error) {
-	return c.DoCond(ctx, key, func(ctx context.Context) (V, bool, error) {
-		v, err := compute(ctx)
-		return v, true, err
-	})
-}
-
-// DoCond is Do for computes that can mark their own value non-cacheable:
+// DoCond returns the cached value for key, computing it at most once
+// across concurrent callers. On a miss the calling goroutine runs compute;
+// other callers for the same key block until it finishes and share its
+// value (or its error — errors are never cached, so a later request
+// retries). The hit result distinguishes a served-from-cache response
+// (true, either a completed entry or a joined in-flight compute) from a
+// fresh compute (false). A caller whose ctx expires while waiting
+// unblocks with the context's error; the compute keeps running for the
+// others.
+//
 // compute returns (value, store, error), and store=false delivers the
 // value to this caller and any waiters joined to the in-flight entry but
 // never links it into the cache — the next request for the key
@@ -224,19 +218,6 @@ func (c *Store[V]) DoCond(ctx context.Context, key string, compute func(ctx cont
 		close(e.done)
 		return e.val, false, e.err
 	}
-}
-
-// Get returns the completed entry for key without computing anything.
-func (c *Store[V]) Get(key string) (val V, ok bool) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, present := sh.entries[key]
-	if !present || e.elem == nil {
-		return val, false
-	}
-	sh.lru.MoveToFront(e.elem)
-	return e.val, true
 }
 
 // Len returns the number of completed entries.

@@ -16,15 +16,15 @@ func bg() context.Context { return context.Background() }
 func TestDoComputesOnceThenHits(t *testing.T) {
 	c := New(Options{})
 	computes := 0
-	compute := func(context.Context) ([]byte, error) {
+	compute := func(context.Context) ([]byte, bool, error) {
 		computes++
-		return []byte("v"), nil
+		return []byte("v"), true, nil
 	}
-	v, hit, err := c.Do(bg(), "k", compute)
+	v, hit, err := c.DoCond(bg(), "k", compute)
 	if err != nil || hit || string(v) != "v" {
 		t.Fatalf("first Do = (%q, hit=%v, %v)", v, hit, err)
 	}
-	v, hit, err = c.Do(bg(), "k", compute)
+	v, hit, err = c.DoCond(bg(), "k", compute)
 	if err != nil || !hit || string(v) != "v" {
 		t.Fatalf("second Do = (%q, hit=%v, %v)", v, hit, err)
 	}
@@ -40,13 +40,13 @@ func TestDoComputesOnceThenHits(t *testing.T) {
 func TestErrorsNotCached(t *testing.T) {
 	c := New(Options{})
 	boom := errors.New("boom")
-	if _, _, err := c.Do(bg(), "k", func(context.Context) ([]byte, error) {
-		return nil, boom
+	if _, _, err := c.DoCond(bg(), "k", func(context.Context) ([]byte, bool, error) {
+		return nil, true, boom
 	}); err != boom {
 		t.Fatalf("want boom, got %v", err)
 	}
-	v, hit, err := c.Do(bg(), "k", func(context.Context) ([]byte, error) {
-		return []byte("ok"), nil
+	v, hit, err := c.DoCond(bg(), "k", func(context.Context) ([]byte, bool, error) {
+		return []byte("ok"), true, nil
 	})
 	if err != nil || hit || string(v) != "ok" {
 		t.Fatalf("retry after error = (%q, hit=%v, %v)", v, hit, err)
@@ -68,8 +68,8 @@ func TestLRUBound(t *testing.T) {
 			continue
 		}
 		inserted++
-		if _, _, err := c.Do(bg(), key, func(context.Context) ([]byte, error) {
-			return []byte(key), nil
+		if _, _, err := c.DoCond(bg(), key, func(context.Context) ([]byte, bool, error) {
+			return []byte(key), true, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -85,19 +85,8 @@ func TestLRUBound(t *testing.T) {
 	}
 }
 
-func TestGet(t *testing.T) {
-	c := New(Options{})
-	if _, ok := c.Get("k"); ok {
-		t.Error("Get on empty cache reported ok")
-	}
-	c.Do(bg(), "k", func(context.Context) ([]byte, error) { return []byte("v"), nil })
-	if v, ok := c.Get("k"); !ok || string(v) != "v" {
-		t.Errorf("Get = (%q, %v)", v, ok)
-	}
-}
-
 // TestStoreOfStruct: a Store of a struct computes its value once, and
-// its hits and Get return that same value.
+// its hits return that same value.
 func TestStoreOfStruct(t *testing.T) {
 	type result struct {
 		data []byte
@@ -105,21 +94,15 @@ func TestStoreOfStruct(t *testing.T) {
 	}
 	c := NewOf[result](Options{})
 	computes := 0
-	compute := func(context.Context) (result, error) {
+	compute := func(context.Context) (result, bool, error) {
 		computes++
-		return result{data: []byte("v"), n: 7}, nil
+		return result{data: []byte("v"), n: 7}, true, nil
 	}
 	for i, wantHit := range []bool{false, true} {
-		v, hit, err := c.Do(bg(), "k", compute)
+		v, hit, err := c.DoCond(bg(), "k", compute)
 		if err != nil || hit != wantHit || string(v.data) != "v" || v.n != 7 {
 			t.Errorf("Do %d = (%+v, hit=%v, %v)", i, v, hit, err)
 		}
-	}
-	if v, ok := c.Get("k"); !ok || string(v.data) != "v" || v.n != 7 {
-		t.Errorf("Get = (%+v, %v)", v, ok)
-	}
-	if v, ok := c.Get("absent"); ok || v.data != nil || v.n != 0 {
-		t.Errorf("Get of an absent key = (%+v, %v), want the zero value", v, ok)
 	}
 	if computes != 1 {
 		t.Errorf("computes = %d, want 1", computes)
@@ -130,25 +113,25 @@ func TestWaiterContextCancellation(t *testing.T) {
 	c := New(Options{})
 	started := make(chan struct{})
 	release := make(chan struct{})
-	go c.Do(bg(), "slow", func(context.Context) ([]byte, error) {
+	go c.DoCond(bg(), "slow", func(context.Context) ([]byte, bool, error) {
 		close(started)
 		<-release
-		return []byte("v"), nil
+		return []byte("v"), true, nil
 	})
 	<-started
 	ctx, cancel := context.WithTimeout(bg(), 10*time.Millisecond)
 	defer cancel()
-	if _, _, err := c.Do(ctx, "slow", func(context.Context) ([]byte, error) {
+	if _, _, err := c.DoCond(ctx, "slow", func(context.Context) ([]byte, bool, error) {
 		t.Error("waiter must not compute")
-		return nil, nil
+		return nil, true, nil
 	}); err != context.DeadlineExceeded {
 		t.Errorf("waiter err = %v, want deadline exceeded", err)
 	}
 	close(release)
 	// The original compute still lands and is served.
-	v, hit, err := c.Do(bg(), "slow", func(context.Context) ([]byte, error) {
+	v, hit, err := c.DoCond(bg(), "slow", func(context.Context) ([]byte, bool, error) {
 		t.Error("must be cached by now")
-		return nil, nil
+		return nil, true, nil
 	})
 	if err != nil || !hit || string(v) != "v" {
 		t.Errorf("after release = (%q, hit=%v, %v)", v, hit, err)
@@ -159,13 +142,13 @@ func TestCancelledComputeRetried(t *testing.T) {
 	c := New(Options{})
 	ctx, cancel := context.WithCancel(bg())
 	cancel()
-	if _, _, err := c.Do(ctx, "k", func(ctx context.Context) ([]byte, error) {
-		return nil, ctx.Err()
+	if _, _, err := c.DoCond(ctx, "k", func(ctx context.Context) ([]byte, bool, error) {
+		return nil, true, ctx.Err()
 	}); err != context.Canceled {
 		t.Fatalf("want canceled, got %v", err)
 	}
-	v, hit, err := c.Do(bg(), "k", func(context.Context) ([]byte, error) {
-		return []byte("v"), nil
+	v, hit, err := c.DoCond(bg(), "k", func(context.Context) ([]byte, bool, error) {
+		return []byte("v"), true, nil
 	})
 	if err != nil || hit || string(v) != "v" {
 		t.Errorf("retry = (%q, hit=%v, %v)", v, hit, err)
@@ -177,7 +160,7 @@ func TestPanicReleasesWaiters(t *testing.T) {
 	started := make(chan struct{})
 	go func() {
 		defer func() { recover() }()
-		c.Do(bg(), "p", func(context.Context) ([]byte, error) {
+		c.DoCond(bg(), "p", func(context.Context) ([]byte, bool, error) {
 			close(started)
 			time.Sleep(5 * time.Millisecond)
 			panic("boom")
@@ -186,8 +169,8 @@ func TestPanicReleasesWaiters(t *testing.T) {
 	<-started
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(bg(), "p", func(context.Context) ([]byte, error) {
-			return []byte("v"), nil
+		_, _, err := c.DoCond(bg(), "p", func(context.Context) ([]byte, bool, error) {
+			return []byte("v"), true, nil
 		})
 		done <- err
 	}()
@@ -227,10 +210,10 @@ func TestStressExactlyOnceRace(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				k := (g + r) % distinct
 				key := fmt.Sprintf("key-%d", k)
-				v, _, err := c.Do(bg(), key, func(context.Context) ([]byte, error) {
+				v, _, err := c.DoCond(bg(), key, func(context.Context) ([]byte, bool, error) {
 					computes[k].Add(1)
 					time.Sleep(time.Millisecond) // widen the dedup window
-					return want[k], nil
+					return want[k], true, nil
 				})
 				if err != nil {
 					t.Errorf("g%d r%d: %v", g, r, err)
@@ -290,8 +273,12 @@ func TestDoCondUncacheable(t *testing.T) {
 	if err != nil || hit || string(v) != "kept" {
 		t.Fatalf("storing DoCond = (%q, hit=%v, %v)", v, hit, err)
 	}
-	if v, ok := c.Get("k"); !ok || string(v) != "kept" {
-		t.Fatalf("Get after storing compute = (%q, %v)", v, ok)
+	v, hit, err = c.DoCond(bg(), "k", func(context.Context) ([]byte, bool, error) {
+		t.Error("stored value recomputed")
+		return nil, true, nil
+	})
+	if err != nil || !hit || string(v) != "kept" {
+		t.Fatalf("DoCond after storing compute = (%q, hit=%v, %v)", v, hit, err)
 	}
 }
 
@@ -315,9 +302,9 @@ func TestDoCondWaitersShareUncacheableValue(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, hit, err := c.Do(bg(), "k", func(context.Context) ([]byte, error) {
+			v, hit, err := c.DoCond(bg(), "k", func(context.Context) ([]byte, bool, error) {
 				t.Error("waiter recomputed while the uncacheable compute was in flight")
-				return nil, errors.New("unexpected")
+				return nil, true, errors.New("unexpected")
 			})
 			if err != nil || !hit || string(v) != "once" {
 				t.Errorf("waiter = (%q, hit=%v, %v)", v, hit, err)

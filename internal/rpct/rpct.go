@@ -110,9 +110,6 @@ func (w *Wrapper) ContactedPins() int {
 	return w.ExternalIn + w.ExternalOut + len(w.ControlPins)
 }
 
-// Channels returns the external channel count k.
-func (w *Wrapper) Channels() int { return w.ExternalIn + w.ExternalOut }
-
 // Overhead estimates the DfT silicon overhead of the wrapper in flip-flops
 // and 2-input-gate equivalents. Each boundary cell costs one flop and ~4
 // gates; each converter stage costs one flop and ~3 gates per internal
@@ -121,31 +118,6 @@ func (w *Wrapper) Overhead() (flops, gates int) {
 	flops = w.BoundaryCells + w.InternalWires*2
 	gates = w.BoundaryCells*4 + w.InternalWires*6 + 64
 	return flops, gates
-}
-
-// Validate checks the wrapper's internal consistency.
-func (w *Wrapper) Validate() error {
-	if w.ExternalIn < 1 || w.ExternalOut < 1 {
-		return fmt.Errorf("rpct: wrapper needs at least one channel per direction")
-	}
-	if w.ExternalIn != w.ExternalOut {
-		return fmt.Errorf("rpct: asymmetric wrapper %d in / %d out", w.ExternalIn, w.ExternalOut)
-	}
-	if w.InternalWires < w.ExternalIn {
-		return fmt.Errorf("rpct: internal wires %d fewer than external inputs %d",
-			w.InternalWires, w.ExternalIn)
-	}
-	sum := 0
-	for _, tw := range w.TAMWidths {
-		sum += tw
-	}
-	if sum != w.InternalWires {
-		return fmt.Errorf("rpct: TAM widths sum %d != internal wires %d", sum, w.InternalWires)
-	}
-	if want := (w.InternalWires + w.ExternalIn - 1) / w.ExternalIn; w.ConvertRatio != want {
-		return fmt.Errorf("rpct: convert ratio %d != expected %d", w.ConvertRatio, want)
-	}
-	return nil
 }
 
 // WriteNetlist emits a human-readable structural description of the

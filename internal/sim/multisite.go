@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 
 	"multisite/internal/engine"
 	"multisite/internal/tam"
@@ -32,30 +31,13 @@ type TouchdownResult struct {
 	FullCycles int64
 }
 
-// MultiSite simulates one touchdown of n sites in lockstep: all contacted
+// multiSite simulates one touchdown of n sites in lockstep: all contacted
 // sites receive the same stimuli; the test can be aborted only once every
 // contacted site has started failing — the paper's Section 4 argument for
-// why abort-on-fail loses value under multi-site testing. Event-level
-// fidelity is used per site; MultiSiteMode selects the fidelity.
-func MultiSite(arch *tam.Architecture, sites []SiteOutcome) (*TouchdownResult, error) {
-	return MultiSiteMode(arch, sites, Event)
-}
-
-// MultiSiteMode is MultiSite at an explicit fidelity level. BitAccurate
-// sites are independent dies and fan out across a bounded worker pool —
-// with the word-packed engine this makes bit-level touchdown validation
-// of PNX8550-scale chips routine. Event-mode sites stay serial (a site
-// walk is microseconds, not worth a goroutine — same policy as
-// Options.Workers). The result is deterministic: identical for every
-// worker count.
-func MultiSiteMode(arch *tam.Architecture, sites []SiteOutcome, mode Mode) (*TouchdownResult, error) {
-	workers := 1
-	if mode == BitAccurate {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return multiSite(arch, sites, mode, workers)
-}
-
+// why abort-on-fail loses value under multi-site testing. mode selects
+// the per-site fidelity. With workers > 1 the sites, independent dies,
+// fan out across a bounded worker pool; the result is identical for
+// every worker count.
 func multiSite(arch *tam.Architecture, sites []SiteOutcome, mode Mode, workers int) (*TouchdownResult, error) {
 	res := &TouchdownResult{FullCycles: arch.TestCycles(), AbortCycle: -1}
 
@@ -121,18 +103,12 @@ func multiSite(arch *tam.Architecture, sites []SiteOutcome, mode Mode, workers i
 	return res, nil
 }
 
-// RandomSiteOutcomes draws per-site contact and fault outcomes for a
-// Monte-Carlo touchdown: each site passes contact with contactYield^pins
-// probability, and independently receives a random single fault with
-// probability 1−yield.
-func RandomSiteOutcomes(arch *tam.Architecture, rng *rand.Rand, n, pins int, contactYield, yield float64) []SiteOutcome {
-	return newSiteDrawer(arch, pins, contactYield).draw(rng, n, yield)
-}
-
-// siteDrawer holds the draw-invariant state of RandomSiteOutcomes so
-// Monte-Carlo loops over touchdowns pay the per-architecture setup
-// (testable list, per-module designs, contact probability) once. The rng
-// consumption of draw is identical to the historical per-call path.
+// siteDrawer draws per-site contact and fault outcomes for Monte-Carlo
+// touchdowns: each site passes contact with contactYield^pins probability,
+// and independently receives a random single fault with probability
+// 1−yield. It holds the draw-invariant state, so loops over touchdowns
+// pay the per-architecture setup (testable list, per-module designs,
+// contact probability) once.
 type siteDrawer struct {
 	testable []int
 	patterns []int

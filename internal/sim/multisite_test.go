@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"multisite/internal/soc"
@@ -12,7 +13,7 @@ import (
 func TestMultiSiteAllPass(t *testing.T) {
 	arch := d695Arch(t, 64)
 	sites := []SiteOutcome{{ContactOK: true}, {ContactOK: true}}
-	r, err := MultiSite(arch, sites)
+	r, err := multiSite(arch, sites, Event, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestMultiSiteAllPass(t *testing.T) {
 
 func TestMultiSiteNoContact(t *testing.T) {
 	arch := d695Arch(t, 64)
-	r, err := MultiSite(arch, []SiteOutcome{{}, {}})
+	r, err := multiSite(arch, []SiteOutcome{{}, {}}, Event, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestMultiSiteOnePassingBlocksAbort(t *testing.T) {
 		{ContactOK: true, Faults: []Fault{{Module: mi, FirstPattern: 0}}},
 		{ContactOK: true}, // passes
 	}
-	r, err := MultiSite(arch, sites)
+	r, err := multiSite(arch, sites, Event, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +65,10 @@ func TestMultiSiteAllFailingAbortsAtLatest(t *testing.T) {
 	early := Fault{Module: mi, FirstPattern: 0}
 	m := &arch.SOC.Modules[mi]
 	late := Fault{Module: mi, FirstPattern: m.Patterns - 1}
-	r, err := MultiSite(arch, []SiteOutcome{
+	r, err := multiSite(arch, []SiteOutcome{
 		{ContactOK: true, Faults: []Fault{early}},
 		{ContactOK: true, Faults: []Fault{late}},
-	})
+	}, Event, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +87,8 @@ func TestMultiSiteAllFailingAbortsAtLatest(t *testing.T) {
 
 func TestRandomSiteOutcomesDeterministic(t *testing.T) {
 	arch := d695Arch(t, 64)
-	a := RandomSiteOutcomes(arch, rand.New(rand.NewSource(1)), 4, 32, 0.999, 0.8)
-	b := RandomSiteOutcomes(arch, rand.New(rand.NewSource(1)), 4, 32, 0.999, 0.8)
+	a := newSiteDrawer(arch, 32, 0.999).draw(rand.New(rand.NewSource(1)), 4, 0.8)
+	b := newSiteDrawer(arch, 32, 0.999).draw(rand.New(rand.NewSource(1)), 4, 0.8)
 	if len(a) != 4 || len(b) != 4 {
 		t.Fatal("wrong site count")
 	}
@@ -151,11 +152,11 @@ func TestMultiSiteModeBitMatchesEvent(t *testing.T) {
 		{ContactOK: true, Faults: []Fault{{Module: mi, FirstPattern: m.Patterns - 1}}},
 		{ContactOK: false},
 	}
-	ev, err := MultiSiteMode(arch, sites, Event)
+	ev, err := multiSite(arch, sites, Event, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bit, err := MultiSiteMode(arch, sites, BitAccurate)
+	bit, err := multiSite(arch, sites, BitAccurate, runtime.GOMAXPROCS(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestMultiSiteModeBitMatchesEvent(t *testing.T) {
 func TestMultiSiteDeterministicAcrossWorkers(t *testing.T) {
 	arch := d695Arch(t, 64)
 	rng := rand.New(rand.NewSource(9))
-	sites := RandomSiteOutcomes(arch, rng, 8, 32, 0.999, 0.7)
+	sites := newSiteDrawer(arch, 32, 0.999).draw(rng, 8, 0.7)
 	want, err := multiSite(arch, sites, Event, 1)
 	if err != nil {
 		t.Fatal(err)

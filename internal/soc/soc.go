@@ -66,18 +66,6 @@ func (m *Module) ScanCells() int {
 	return n
 }
 
-// LongestChain returns the length of the longest internal scan chain, or 0
-// if the module has none.
-func (m *Module) LongestChain() int {
-	n := 0
-	for _, c := range m.ScanChains {
-		if c.Length > n {
-			n = c.Length
-		}
-	}
-	return n
-}
-
 // TestBits returns the total test data volume of the module in bits:
 // for every pattern, each scan cell and each wrapper cell is loaded and
 // unloaded once. This is the classic volume metric used for ATE sizing.
@@ -149,26 +137,6 @@ func (s *SOC) TotalTestBits() int64 {
 	var n int64
 	for i := range s.Modules {
 		n += s.Modules[i].TestBits()
-	}
-	return n
-}
-
-// TotalScanCells returns the summed scan flip-flop count of all modules.
-func (s *SOC) TotalScanCells() int {
-	n := 0
-	for i := range s.Modules {
-		n += s.Modules[i].ScanCells()
-	}
-	return n
-}
-
-// MaxPatterns returns the largest per-module pattern count.
-func (s *SOC) MaxPatterns() int {
-	n := 0
-	for i := range s.Modules {
-		if s.Modules[i].Patterns > n {
-			n = s.Modules[i].Patterns
-		}
 	}
 	return n
 }

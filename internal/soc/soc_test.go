@@ -30,9 +30,6 @@ func TestModuleCellCounts(t *testing.T) {
 	if got := m.ScanCells(); got != 48 {
 		t.Errorf("ScanCells = %d, want 48", got)
 	}
-	if got := m.LongestChain(); got != 32 {
-		t.Errorf("LongestChain = %d, want 32", got)
-	}
 }
 
 func TestModuleTestBits(t *testing.T) {
@@ -130,12 +127,6 @@ func TestSOCAggregates(t *testing.T) {
 		{ID: 1, Inputs: 2, Outputs: 2, Patterns: 10, ScanChains: ChainsOfLengths(5, 5)},
 		{ID: 2, Inputs: 1, Outputs: 1, Patterns: 20},
 	}}
-	if got := s.TotalScanCells(); got != 10 {
-		t.Errorf("TotalScanCells = %d, want 10", got)
-	}
-	if got := s.MaxPatterns(); got != 20 {
-		t.Errorf("MaxPatterns = %d, want 20", got)
-	}
 	want := int64(10+2+2)*10 + int64(1+1)*20
 	if got := s.TotalTestBits(); got != want {
 		t.Errorf("TotalTestBits = %d, want %d", got, want)

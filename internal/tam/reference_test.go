@@ -166,15 +166,6 @@ func (a *Architecture) referenceWidenOnce() bool {
 	return false
 }
 
-// referenceWiden mirrors Widen over referenceWidenOnce.
-func (a *Architecture) referenceWiden(extraWires int) int {
-	used := 0
-	for used < extraWires && a.referenceWidenOnce() {
-		used++
-	}
-	return used
-}
-
 // referencePlace is place with linear scans: every candidate fill is a
 // fresh member-time sum, and the minimal feasible widening of each group
 // is found by trying one extra wire at a time.

@@ -814,16 +814,6 @@ func (a *Architecture) WidenOnce() bool {
 	}
 }
 
-// Widen distributes up to extraWires wires one at a time (WidenOnce) and
-// returns how many were actually consumed.
-func (a *Architecture) Widen(extraWires int) int {
-	used := 0
-	for used < extraWires && a.WidenOnce() {
-		used++
-	}
-	return used
-}
-
 // String renders a compact human-readable summary.
 func (a *Architecture) String() string {
 	s := fmt.Sprintf("architecture for %s: k=%d channels, %d groups, test=%d cycles (depth %d)\n",

@@ -93,12 +93,6 @@ func New(irLength int) *Controller {
 	}
 }
 
-// State returns the current controller state.
-func (c *Controller) State() State { return c.state }
-
-// IR returns the latched instruction.
-func (c *Controller) IR() uint64 { return c.ir }
-
 // Cycles returns the TCK cycles consumed so far.
 func (c *Controller) Cycles() int64 { return c.cycles }
 

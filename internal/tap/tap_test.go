@@ -12,8 +12,8 @@ func TestResetFromAnyState(t *testing.T) {
 		c := New(4)
 		c.state = s
 		c.Reset()
-		if c.State() != TestLogicReset {
-			t.Errorf("from %v: reset landed in %v", s, c.State())
+		if c.state != TestLogicReset {
+			t.Errorf("from %v: reset landed in %v", s, c.state)
 		}
 	}
 }
@@ -46,8 +46,8 @@ func TestStateGraphSpotChecks(t *testing.T) {
 	}
 	for i, st := range steps {
 		c.Step(st.tms, false)
-		if c.State() != st.want {
-			t.Fatalf("step %d: state %v, want %v", i, c.State(), st.want)
+		if c.state != st.want {
+			t.Fatalf("step %d: state %v, want %v", i, c.state, st.want)
 		}
 	}
 }
@@ -79,8 +79,8 @@ func TestGoToShortestPaths(t *testing.T) {
 		if got := c.GoTo(cse.to); got != cse.cycles {
 			t.Errorf("%v → %v took %d cycles, want %d", cse.from, cse.to, got, cse.cycles)
 		}
-		if c.State() != cse.to {
-			t.Errorf("%v → %v landed in %v", cse.from, cse.to, c.State())
+		if c.state != cse.to {
+			t.Errorf("%v → %v landed in %v", cse.from, cse.to, c.state)
 		}
 	}
 }
@@ -89,16 +89,16 @@ func TestLoadInstruction(t *testing.T) {
 	c := New(6)
 	c.Reset()
 	c.LoadInstruction(0b101101)
-	if c.IR() != 0b101101 {
-		t.Errorf("IR = %06b, want 101101", c.IR())
+	if c.ir != 0b101101 {
+		t.Errorf("IR = %06b, want 101101", c.ir)
 	}
-	if c.State() != RunTestIdle {
-		t.Errorf("ended in %v", c.State())
+	if c.state != RunTestIdle {
+		t.Errorf("ended in %v", c.state)
 	}
 	// A second load replaces the first.
 	c.LoadInstruction(0b000011)
-	if c.IR() != 0b000011 {
-		t.Errorf("IR = %06b, want 000011", c.IR())
+	if c.ir != 0b000011 {
+		t.Errorf("IR = %06b, want 000011", c.ir)
 	}
 }
 
@@ -107,8 +107,8 @@ func TestResetClearsIR(t *testing.T) {
 	c.Reset()
 	c.LoadInstruction(0xF)
 	c.Reset()
-	if c.IR() != 0 {
-		t.Errorf("IR after reset = %x", c.IR())
+	if c.ir != 0 {
+		t.Errorf("IR after reset = %x", c.ir)
 	}
 }
 
@@ -172,7 +172,7 @@ func TestPropertyGoToAlwaysReaches(t *testing.T) {
 		c := New(4)
 		c.state = from
 		c.GoTo(to)
-		return c.State() == to
+		return c.state == to
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -186,7 +186,7 @@ func TestPropertyIRRoundTrip(t *testing.T) {
 		c.Reset()
 		want := uint64(code) & ((1 << irLen) - 1)
 		c.LoadInstruction(want)
-		return c.IR() == want
+		return c.ir == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

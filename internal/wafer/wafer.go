@@ -7,10 +7,7 @@
 // (ablation abl-3 in DESIGN.md).
 package wafer
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Layout describes the wafer and the probe-card site arrangement.
 type Layout struct {
@@ -22,17 +19,6 @@ type Layout struct {
 	// SitesX and SitesY arrange the probe sites in a rectangle; the
 	// site count n = SitesX · SitesY.
 	SitesX, SitesY int
-}
-
-// Validate checks the layout.
-func (l Layout) Validate() error {
-	if l.WaferDiameterMM <= 0 || l.DieWidthMM <= 0 || l.DieHeightMM <= 0 {
-		return fmt.Errorf("wafer: non-positive dimension")
-	}
-	if l.SitesX < 1 || l.SitesY < 1 {
-		return fmt.Errorf("wafer: need at least a 1x1 site grid")
-	}
-	return nil
 }
 
 // Sites returns the probe-card site count n.
@@ -119,13 +105,6 @@ func (p Plan) Utilization() float64 {
 		return 0
 	}
 	return float64(p.DiesProbed) / float64(total)
-}
-
-// EffectiveThroughputFactor returns the multiplier to apply to the paper's
-// idealized throughput Dth to account for periphery losses: the ratio of
-// dies actually probed to sites×touchdowns.
-func (l Layout) EffectiveThroughputFactor() float64 {
-	return l.Step().Utilization()
 }
 
 // WaferTestHours returns the time to test one wafer given the

@@ -9,22 +9,6 @@ func layout(x, y int) Layout {
 	return Layout{WaferDiameterMM: 300, DieWidthMM: 10, DieHeightMM: 10, SitesX: x, SitesY: y}
 }
 
-func TestValidate(t *testing.T) {
-	if err := layout(2, 2).Validate(); err != nil {
-		t.Errorf("valid layout rejected: %v", err)
-	}
-	bad := []Layout{
-		{WaferDiameterMM: 0, DieWidthMM: 10, DieHeightMM: 10, SitesX: 1, SitesY: 1},
-		{WaferDiameterMM: 300, DieWidthMM: 0, DieHeightMM: 10, SitesX: 1, SitesY: 1},
-		{WaferDiameterMM: 300, DieWidthMM: 10, DieHeightMM: 10, SitesX: 0, SitesY: 1},
-	}
-	for i, l := range bad {
-		if err := l.Validate(); err == nil {
-			t.Errorf("bad layout %d accepted", i)
-		}
-	}
-}
-
 func TestDieCountApproximatesArea(t *testing.T) {
 	l := layout(1, 1)
 	n := l.DieCount()
@@ -87,13 +71,6 @@ func TestTouchdownsShrinkWithSites(t *testing.T) {
 	// losses allow somewhat more.
 	if t4 < t1/4 {
 		t.Errorf("4-site touchdowns %d below theoretical floor %d", t4, t1/4)
-	}
-}
-
-func TestEffectiveThroughputFactor(t *testing.T) {
-	l := layout(4, 4)
-	if got, want := l.EffectiveThroughputFactor(), l.Step().Utilization(); got != want {
-		t.Errorf("factor %g != utilization %g", got, want)
 	}
 }
 

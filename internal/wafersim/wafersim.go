@@ -120,17 +120,3 @@ func Run(cfg Config) (*Stats, error) {
 	st.MeanTestTime = testSec / float64(cfg.Touchdowns)
 	return st, nil
 }
-
-// Compare runs the simulation and returns the relative error of the
-// empirical throughput against the analytic model (positive means the
-// simulation measured more).
-func Compare(cfg Config) (simulated, analytic, relErr float64, err error) {
-	st, err := Run(cfg)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	analytic = cfg.Params.Throughput()
-	simulated = st.Throughput
-	relErr = (simulated - analytic) / analytic
-	return simulated, analytic, relErr, nil
-}

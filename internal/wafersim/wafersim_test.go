@@ -55,12 +55,13 @@ func TestPerfectYieldMatchesAnalyticExactly(t *testing.T) {
 	// With pc = pm = 1 there is no randomness: the empirical throughput
 	// equals Eq. 4.5 to floating-point accuracy.
 	cfg := Config{Params: params(), Touchdowns: 100, Seed: 1}
-	sim, analytic, relErr, err := Compare(cfg)
+	st, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(relErr) > 1e-12 {
-		t.Errorf("deterministic case: sim %g vs analytic %g (rel %g)", sim, analytic, relErr)
+	analytic := cfg.Params.Throughput()
+	if relErr := (st.Throughput - analytic) / analytic; math.Abs(relErr) > 1e-12 {
+		t.Errorf("deterministic case: sim %g vs analytic %g (rel %g)", st.Throughput, analytic, relErr)
 	}
 }
 
@@ -70,11 +71,12 @@ func TestMonteCarloMatchesAnalytic(t *testing.T) {
 	cfg := Config{Params: params(), Touchdowns: 30000, Seed: 42}
 	cfg.Params.ContactYield = 0.999
 	cfg.Params.Yield = 0.85
-	_, _, relErr, err := Compare(cfg)
+	st, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(relErr) > 0.01 {
+	analytic := cfg.Params.Throughput()
+	if relErr := (st.Throughput - analytic) / analytic; math.Abs(relErr) > 0.01 {
 		t.Errorf("relative error %g exceeds 1%%", relErr)
 	}
 }
@@ -87,11 +89,12 @@ func TestMonteCarloAbortOnFail(t *testing.T) {
 	p.Yield = 0.6
 	p.AbortOnFail = true
 	cfg := Config{Params: p, Touchdowns: 40000, Seed: 11}
-	_, _, relErr, err := Compare(cfg)
+	st, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(relErr) > 0.01 {
+	analytic := p.Throughput()
+	if relErr := (st.Throughput - analytic) / analytic; math.Abs(relErr) > 0.01 {
 		t.Errorf("abort-on-fail relative error %g exceeds 1%%", relErr)
 	}
 }

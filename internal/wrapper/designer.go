@@ -193,12 +193,6 @@ func (d *Designer) MinWidth(mi int, depth int64, maxW int) (int, bool) {
 	return lo, true
 }
 
-// MinTime returns the smallest achievable test time of module mi.
-func (d *Designer) MinTime(mi int) int64 {
-	tt := d.table(mi).times
-	return tt[len(tt)-1]
-}
-
 // MaxWidthTable exposes the number of distinct useful chain counts of
 // module mi (i.e. MaxUsefulWidth of the module).
 func (d *Designer) MaxWidthTable(mi int) int {

@@ -66,12 +66,17 @@ func TestDesignerMinWidthInfeasible(t *testing.T) {
 	}
 }
 
+// TestDesignerMinTime: the last entry of a module's time table, its
+// smallest achievable test time, equals the standalone Fit at the
+// module's maximum useful width.
 func TestDesignerMinTime(t *testing.T) {
 	s := designerSOC()
 	d := NewDesigner(s)
 	for _, mi := range s.TestableModules() {
-		if got, want := d.MinTime(mi), MinTime(&s.Modules[mi]); got != want {
-			t.Errorf("module %d: MinTime designer %d, direct %d", mi, got, want)
+		tt := d.TimeTable(mi)
+		m := &s.Modules[mi]
+		if got, want := tt[len(tt)-1], Fit(m, MaxUsefulWidth(m)).Time; got != want {
+			t.Errorf("module %d: min time designer %d, direct %d", mi, got, want)
 		}
 	}
 }

@@ -340,12 +340,3 @@ func MaxUsefulWidth(m *soc.Module) int {
 	}
 	return w
 }
-
-// MinTime returns the smallest achievable test time for the module (at
-// width MaxUsefulWidth).
-func MinTime(m *soc.Module) int64 {
-	if m.Patterns == 0 {
-		return 0
-	}
-	return Fit(m, MaxUsefulWidth(m)).Time
-}

@@ -167,14 +167,14 @@ func TestMaxUsefulWidth(t *testing.T) {
 func TestMinTimeSaturates(t *testing.T) {
 	m := &soc.Module{ID: 1, Inputs: 4, Outputs: 4, Patterns: 10,
 		ScanChains: soc.ChainsOfLengths(30, 20)}
-	min := MinTime(m)
+	min := Fit(m, MaxUsefulWidth(m)).Time
 	// Beyond MaxUsefulWidth the time cannot drop below min.
 	if got := Fit(m, MaxUsefulWidth(m)+10).Time; got != min {
 		t.Errorf("time beyond max useful width = %d, want %d", got, min)
 	}
 	// The longest chain bounds the best shift length.
 	if lb := int64(1+30)*10 + 0; min < lb {
-		t.Errorf("MinTime %d below structural bound %d", min, lb)
+		t.Errorf("min time %d below structural bound %d", min, lb)
 	}
 }
 
