@@ -3,15 +3,23 @@ package engine
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 
 	"multisite/internal/ate"
 	"multisite/internal/core"
+	"multisite/internal/resultcache"
 	"multisite/internal/soc"
 	"multisite/internal/solve"
 	"multisite/internal/tam"
 )
+
+// memoCapacity bounds every memo to this many cached designs, evicted
+// least recently used. A sweep's grid order requests each design key on
+// consecutive jobs, so eviction only recomputes a design a later,
+// unrelated request asks for again; a long-running server's keys include
+// client-controlled ATE fields, so the bound keeps them from growing
+// process memory without limit.
+const memoCapacity = 256
 
 // designKey identifies everything the Step 1+2 architecture design depends
 // on, the solver backend included: "exact" and "heuristic" designs for one
@@ -26,14 +34,18 @@ type designKey struct {
 	solver string
 }
 
-// memoEntry computes its design exactly once, even when many workers
-// request the same key concurrently. done is closed when res/err are
-// final; waiters select against their own context so a slow design never
-// pins a cancelled request.
-type memoEntry struct {
-	done chan struct{}
-	res  *core.Result
-	err  error
+// outcome is what a design key memoizes: its design, or the
+// deterministic error designing it produced.
+type outcome struct {
+	res *core.Result
+	err error
+}
+
+// memoCounts are a memo's request and design counters, shared by the
+// memos Scope derives from it.
+type memoCounts struct {
+	requests atomic.Int64
+	misses   atomic.Int64
 }
 
 // Memo caches Step 1+2 architecture designs keyed on (solver, SOC, ATE,
@@ -43,18 +55,34 @@ type memoEntry struct {
 // per site count. A grid sweep over y yield variants of the same tester
 // therefore pays for one design, not y.
 //
-// SOC identity is pointer identity: use the memoized benchdata.Shared
-// chips (or any stable *soc.SOC) for sweeps. A Memo is safe for concurrent
-// use and may be shared across Runs to memoize a whole session — the
-// serving layer keeps one per process.
+// The designs live in a resultcache.Store bounded at 256 entries, so a
+// design can be evicted and recomputed; a recomputed design is identical
+// to the evicted one. SOC identity is pointer identity: use the memoized
+// benchdata.Shared chips (or any stable *soc.SOC) for sweeps. A Memo is
+// safe for concurrent use and may be shared across Runs to memoize a
+// whole session — the serving layer keeps one per process.
 type Memo struct {
-	entries  sync.Map // designKey -> *memoEntry
-	size     atomic.Int64
-	maxSize  int64 // 0 = unbounded
-	requests atomic.Int64
-	misses   atomic.Int64
+	designs  *resultcache.Store[designKey, outcome]
+	counts   *memoCounts
 	resolver func(name string) (solve.Solver, error)
 }
+
+// NewMemo returns an empty memo with its own counters.
+func NewMemo() *Memo { return newMemo(new(memoCounts), nil) }
+
+func newMemo(counts *memoCounts, resolver func(name string) (solve.Solver, error)) *Memo {
+	return &Memo{
+		designs:  resultcache.NewOf[designKey, outcome](resultcache.Options{Capacity: memoCapacity}),
+		counts:   counts,
+		resolver: resolver,
+	}
+}
+
+// Scope returns an empty memo that shares m's resolver and counters but
+// none of its designs: the serving layer gives each uploaded chip's
+// request one, so the upload's designs count in m's Stats without
+// outliving the request.
+func (m *Memo) Scope() *Memo { return newMemo(m.counts, m.resolver) }
 
 // SetResolver overrides the registry lookup DesignSolverCtx dispatches
 // through: the serving layer installs its per-server resolver so designs
@@ -68,24 +96,6 @@ func (m *Memo) resolve(name string) (solve.Solver, error) {
 		return m.resolver(name)
 	}
 	return solve.Get(name)
-}
-
-// NewMemo returns an empty, unbounded memo — right for sweeps and
-// experiment sessions, whose design-key space is fixed by construction.
-func NewMemo() *Memo { return &Memo{} }
-
-// NewMemoBounded returns a memo holding at most maxDesigns cached
-// designs: inserting past the bound resets the memo wholesale (designs
-// recompute on demand; no LRU bookkeeping on the hot path). Use it when
-// the key space is client-controlled — a long-running server must not
-// let requests iterating ATE parameters grow process memory without
-// limit. Around a reset, concurrent requests for one key may briefly
-// compute it twice; exactly-once holds away from the capacity boundary.
-func NewMemoBounded(maxDesigns int) *Memo {
-	if maxDesigns < 1 {
-		maxDesigns = 1
-	}
-	return &Memo{maxSize: int64(maxDesigns)}
 }
 
 // designConfig is the canonical configuration a key's design is computed
@@ -110,94 +120,44 @@ func designConfig(cfg core.Config) core.Config {
 // widening budgets coincide — both are safe because evaluation never
 // mutates an architecture.
 //
-// Cancellation semantics fit a serving layer: concurrent requests for one
-// key still compute exactly once (singleflight), but a waiter whose own
-// context expires unblocks immediately with that context's error while
-// the computation proceeds for the others. If the computing request
-// itself is cancelled mid-design, the poisoned entry is dropped so the
-// next request recomputes instead of replaying a stale cancellation error
-// forever.
+// A deterministic design error is memoized like a design. A cancellation
+// (it reflects the request's deadline), a transient backend failure (an
+// open breaker or injected fault outlives its cause when replayed) and a
+// degraded best-effort result (a retry may do better) are delivered but
+// never cached; a panicking design propagates its panic and caches
+// nothing. Concurrent requests for one key compute once (singleflight);
+// a waiter whose own context expires unblocks with that context's error,
+// and a waiter whose compute was cancelled retries under its own context.
 func (m *Memo) DesignSolverCtx(ctx context.Context, solver string, s *soc.SOC, cfg core.Config) (*core.Result, error) {
 	sv, err := m.resolve(solver)
 	if err != nil {
 		return nil, err
 	}
-	m.requests.Add(1)
+	m.counts.requests.Add(1)
 	key := designKey{soc: s, ate: cfg.ATE, tam: cfg.TAM, solver: sv.Name()}
-	for {
-		v, ok := m.entries.Load(key)
-		if !ok {
-			if m.maxSize > 0 && m.size.Load() >= m.maxSize {
-				// Full: reset before inserting. In-flight computers and
-				// their waiters hold entry pointers and are unaffected;
-				// only future lookups recompute.
-				m.entries.Clear()
-				m.size.Store(0)
-			}
-			e := &memoEntry{done: make(chan struct{})}
-			if actual, raced := m.entries.LoadOrStore(key, e); raced {
-				v = actual
-			} else {
-				m.size.Add(1)
-				m.misses.Add(1)
-				e.res, e.err = sv.Solve(ctx, s, designConfig(cfg))
-				if uncacheable(e.res, e.err) {
-					// Do not cache a cancellation (it reflects this
-					// request's deadline), a transient backend failure
-					// (an open breaker or injected fault outlives its
-					// cause when replayed), or a degraded best-effort
-					// result (a retry may do better).
-					if m.entries.CompareAndDelete(key, e) {
-						m.size.Add(-1)
-					}
-				}
-				close(e.done)
-				return e.res, e.err
-			}
+	o, _, err := m.designs.DoCond(ctx, key, func(ctx context.Context) (outcome, bool, error) {
+		m.counts.misses.Add(1)
+		res, err := sv.Solve(ctx, s, designConfig(cfg))
+		switch {
+		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded), errors.Is(err, solve.ErrTransient):
+			return outcome{}, false, err // not the key's answer: never stored
+		case err != nil:
+			return outcome{err: err}, true, nil // deterministic: memoized
 		}
-		e := v.(*memoEntry)
-		select {
-		case <-e.done:
-			if isCancellation(e.err) {
-				// The computing request was cancelled; its entry was
-				// unlinked by the computer. Retry under our own context.
-				if m.entries.CompareAndDelete(key, e) {
-					m.size.Add(-1)
-				}
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			return e.res, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// uncacheable reports whether a design outcome must not be memoized:
-// cancellations, transient backend failures, and degraded best-effort
-// results all reflect the moment they were computed, not the scenario.
-// Waiters joined to an uncacheable compute still share its outcome
-// (cancellations retry instead); only future lookups recompute.
-func uncacheable(res *core.Result, err error) bool {
+		return outcome{res: res}, !res.Degraded, nil
+	})
 	if err != nil {
-		return isCancellation(err) || errors.Is(err, solve.ErrTransient)
+		return nil, err
 	}
-	return res != nil && res.Degraded
+	return o.res, o.err
 }
 
 // Stats reports the memo's request and design counts: hits = requests −
 // misses. A sweep of j jobs over d distinct design keys reports j requests
-// and d misses once it completes.
+// and d misses once it completes. Memos derived by Scope count here too.
 func (m *Memo) Stats() (requests, misses int64) {
-	return m.requests.Load(), m.misses.Load()
+	return m.counts.requests.Load(), m.counts.misses.Load()
 }
 
 // Len returns the number of currently cached designs.
-func (m *Memo) Len() int { return int(m.size.Load()) }
+func (m *Memo) Len() int { return m.designs.Len() }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,8 @@ import (
 	"multisite/internal/ate"
 	"multisite/internal/benchdata"
 	"multisite/internal/core"
+	"multisite/internal/soc"
+	"multisite/internal/solve"
 )
 
 func memoConfig() core.Config {
@@ -150,33 +153,84 @@ func TestMemoSolverDimension(t *testing.T) {
 	}
 }
 
-// TestMemoBoundedResets checks the bounded memo caps its live designs:
-// exceeding the bound resets the map, and designs recompute correctly
-// afterwards.
-func TestMemoBoundedResets(t *testing.T) {
-	memo := NewMemoBounded(2)
+// TestMemoBoundedEvicts checks the memo caps its live designs at its
+// LRU bound, and an evicted design recomputes identical to the original.
+func TestMemoBoundedEvicts(t *testing.T) {
+	memo := NewMemo()
 	s := benchdata.Shared("d695")
-	var results []*core.Result
-	for i := 0; i < 5; i++ {
+	variant := func(i int) core.Config {
 		cfg := memoConfig()
 		cfg.ATE.Depth += int64(i) * benchdata.Ki // distinct design keys
-		res, err := memo.DesignSolverCtx(context.Background(), "", s, cfg)
+		return cfg
+	}
+	const designs = memoCapacity + 16
+	results := make([]*core.Result, designs)
+	for i := range results {
+		res, err := memo.DesignSolverCtx(context.Background(), "", s, variant(i))
 		if err != nil {
 			t.Fatalf("depth variant %d: %v", i, err)
 		}
-		results = append(results, res)
-		if n := memo.Len(); n > 2 {
-			t.Fatalf("after insert %d: %d live designs, bound is 2", i, n)
+		results[i] = res
+	}
+	if n := memo.Len(); n > memoCapacity {
+		t.Fatalf("%d live designs, bound is %d", n, memoCapacity)
+	}
+	// At least 16 designs were evicted; re-request from the oldest until
+	// one recomputes, and check it matches the original.
+	for i, want := range results {
+		_, before := memo.Stats()
+		res, err := memo.DesignSolverCtx(context.Background(), "", s, variant(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, after := memo.Stats(); after == before {
+			continue // still cached
+		}
+		if res == want {
+			t.Fatalf("variant %d recomputed but returned the cached instance", i)
+		}
+		if res.Step1.Channels() != want.Step1.Channels() || res.Best != want.Best {
+			t.Errorf("recomputed design differs: %+v vs %+v", res.Best, want.Best)
+		}
+		return
+	}
+	t.Fatal("no evicted design recomputed")
+}
+
+// panicSolver is a backend whose every design panics.
+type panicSolver struct{}
+
+func (panicSolver) Name() string     { return "panics" }
+func (panicSolver) Info() solve.Info { return solve.Info{} }
+func (panicSolver) Solve(context.Context, *soc.SOC, core.Config) (*core.Result, error) {
+	panic("design blew up")
+}
+
+// TestMemoPanicReleasesKey checks a panicking design does not wedge its
+// key: two jobs sharing one design key each report the panic at once,
+// and the memo caches nothing.
+func TestMemoPanicReleasesKey(t *testing.T) {
+	memo := NewMemo()
+	memo.SetResolver(func(string) (solve.Solver, error) { return panicSolver{}, nil })
+	cfg := memoConfig()
+	jobs := []Job{
+		{Name: "a", SOC: benchdata.Shared("d695"), Config: cfg},
+		{Name: "b", SOC: benchdata.Shared("d695"), Config: cfg},
+	}
+	jobs[1].Config.ContactYield = 0.99 // same design key, other cost model
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	results, err := Run(ctx, jobs, Options{Workers: 1, Memo: memo})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for i, r := range results {
+		want := fmt.Sprintf("engine: index %d: panic: design blew up", i)
+		if r.Err == nil || r.Err.Error() != want {
+			t.Errorf("job %d err = %v, want %q", i, r.Err, want)
 		}
 	}
-	// A re-request after the resets recomputes but matches the original.
-	cfg := memoConfig()
-	res, err := memo.DesignSolverCtx(context.Background(), "", s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Step1.Channels() != results[0].Step1.Channels() ||
-		res.Best != results[0].Best {
-		t.Errorf("recomputed design differs: %+v vs %+v", res.Best, results[0].Best)
+	if n := memo.Len(); n != 0 {
+		t.Errorf("memo holds %d designs after panics, want 0", n)
 	}
 }

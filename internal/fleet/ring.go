@@ -10,7 +10,7 @@
 // others' caches or journals.
 //
 // The ring is the classic virtual-node construction: each member is
-// hashed onto the ring at Replicas pseudo-random points (SHA-256 of
+// hashed onto the ring at replicas pseudo-random points (SHA-256 of
 // "member#i"), a key is owned by the member whose point is the first at
 // or clockwise after the key's own hash point, and lookups binary-search
 // the sorted point list. Virtual nodes make the ownership shares
@@ -31,18 +31,18 @@ import (
 	"strconv"
 )
 
-// DefaultReplicas is the virtual-node count per member. 128 points per
-// member keeps the largest/smallest ownership share within ~2x at N=3
-// (the property test bounds realized churn, which is what matters), at
-// a few KB of ring per member.
-const DefaultReplicas = 128
+// replicas is the virtual-node count per member. 128 points per member
+// keeps the largest/smallest ownership share within ~2x at N=3 (the
+// property test bounds realized churn, which is what matters), at a few
+// KB of ring per member. Every fleet party builds its ring with it, so
+// the gateway and the peers always agree on placement.
+const replicas = 128
 
 // Ring is an immutable consistent-hash ring over a member set. Build
 // with New; lookups are safe for concurrent use.
 type Ring struct {
-	members  []string // sorted, unique
-	replicas int
-	points   []point // sorted by hash
+	members []string // sorted, unique
+	points  []point  // sorted by hash
 }
 
 type point struct {
@@ -51,13 +51,9 @@ type point struct {
 }
 
 // New builds the ring over the given members (duplicates collapse,
-// order is irrelevant) with replicas virtual nodes per member;
-// replicas <= 0 means DefaultReplicas. An empty member set yields a
-// ring whose lookups return "".
-func New(members []string, replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
+// order is irrelevant) with 128 virtual nodes per member. An empty
+// member set yields a ring whose lookups return "".
+func New(members []string) *Ring {
 	uniq := make([]string, 0, len(members))
 	seen := make(map[string]bool, len(members))
 	for _, m := range members {
@@ -67,7 +63,7 @@ func New(members []string, replicas int) *Ring {
 		}
 	}
 	sort.Strings(uniq)
-	r := &Ring{members: uniq, replicas: replicas, points: make([]point, 0, len(uniq)*replicas)}
+	r := &Ring{members: uniq, points: make([]point, 0, len(uniq)*replicas)}
 	for mi, m := range uniq {
 		for i := 0; i < replicas; i++ {
 			r.points = append(r.points, point{hash: hashString(m + "#" + strconv.Itoa(i)), member: mi})

@@ -31,7 +31,7 @@ func members(n int) []string {
 
 func TestOwnerDeterministicAcrossInsertionOrder(t *testing.T) {
 	base := members(5)
-	ref := New(base, 64)
+	ref := New(base)
 	keys := testKeys(10_000, 1)
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 5; trial++ {
@@ -41,7 +41,7 @@ func TestOwnerDeterministicAcrossInsertionOrder(t *testing.T) {
 		}
 		// Duplicates must collapse, not shift placement.
 		perm = append(perm, perm[rng.Intn(len(perm))])
-		r := New(perm, 64)
+		r := New(perm)
 		for _, k := range keys {
 			if got, want := r.Owner(k), ref.Owner(k); got != want {
 				t.Fatalf("trial %d: Owner(%s) = %q under permuted members, want %q", trial, k[:12], got, want)
@@ -61,7 +61,7 @@ func TestChurnOnMembershipChange(t *testing.T) {
 	for _, n := range []int{3, 5, 8} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			full := members(n)
-			rFull := New(full, 0)
+			rFull := New(full)
 			bound := 2.0/float64(n) + eps
 
 			// Leave: drop each member in turn.
@@ -72,7 +72,7 @@ func TestChurnOnMembershipChange(t *testing.T) {
 						rest = append(rest, m)
 					}
 				}
-				rRest := New(rest, 0)
+				rRest := New(rest)
 				moved := 0
 				for _, k := range keys {
 					before, after := rFull.Owner(k), rRest.Owner(k)
@@ -92,7 +92,7 @@ func TestChurnOnMembershipChange(t *testing.T) {
 
 			// Join: grow the ring by one.
 			joined := append(append([]string(nil), full...), fmt.Sprintf("127.0.0.1:%d", 9001+n))
-			rJoined := New(joined, 0)
+			rJoined := New(joined)
 			moved := 0
 			for _, k := range keys {
 				before, after := rFull.Owner(k), rJoined.Owner(k)
@@ -114,7 +114,7 @@ func TestChurnOnMembershipChange(t *testing.T) {
 }
 
 func TestOwnersDistinctRingOrder(t *testing.T) {
-	r := New(members(4), 0)
+	r := New(members(4))
 	for _, k := range testKeys(200, 4) {
 		owners := r.Owners(k, 3)
 		if len(owners) != 3 {
@@ -143,18 +143,18 @@ func TestOwnersDistinctRingOrder(t *testing.T) {
 				rest = append(rest, m)
 			}
 		}
-		if got := New(rest, 0).Owner(k); got != owners[1] {
+		if got := New(rest).Owner(k); got != owners[1] {
 			t.Fatalf("successor mismatch: Owners[1] = %s, ring-without-owner Owner = %s", owners[1], got)
 		}
 	}
 }
 
 func TestOwnersTruncatesAndEmptyRing(t *testing.T) {
-	r := New(members(2), 0)
+	r := New(members(2))
 	if got := r.Owners("k", 5); len(got) != 2 {
 		t.Fatalf("Owners truncation: got %v", got)
 	}
-	empty := New(nil, 0)
+	empty := New(nil)
 	if empty.Owner("k") != "" || empty.Owners("k", 1) != nil || empty.Len() != 0 {
 		t.Fatalf("empty ring: Owner=%q Owners=%v Len=%d", empty.Owner("k"), empty.Owners("k", 1), empty.Len())
 	}
@@ -167,7 +167,7 @@ func TestOwnersTruncatesAndEmptyRing(t *testing.T) {
 func TestBalance(t *testing.T) {
 	keys := testKeys(10_000, 5)
 	for _, n := range []int{3, 5} {
-		r := New(members(n), 0)
+		r := New(members(n))
 		counts := map[string]int{}
 		for _, k := range keys {
 			counts[r.Owner(k)]++

@@ -64,7 +64,7 @@ func TestFleetByteIdenticalToSingleNode(t *testing.T) {
 	single := httptest.NewServer(server.New(server.Options{}).Handler())
 	defer single.Close()
 	f := Start(t, 3, t.TempDir(), server.Options{})
-	ring := fleet.New(f.PeerAddrs, 0)
+	ring := fleet.New(f.PeerAddrs)
 
 	shardsSeen := map[string]int{}
 	for _, req := range sched.Requests {
@@ -268,7 +268,7 @@ func TestFleetMergedJobListAndShardDown(t *testing.T) {
 		t.Skip("fleet e2e in -short")
 	}
 	f := Start(t, 2, t.TempDir(), server.Options{})
-	ring := fleet.New(f.PeerAddrs, 0)
+	ring := fleet.New(f.PeerAddrs)
 
 	// Submit sweep jobs with varied depths until both shards own at
 	// least one (the keys spread, but placement is the ring's choice).

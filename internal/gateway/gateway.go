@@ -58,9 +58,6 @@ type Options struct {
 	// Peers is the full fleet member list (host:port), the same list
 	// every serve -peers flag holds. Required.
 	Peers []string
-	// Replicas overrides the ring's virtual-node count; 0 means
-	// fleet.DefaultReplicas. Must match the peers' own setting.
-	Replicas int
 	// Breaker tunes the per-peer circuit breakers; the zero value takes
 	// the resilience defaults.
 	Breaker resilience.Options
@@ -130,7 +127,7 @@ func New(opts Options) (*Gateway, error) {
 		logf = func(string, ...any) {}
 	}
 	g := &Gateway{
-		ring:    fleet.New(members, opts.Replicas),
+		ring:    fleet.New(members),
 		client:  client,
 		logf:    logf,
 		peers:   make(map[string]*peerState, len(members)),

@@ -1,34 +1,35 @@
-// Package resultcache is a sharded, size-bounded, content-addressed cache
-// for serialized optimization results, the serving layer's second cache
-// tier above engine.Memo:
+// Package resultcache is the repository's one singleflight cache: a
+// sharded, size-bounded LRU that computes each key at most once across
+// concurrent callers. It backs both cache tiers of the serving layer:
 //
-//   - engine.Memo caches live architecture designs keyed on SOC pointer
-//     identity — it makes one process's sweeps cheap, but only for SOCs
-//     that are stable pointers (the built-in benchmarks).
-//   - resultcache caches finished response bytes keyed on request content
-//     (canonical SOC hash + ATE + TAM options + cost model), so repeated
-//     identical requests — including inline SOCs a client uploads — are
-//     served without touching the optimizer, and two textually different
-//     requests describing the same chip share one entry.
+//   - engine.Memo stores live Step 1+2 architecture designs in a Store
+//     keyed on (solver, SOC pointer, ATE, TAM options), so a sweep's
+//     cost-model variants re-score one design instead of designing again.
+//   - The server stores finished responses in a Store keyed on request
+//     content (canonical SOC hash + ATE + TAM options + cost model), so
+//     repeated identical requests — including inline SOCs a client
+//     uploads — are served without touching the optimizer, and two
+//     textually different requests describing the same chip share one
+//     entry.
 //
 // Concurrent requests for one key are deduplicated singleflight-style:
 // the first computes, the rest wait on the entry and receive the same
-// bytes, so a thundering herd of identical requests costs exactly one
-// core.Optimize call. Each shard is an LRU bounded by entry count;
+// value, so a thundering herd of identical requests costs exactly one
+// compute. A compute that errors or panics is never cached, and its
+// waiters are released. Each shard is an LRU bounded by entry count;
 // eviction only considers completed entries, never in-flight ones.
 //
-// Store[V] holds values of any type; Cache, the []byte instantiation New
-// returns, holds serialized responses. Values are shared, not copied:
-// every hit returns the same value, so callers must treat it as
-// immutable. The serving layer stores each response's bytes beside the
-// few fields its handlers read from them, and writes the bytes straight
-// to the wire.
+// Store[K, V] holds values of any type under any comparable key; Cache,
+// the instantiation New returns, holds serialized responses under string
+// keys. Values are shared, not copied: every hit returns the same value,
+// so callers must treat it as immutable.
 package resultcache
 
 import (
 	"container/list"
 	"context"
 	"errors"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -53,10 +54,11 @@ type Options struct {
 	Capacity int
 }
 
-// Store is a sharded singleflight LRU of values of type V. The zero value
-// is not usable; use NewOf.
-type Store[V any] struct {
-	shards [shardCount]shard[V]
+// Store is a sharded singleflight LRU of values of type V under keys of
+// type K. The zero value is not usable; use NewOf.
+type Store[K comparable, V any] struct {
+	seed   maphash.Seed
+	shards [shardCount]shard[K, V]
 
 	hits      atomic.Int64 // completed entry found
 	misses    atomic.Int64 // this request ran the compute function
@@ -70,17 +72,17 @@ type Store[V any] struct {
 }
 
 // Cache is the Store of serialized responses.
-type Cache = Store[[]byte]
+type Cache = Store[string, []byte]
 
-type shard[V any] struct {
+type shard[K comparable, V any] struct {
 	mu      sync.Mutex
-	entries map[string]*entry[V]
-	lru     *list.List // completed entries, front = most recent
+	entries map[K]*entry[K, V] // made on first insert
+	lru     list.List          // completed entries, front = most recent
 	cap     int
 }
 
-type entry[V any] struct {
-	key  string
+type entry[K comparable, V any] struct {
+	key  K
 	done chan struct{}
 	val  V
 	err  error
@@ -88,10 +90,10 @@ type entry[V any] struct {
 }
 
 // New returns an empty cache of serialized responses.
-func New(opts Options) *Cache { return NewOf[[]byte](opts) }
+func New(opts Options) *Cache { return NewOf[string, []byte](opts) }
 
-// NewOf returns an empty store of values of type V.
-func NewOf[V any](opts Options) *Store[V] {
+// NewOf returns an empty store of values of type V under keys of type K.
+func NewOf[K comparable, V any](opts Options) *Store[K, V] {
 	capacity := opts.Capacity
 	if capacity == 0 {
 		capacity = DefaultCapacity
@@ -100,24 +102,16 @@ func NewOf[V any](opts Options) *Store[V] {
 	if perShard < 1 {
 		perShard = 1
 	}
-	c := &Store[V]{}
+	c := &Store[K, V]{seed: maphash.MakeSeed()}
 	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*entry[V])
-		c.shards[i].lru = list.New()
 		c.shards[i].cap = perShard
 	}
 	return c
 }
 
-// shardFor maps a key to its shard. Keys are content hashes (uniform hex
-// strings), so the first byte alone spreads them evenly; a short FNV pass
-// keeps arbitrary keys safe too.
-func (c *Store[V]) shardFor(key string) *shard[V] {
-	var h uint32 = 2166136261
-	for i := 0; i < len(key) && i < 8; i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return &c.shards[h%shardCount]
+// shardFor maps a key to its shard.
+func (c *Store[K, V]) shardFor(key K) *shard[K, V] {
+	return &c.shards[maphash.Comparable(c.seed, key)%shardCount]
 }
 
 // DoCond returns the cached value for key, computing it at most once
@@ -128,7 +122,8 @@ func (c *Store[V]) shardFor(key string) *shard[V] {
 // (true, either a completed entry or a joined in-flight compute) from a
 // fresh compute (false). A caller whose ctx expires while waiting
 // unblocks with the context's error; the compute keeps running for the
-// others.
+// others. A waiter whose compute failed with a cancellation (by
+// errors.Is) retries under its own context instead of sharing it.
 //
 // compute returns (value, store, error), and store=false delivers the
 // value to this caller and any waiters joined to the in-flight entry but
@@ -136,7 +131,10 @@ func (c *Store[V]) shardFor(key string) *shard[V] {
 // recomputes. The serving layer uses it to keep degraded (deadline-cut)
 // results out of the content-addressed tier: a timeout must not poison
 // the entry a later, healthier request would otherwise be served from.
-func (c *Store[V]) DoCond(ctx context.Context, key string, compute func(ctx context.Context) (V, bool, error)) (val V, hit bool, err error) {
+//
+// A panicking compute unlinks its entry and releases its waiters with an
+// error before the panic propagates, so the key is never left wedged.
+func (c *Store[K, V]) DoCond(ctx context.Context, key K, compute func(ctx context.Context) (V, bool, error)) (val V, hit bool, err error) {
 	var zero V
 	sh := c.shardFor(key)
 	for {
@@ -160,7 +158,7 @@ func (c *Store[V]) DoCond(ctx context.Context, key string, compute func(ctx cont
 				// unlinked. A cancellation is its deadline, not ours:
 				// retry under our own context. Genuine compute errors
 				// are shared, like singleflight.
-				if e.err == context.Canceled || e.err == context.DeadlineExceeded {
+				if errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded) {
 					if err := ctx.Err(); err != nil {
 						return zero, false, err
 					}
@@ -170,7 +168,10 @@ func (c *Store[V]) DoCond(ctx context.Context, key string, compute func(ctx cont
 			}
 			return e.val, true, nil
 		}
-		e := &entry[V]{key: key, done: make(chan struct{})}
+		e := &entry[K, V]{key: key, done: make(chan struct{})}
+		if sh.entries == nil {
+			sh.entries = make(map[K]*entry[K, V])
+		}
 		sh.entries[key] = e
 		sh.mu.Unlock()
 		c.misses.Add(1)
@@ -208,7 +209,7 @@ func (c *Store[V]) DoCond(ctx context.Context, key string, compute func(ctx cont
 			e.elem = sh.lru.PushFront(e)
 			for sh.lru.Len() > sh.cap {
 				oldest := sh.lru.Back()
-				old := oldest.Value.(*entry[V])
+				old := oldest.Value.(*entry[K, V])
 				sh.lru.Remove(oldest)
 				delete(sh.entries, old.key)
 				c.evictions.Add(1)
@@ -221,7 +222,7 @@ func (c *Store[V]) DoCond(ctx context.Context, key string, compute func(ctx cont
 }
 
 // Len returns the number of completed entries.
-func (c *Store[V]) Len() int {
+func (c *Store[K, V]) Len() int {
 	n := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -251,7 +252,7 @@ type Stats struct {
 }
 
 // Stats returns the current counters.
-func (c *Store[V]) Stats() Stats {
+func (c *Store[K, V]) Stats() Stats {
 	return Stats{
 		Hits:        c.hits.Load(),
 		Dedups:      c.dedups.Load(),

@@ -92,7 +92,7 @@ func TestStoreOfStruct(t *testing.T) {
 		data []byte
 		n    int
 	}
-	c := NewOf[result](Options{})
+	c := NewOf[string, result](Options{})
 	computes := 0
 	compute := func(context.Context) (result, bool, error) {
 		computes++
@@ -152,6 +152,42 @@ func TestCancelledComputeRetried(t *testing.T) {
 	})
 	if err != nil || hit || string(v) != "v" {
 		t.Errorf("retry = (%q, hit=%v, %v)", v, hit, err)
+	}
+}
+
+// TestWaiterRetriesWrappedDeadline: a waiter whose compute failed with a
+// wrapped deadline (the portfolio's shape) retries under its own live
+// context and gets the next compute's value, not the other request's
+// error.
+func TestWaiterRetriesWrappedDeadline(t *testing.T) {
+	c := New(Options{})
+	started := make(chan struct{})
+	release := make(chan struct{})
+	go c.DoCond(bg(), "k", func(context.Context) ([]byte, bool, error) {
+		close(started)
+		<-release
+		return nil, true, fmt.Errorf("portfolio: no backend produced a design: %w", context.DeadlineExceeded)
+	})
+	<-started
+	done := make(chan struct{})
+	var (
+		v   []byte
+		hit bool
+		err error
+	)
+	go func() {
+		defer close(done)
+		v, hit, err = c.DoCond(bg(), "k", func(context.Context) ([]byte, bool, error) {
+			return []byte("v"), true, nil
+		})
+	}()
+	for deadline := time.Now().Add(time.Second); c.Stats().Dedups < 1 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	<-done
+	if err != nil || hit || string(v) != "v" {
+		t.Errorf("waiter = (%q, hit=%v, %v), want a fresh compute's value", v, hit, err)
 	}
 }
 

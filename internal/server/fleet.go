@@ -74,7 +74,7 @@ func newFleet(opts Options) (*fleetInfo, error) {
 		return nil, fmt.Errorf("server: %w (set -self to this peer's address as it appears in -peers)", err)
 	}
 	return &fleetInfo{
-		ring:  fleet.New(peers, opts.FleetReplicas),
+		ring:  fleet.New(peers),
 		self:  self,
 		label: label,
 	}, nil

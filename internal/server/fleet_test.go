@@ -45,7 +45,7 @@ func TestFleetProxylessRedirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := fleet.New(fleetTestPeers, 0)
+	ring := fleet.New(fleetTestPeers)
 	owner := ring.Owner(key)
 	var other string
 	for _, p := range fleetTestPeers {

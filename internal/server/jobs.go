@@ -78,7 +78,6 @@ func NewWithData(opts Options) (*Server, error) {
 		CAS:         disk,
 		Runner:      s.runJob,
 		Workers:     opts.JobWorkers,
-		MaxAttempts: opts.JobMaxAttempts,
 		Backoff:     opts.JobBackoff,
 		Retryable:   jobRetryable,
 		Inject:      opts.DiskInject,

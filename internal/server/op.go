@@ -253,15 +253,14 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string) 
 }
 
 // memoFor picks the design memo an op's scenarios go through: the shared
-// per-process memo for built-in benchmarks, a fresh one per request for
-// an inline SOC (pointer-keyed state must not accumulate across uploads).
+// per-process memo for built-in benchmarks, an empty one per request for
+// an inline SOC (pointer-keyed designs must not accumulate across
+// uploads), which still counts in the shared memo's Stats.
 func (s *Server) memoFor(o *op) *engine.Memo {
 	if !o.inline {
 		return s.memo
 	}
-	memo := engine.NewMemo()
-	memo.SetResolver(s.solverFor)
-	return memo
+	return s.memo.Scope()
 }
 
 // outcome computes one scenario of o under solver and cfg through the

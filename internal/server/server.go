@@ -24,13 +24,14 @@
 // default is the paper's two-step heuristic. The solver name is a
 // dimension of both cache tiers' keys, so backends never alias.
 //
-// Results are cached at two tiers. engine.Memo (pointer-keyed, per
-// process) shares the expensive Step 1+2 designs across requests and
-// sweep grid points for the built-in benchmarks; inline SOCs get a
-// per-request memo so one upload's sweep still shares designs without
-// growing process state. resultcache (content-addressed, size-bounded)
-// stores finished response bytes keyed on (canonical SOC hash, ATE, TAM
-// options, cost model), deduplicating concurrent identical requests
+// Results are cached at two tiers, each a resultcache.Store LRU.
+// engine.Memo (pointer-keyed, 256 designs) shares the expensive Step 1+2
+// designs across requests and sweep grid points for the built-in
+// benchmarks; inline SOCs get a per-request memo, counted in /metrics
+// like the shared one, so one upload's sweep still shares designs without
+// growing process state. The result cache (content-addressed) stores
+// finished response bytes keyed on (canonical SOC hash, ATE, TAM options,
+// cost model), deduplicating concurrent identical requests
 // singleflight-style: a thundering herd of equal /v1/optimize calls runs
 // exactly one core.Optimize. Each entry keeps the few fields rows and
 // headers read beside the bytes, so no hit decodes JSON. Sweeps read and
@@ -85,13 +86,6 @@ const maxSweepScenarios = 4096
 // small, so anything beyond this is a malformed (or duplicated) request.
 const maxCompareSolvers = 16
 
-// maxMemoDesigns bounds the shared design memo: its keys include
-// client-controlled ATE fields, so a long-running server must cap the
-// live designs it retains (the bound trips a wholesale reset, see
-// engine.NewMemoBounded). The content-addressed resultcache remains the
-// durable cache tier.
-const maxMemoDesigns = 256
-
 // Options tunes a Server.
 type Options struct {
 	// Workers bounds the engine worker pool each sweep fans out on;
@@ -127,9 +121,6 @@ type Options struct {
 	// JobWorkers bounds the durable job pool; 0 means the jobs-package
 	// default (2).
 	JobWorkers int
-	// JobMaxAttempts caps execution attempts per job; 0 means the
-	// jobs-package default (4).
-	JobMaxAttempts int
 	// JobBackoff is the base retry delay for transient job failures,
 	// doubled per attempt; 0 means the jobs-package default (250ms).
 	JobBackoff time.Duration
@@ -151,9 +142,6 @@ type Options struct {
 	// marked them routed (see fleet.go).
 	FleetPeers []string
 	FleetSelf  string
-	// FleetReplicas overrides the ring's virtual-node count per member;
-	// 0 means fleet.DefaultReplicas. Every fleet party must agree.
-	FleetReplicas int
 }
 
 // Server holds the shared state of the serving layer. Create with New;
@@ -161,7 +149,7 @@ type Options struct {
 type Server struct {
 	opts  Options
 	memo  *engine.Memo
-	cache *resultcache.Store[cachedResult]
+	cache *resultcache.Store[string, cachedResult]
 	sem   chan struct{}
 
 	// disk is the persistent L2 behind the in-memory result cache, and
@@ -205,8 +193,8 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:      opts,
 		fleet:     fl,
-		memo:      engine.NewMemoBounded(maxMemoDesigns),
-		cache:     resultcache.NewOf[cachedResult](resultcache.Options{Capacity: opts.CacheCapacity}),
+		memo:      engine.NewMemo(),
+		cache:     resultcache.NewOf[string, cachedResult](resultcache.Options{Capacity: opts.CacheCapacity}),
 		sem:       make(chan struct{}, opts.Concurrency),
 		requests:  make(map[string]*atomic.Int64),
 		durations: make(map[string]*histogram),

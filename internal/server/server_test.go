@@ -214,6 +214,28 @@ func TestInlineSOCSharesCacheWithNamed(t *testing.T) {
 	}
 }
 
+// TestUploadDesignCounted checks an upload's design counts in the memo
+// counters /metrics reports, though its per-request memo keeps the
+// design out of the shared one.
+func TestUploadDesignCounted(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	body, err := json.Marshal(map[string]any{
+		"soc_text": soc.WriteString(benchdata.Shared("d695")), "channels": 256, "depth": "64K", "clock_hz": 5e6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, data := post(t, ts, "/v1/optimize", string(body)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	if requests, designs := srv.memo.Stats(); requests != 1 || designs != 1 {
+		t.Errorf("memo stats = (%d requests, %d designs), want (1, 1)", requests, designs)
+	}
+	if n := srv.memo.Len(); n != 0 {
+		t.Errorf("shared memo holds %d designs after an upload, want 0", n)
+	}
+}
+
 func TestSOCsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	resp, data := get(t, ts, "/v1/socs")

@@ -34,46 +34,10 @@ type TouchdownResult struct {
 // multiSite simulates one touchdown of n sites in lockstep: all contacted
 // sites receive the same stimuli; the test can be aborted only once every
 // contacted site has started failing — the paper's Section 4 argument for
-// why abort-on-fail loses value under multi-site testing. mode selects
-// the per-site fidelity. With workers > 1 the sites, independent dies,
-// fan out across a bounded worker pool; the result is identical for
-// every worker count.
-func multiSite(arch *tam.Architecture, sites []SiteOutcome, mode Mode, workers int) (*TouchdownResult, error) {
+// why abort-on-fail loses value under multi-site testing. Each contacted
+// site is simulated serially at Event fidelity.
+func multiSite(arch *tam.Architecture, sites []SiteOutcome) (*TouchdownResult, error) {
 	res := &TouchdownResult{FullCycles: arch.TestCycles(), AbortCycle: -1}
-
-	// Simulate the contacted sites in parallel (each site's Run serial:
-	// site-level parallelism already saturates the pool), then reduce in
-	// site order. A serial request takes the plain loop — no goroutine or
-	// channel setup on Monte-Carlo inner loops (same fast path as RunWith).
-	simSite := func(i int) (int64, error) {
-		if !sites[i].ContactOK {
-			return -1, nil
-		}
-		r, err := RunWith(arch, mode, Options{Workers: 1}, sites[i].Faults...)
-		if err != nil {
-			return 0, fmt.Errorf("site %d: %w", i, err)
-		}
-		return r.FirstFailCycle, nil
-	}
-	var firstFails []int64
-	if workers <= 1 || len(sites) < 2 {
-		firstFails = make([]int64, len(sites))
-		for i := range sites {
-			ff, err := simSite(i)
-			if err != nil {
-				return nil, err
-			}
-			firstFails[i] = ff
-		}
-	} else {
-		var err error
-		firstFails, err = engine.Map(context.Background(), len(sites), workers,
-			func(_ context.Context, i int) (int64, error) { return simSite(i) })
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	res.Sites = make([]int64, 0, len(sites))
 	contacted := 0
 	allFailing := true
@@ -84,7 +48,11 @@ func multiSite(arch *tam.Architecture, sites []SiteOutcome, mode Mode, workers i
 			continue
 		}
 		contacted++
-		ff := firstFails[i]
+		r, err := Run(arch, Event, site.Faults...)
+		if err != nil {
+			return nil, fmt.Errorf("site %d: %w", i, err)
+		}
+		ff := r.FirstFailCycle
 		res.Sites = append(res.Sites, ff)
 		if ff < 0 {
 			allFailing = false
@@ -304,7 +272,7 @@ func ExpectedAbortSavingsScalar(arch *tam.Architecture, n, pins int, contactYiel
 	full := float64(arch.TestCycles())
 	fractions, err := engine.Map(context.Background(), touchdowns, 0,
 		func(_ context.Context, td int) (float64, error) {
-			r, err := multiSite(arch, outcomes[td], Event, 1)
+			r, err := multiSite(arch, outcomes[td])
 			if err != nil {
 				return 0, err
 			}

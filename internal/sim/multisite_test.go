@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"multisite/internal/soc"
@@ -13,7 +12,7 @@ import (
 func TestMultiSiteAllPass(t *testing.T) {
 	arch := d695Arch(t, 64)
 	sites := []SiteOutcome{{ContactOK: true}, {ContactOK: true}}
-	r, err := multiSite(arch, sites, Event, 1)
+	r, err := multiSite(arch, sites)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +28,7 @@ func TestMultiSiteAllPass(t *testing.T) {
 
 func TestMultiSiteNoContact(t *testing.T) {
 	arch := d695Arch(t, 64)
-	r, err := multiSite(arch, []SiteOutcome{{}, {}}, Event, 1)
+	r, err := multiSite(arch, []SiteOutcome{{}, {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +46,7 @@ func TestMultiSiteOnePassingBlocksAbort(t *testing.T) {
 		{ContactOK: true, Faults: []Fault{{Module: mi, FirstPattern: 0}}},
 		{ContactOK: true}, // passes
 	}
-	r, err := multiSite(arch, sites, Event, 1)
+	r, err := multiSite(arch, sites)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +67,7 @@ func TestMultiSiteAllFailingAbortsAtLatest(t *testing.T) {
 	r, err := multiSite(arch, []SiteOutcome{
 		{ContactOK: true, Faults: []Fault{early}},
 		{ContactOK: true, Faults: []Fault{late}},
-	}, Event, 1)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,55 +141,33 @@ func TestExpectedAbortSavingsPerfectYield(t *testing.T) {
 }
 
 func TestMultiSiteModeBitMatchesEvent(t *testing.T) {
-	// Bit-level touchdown fidelity: same abort semantics, same cycles —
-	// the whole-register packed engine makes this cheap enough to pin.
+	// Bit-level touchdown fidelity: each contacted site's first-fail
+	// cycle from the Event-mode touchdown matches a BitAccurate run of
+	// that site's faults — the whole-register packed engine makes this
+	// cheap enough to pin.
 	arch := d695Arch(t, 64)
 	mi := arch.Groups[0].Members[0]
 	m := &arch.SOC.Modules[mi]
 	sites := []SiteOutcome{
 		{ContactOK: true, Faults: []Fault{{Module: mi, FirstPattern: 0}}},
 		{ContactOK: true, Faults: []Fault{{Module: mi, FirstPattern: m.Patterns - 1}}},
+		{ContactOK: true},
 		{ContactOK: false},
 	}
-	ev, err := multiSite(arch, sites, Event, 1)
+	ev, err := multiSite(arch, sites)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bit, err := multiSite(arch, sites, BitAccurate, runtime.GOMAXPROCS(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.AbortCycle != bit.AbortCycle || ev.FullCycles != bit.FullCycles {
-		t.Errorf("abort/full: event (%d,%d) vs bit (%d,%d)",
-			ev.AbortCycle, ev.FullCycles, bit.AbortCycle, bit.FullCycles)
-	}
-	for i := range ev.Sites {
-		if ev.Sites[i] != bit.Sites[i] {
-			t.Errorf("site %d: event %d vs bit %d", i, ev.Sites[i], bit.Sites[i])
+	for i, site := range sites {
+		if !site.ContactOK {
+			continue
 		}
-	}
-}
-
-func TestMultiSiteDeterministicAcrossWorkers(t *testing.T) {
-	arch := d695Arch(t, 64)
-	rng := rand.New(rand.NewSource(9))
-	sites := newSiteDrawer(arch, 32, 0.999).draw(rng, 8, 0.7)
-	want, err := multiSite(arch, sites, Event, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		got, err := multiSite(arch, sites, Event, workers)
+		bit, err := Run(arch, BitAccurate, site.Faults...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.AbortCycle != want.AbortCycle || len(got.Sites) != len(want.Sites) {
-			t.Fatalf("workers=%d: abort %d vs serial %d", workers, got.AbortCycle, want.AbortCycle)
-		}
-		for i := range want.Sites {
-			if got.Sites[i] != want.Sites[i] {
-				t.Errorf("workers=%d site %d: %d vs serial %d", workers, i, got.Sites[i], want.Sites[i])
-			}
+		if ev.Sites[i] != bit.FirstFailCycle {
+			t.Errorf("site %d: event %d vs bit %d", i, ev.Sites[i], bit.FirstFailCycle)
 		}
 	}
 }
