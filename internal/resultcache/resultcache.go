@@ -5,7 +5,7 @@
 //   - engine.Memo stores live Step 1+2 architecture designs in a Store
 //     keyed on (solver, SOC pointer, ATE, TAM options), so a sweep's
 //     cost-model variants re-score one design instead of designing again.
-//   - The server stores finished responses in a Store keyed on request
+//   - The server stores finished results in a Store keyed on request
 //     content (canonical SOC hash + ATE + TAM options + cost model), so
 //     repeated identical requests — including inline SOCs a client
 //     uploads — are served without touching the optimizer, and two

@@ -302,5 +302,9 @@ func (s *Server) runJob(ctx context.Context, spec jobs.Spec, sink jobs.Sink) err
 	if res.view.Degraded {
 		return errDegradedResult
 	}
-	return sink.Emit(res.data)
+	data, err := res.bytes()
+	if err != nil {
+		return err
+	}
+	return sink.Emit(data)
 }

@@ -30,13 +30,16 @@
 // benchmarks; inline SOCs get a per-request memo, counted in /metrics
 // like the shared one, so one upload's sweep still shares designs without
 // growing process state. The result cache (content-addressed) stores
-// finished response bytes keyed on (canonical SOC hash, ATE, TAM options,
-// cost model), deduplicating concurrent identical requests
-// singleflight-style: a thundering herd of equal /v1/optimize calls runs
-// exactly one core.Optimize. Each entry keeps the few fields rows and
-// headers read beside the bytes, so no hit decodes JSON. Sweeps read and
-// populate the same cache, so a sweep warms the point-query path and vice
-// versa.
+// finished results keyed on (canonical SOC hash, ATE, TAM options, cost
+// model), deduplicating concurrent identical requests singleflight-style:
+// a thundering herd of equal /v1/optimize calls runs exactly one
+// core.Optimize. Each entry holds the few fields rows and headers read,
+// so no hit decodes JSON, and the snapshot's response bytes, rendered at
+// most once: on the first /v1/optimize (or optimize job) that reads them,
+// or when the entry is computed if the disk tier needs the bytes or the
+// design came from an upload's memo. Sweep and compare rows never render.
+// Sweeps read and populate the same cache, so a sweep warms the
+// point-query path and vice versa.
 //
 // Each operation is defined once (op.go). Every compute body — a
 // synchronous request, a job submission or replay (jobs.go), a body the
@@ -58,6 +61,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -315,20 +319,51 @@ func (s *Server) requestCtx(r *http.Request, timeoutMS int) (context.Context, co
 	return context.WithCancel(r.Context())
 }
 
-// cachedResult is one result-cache entry: a snapshot's response bytes
-// and the view of them that rows and headers read.
+// cachedResult is one result-cache entry: the view rows and headers read,
+// and the snapshot's response bytes. An entry rendered when it was
+// computed, or read from the disk tier, holds its bytes; one whose render
+// is deferred holds a pendingRender instead, so an entry only rows read
+// never encodes.
 type cachedResult struct {
-	data []byte
-	view snapshotView
+	view    snapshotView
+	data    []byte
+	pending *pendingRender
 }
 
-// computeSnapshot produces the serialized optimization snapshot for one
-// scenario of chip under the named backend (a canonical solver name),
-// through both cache tiers: resultcache bytes first, then memo's design
-// re-scored under the scenario's cost model. key is the scenario's
-// cacheKey, which the caller derives once. The compute slot is held only
-// while actually optimizing — never while waiting on a cache entry
-// another request is computing.
+// pendingRender is a deferred snapshot render, run at most once, by the
+// entry's first bytes call. Running it drops render, and with it the
+// design and curves, so a rendered entry keeps only its view and bytes.
+type pendingRender struct {
+	once   sync.Once
+	render func() ([]byte, error) // nil once run
+	data   []byte
+	err    error
+}
+
+// bytes returns the entry's snapshot bytes, running a deferred render on
+// the first call; concurrent first calls share one render.
+func (c *cachedResult) bytes() ([]byte, error) {
+	p := c.pending
+	if p == nil {
+		return c.data, nil
+	}
+	p.once.Do(func() {
+		p.data, p.err = p.render()
+		p.render = nil
+	})
+	return p.data, p.err
+}
+
+// computeSnapshot produces the optimization snapshot for one scenario of
+// chip under the named backend (a canonical solver name), through both
+// cache tiers: resultcache entries first, then memo's design re-scored
+// under the scenario's cost model. key is the scenario's cacheKey, which
+// the caller derives once. A miss holds a compute slot for the design,
+// its re-score and any render at compute time, including while
+// DesignSolverCtx waits on a design another request is computing. No slot
+// is held while waiting on a result-cache entry another request is
+// computing, or for a deferred render, which runs in the first reader of
+// the bytes.
 func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *soc.SOC, solver, key string, cfg core.Config) (cachedResult, bool, error) {
 	cfg = cfg.Normalized()
 	if err := cfg.ATE.Validate(); err != nil {
@@ -368,23 +403,60 @@ func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *s
 		for n := 1; n <= design.MaxSites; n++ {
 			step1Curve[n-1] = cfg.EvaluateAt(design.Step1, n)
 		}
-		snap := design.SnapshotUnder(cfg, curve, step1Curve, best)
-		data, err := snap.MarshalBytes()
-		if err != nil {
-			return cachedResult{}, false, err
+		view := snapshotView{
+			Channels: design.Step1.Channels(),
+			MaxSites: design.MaxSites,
+			Best:     best,
+			Gain:     core.CurveGain(step1Curve, curve, design.MaxSites),
+			Degraded: design.Degraded,
+			Optimal:  design.Optimal,
+		}
+		render := func() ([]byte, error) {
+			return design.SnapshotUnder(cfg, curve, step1Curve, best).MarshalBytes()
 		}
 		// A degraded design is served but never stored — in either tier:
 		// the design memo already refused it, and caching its bytes would
 		// pin a deadline-cut answer on a key that a later, uncut request
 		// would otherwise improve.
 		store := !design.Degraded
-		if store && s.disk != nil {
-			// Best-effort spill: a failed Put is counted and logged by
-			// the disk tier; the in-memory entry still serves.
-			s.disk.Put(key, data)
+		// The entry renders now, not on first read, in three cases. The
+		// disk tier's Put takes the bytes. An entry from an upload's
+		// request-scoped memo must not pin the chip and its wrapper tables
+		// once the request is gone. And a NaN or ±Inf, which client input
+		// can produce (a vanishing clock_hz makes every test time +Inf),
+		// fails encoding: rendering now fails the compute with the
+		// encoder's error, uncached, so a deferred render never fails.
+		if store && (s.disk != nil || memo != s.memo) || !finite(curve, step1Curve, view.Gain) {
+			data, err := render()
+			if err != nil {
+				return cachedResult{}, false, err
+			}
+			if store && s.disk != nil {
+				// Best-effort spill: a failed Put is counted and logged
+				// by the disk tier; the in-memory entry still serves.
+				s.disk.Put(key, data)
+			}
+			return cachedResult{view: view, data: data}, store, nil
 		}
-		return cachedResult{data: data, view: viewOf(snap)}, store, nil
+		return cachedResult{view: view, pending: &pendingRender{render: render}}, store, nil
 	})
+}
+
+// finite reports whether a re-score's evaluations and gain hold no NaN or
+// ±Inf, which is whether its snapshot encodes: the snapshot's best point
+// is one of curve's, and its only other floats are its config's, which
+// arrive as JSON numbers.
+func finite(curve, step1Curve []core.SiteEval, gain float64) bool {
+	for _, evals := range [...][]core.SiteEval{curve, step1Curve} {
+		for _, e := range evals {
+			for _, f := range [...]float64{e.TestTimeSec, e.Throughput, e.UniqueThroughput} {
+				if math.IsNaN(f) || math.IsInf(f, 0) {
+					return false
+				}
+			}
+		}
+	}
+	return !math.IsNaN(gain) && !math.IsInf(gain, 0)
 }
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
@@ -399,6 +471,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, cached, err := s.computeSnapshot(ctx, s.memoFor(o), o.chip, o.solvers[0], o.key, o.cfg)
+	var data []byte
+	if err == nil {
+		data, err = res.bytes()
+	}
 	if err != nil {
 		writeError(w, s.computeStatus(r, err), err)
 		return
@@ -415,7 +491,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if res.view.Optimal {
 		w.Header().Set("X-Optimal", "true")
 	}
-	w.Write(res.data)
+	w.Write(data)
 }
 
 // handleOptimizeAnytime streams one optimization as NDJSON AnytimeEvents:

@@ -1,14 +1,21 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"multisite/internal/benchdata"
+	"multisite/internal/cli"
 	"multisite/internal/jobs"
+	"multisite/internal/resultcache"
 	"multisite/internal/soc"
 )
 
@@ -41,8 +48,12 @@ func computeEntry(t *testing.T, s *Server, req ScenarioRequest, timeout time.Dur
 // is what every handler read before the view was kept in the entry.
 func checkView(t *testing.T, res cachedResult) {
 	t.Helper()
+	data, err := res.bytes()
+	if err != nil {
+		t.Fatalf("entry does not render: %v", err)
+	}
 	var decoded snapshotView
-	if err := json.Unmarshal(res.data, &decoded); err != nil {
+	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatalf("entry bytes do not decode: %v", err)
 	}
 	if !reflect.DeepEqual(res.view, decoded) {
@@ -86,4 +97,165 @@ func TestCachedViewMatchesDecode(t *testing.T) {
 		t.Fatalf("adversarial portfolio view %+v under 300ms, want degraded and not optimal", degraded.view)
 	}
 	checkView(t, degraded)
+}
+
+// TestUnencodableResultFailsUncached pins how the one failure a snapshot
+// render can have shows on each endpoint. A clock so slow that every test
+// time is +Inf cannot be encoded as JSON: the optimize is a 422 carrying
+// json.Marshal's error, the sweep row and each compare row carry that
+// error, and nothing enters the cache, although rows never render.
+func TestUnencodableResultFailsUncached(t *testing.T) {
+	const d695Hash = "12ddb13162c9e47a08b0e2ef8f01048d1035cde1f9a1c92f0395276902351f02"
+	for _, tc := range []struct {
+		path, body string
+		status     int
+		want       string
+		misses     int64
+	}{
+		{"/v1/optimize", `{"soc":"d695","clock_hz":1e-320}`, http.StatusUnprocessableEntity,
+			`{"error":"json: unsupported value: +Inf"}`, 1},
+		{"/v1/sweep", `{"soc":"d695","clock_hz":1e-320}`, http.StatusOK,
+			`{"index":0,"name":"d695","error":"json: unsupported value: +Inf"}`, 1},
+		{"/v1/compare", `{"soc":"d695","clock_hz":1e-320,"solvers":["heuristic","baseline"]}`, http.StatusOK,
+			`{"soc":"d695","soc_hash":"` + d695Hash + `","rows":[` +
+				`{"solver":"heuristic","error":"json: unsupported value: +Inf"},` +
+				`{"solver":"baseline","error":"json: unsupported value: +Inf"}]}`, 2},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/v1/"), func(t *testing.T) {
+			srv, ts := newTestServer(t, Options{})
+			resp, data := post(t, ts, tc.path, tc.body)
+			if resp.StatusCode != tc.status || string(data) != tc.want+"\n" {
+				t.Errorf("got %d %s, want %d %s", resp.StatusCode, data, tc.status, tc.want)
+			}
+			want := resultcache.Stats{Misses: tc.misses, Failures: tc.misses}
+			if st := srv.cache.Stats(); st != want {
+				t.Errorf("cache stats %+v, want %+v", st, want)
+			}
+		})
+	}
+}
+
+// TestSweepAllocsPerRow pins the allocation cost of the sweep-stream row
+// path: every row misses the result cache and re-scores a design the memo
+// holds, and since rows read the entry's view, none renders a snapshot.
+// A row that renders one (the snapshot, its chip's hash, the architecture
+// texts and the encode) takes about 140 allocations; a row that reads
+// only the view, about 36.
+func TestSweepAllocsPerRow(t *testing.T) {
+	const (
+		runs = 10
+		rows = 6 * 4 * 2 // depths × contact yields × retest
+	)
+	s := New(Options{Workers: 1})
+	// sweepOp builds a sweep over six fixed depths (so the six designs are
+	// shared by every sweep) and four contact yields new to the i-th sweep
+	// (so every row is a new result-cache key).
+	sweepOp := func(i int) *op {
+		t.Helper()
+		cys := make([]float64, 4)
+		for j := range cys {
+			cys[j] = 1 - float64(4*i+j+1)*1e-5
+		}
+		body, err := json.Marshal(SweepRequest{
+			ScenarioRequest: ScenarioRequest{SOC: "p22810", Channels: 256},
+			Depths:          cli.SizeList{1 << 20, 2 << 20, 3 << 20, 4 << 20, 6 << 20, 8 << 20},
+			ContactYields:   cys,
+			RetestBoth:      true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, _, err := parseOp(jobs.TypeSweep, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	var failed []byte
+	run := func(o *op) {
+		s.sweep(context.Background(), o, false, func(row []byte) error {
+			if failed == nil && bytes.Contains(row, []byte(`"error"`)) {
+				failed = row
+			}
+			return nil
+		})
+	}
+	run(sweepOp(0))            // designs the six depths
+	ops := make([]*op, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range ops {
+		ops[i] = sweepOp(i + 1)
+	}
+	_, designed := s.memo.Stats()
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		run(ops[next])
+		next++
+	})
+	if failed != nil {
+		t.Fatalf("sweep row failed: %s", failed)
+	}
+	if _, after := s.memo.Stats(); after != designed {
+		t.Fatalf("memo designed %d times while timed; every row must hit it", after-designed)
+	}
+	t.Logf("%.0f allocs per sweep, %.1f per row", allocs, allocs/rows)
+	if perRow := allocs / rows; perRow > 60 {
+		t.Errorf("%.0f allocations per sweep, %.1f per row; want at most 60 per row", allocs, perRow)
+	}
+}
+
+// TestConcurrentFirstRender reads one entry's deferred render from many
+// requests at once: a sweep stores entries no request has rendered, then
+// eight optimize requests for one of its scenarios arrive together. Each
+// must be a hit carrying a fresh server's bytes. CI runs it under -race.
+func TestConcurrentFirstRender(t *testing.T) {
+	const readers = 8
+	const scenario = `{"soc":"d695","channels":256,"depth":"64K","contact_yield":0.999,"retest":true}`
+	srv, ts := newTestServer(t, Options{})
+	resp, rows := post(t, ts, "/v1/sweep",
+		`{"soc":"d695","channels":256,"depths":"48K,64K","contact_yields":[1,0.999],"retest_both":true}`)
+	if resp.StatusCode != http.StatusOK || bytes.Contains(rows, []byte(`"error"`)) {
+		t.Fatalf("sweep: %d %s", resp.StatusCode, rows)
+	}
+	_, fresh := newTestServer(t, Options{})
+	resp, want := post(t, fresh, "/v1/optimize", scenario)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fresh optimize: %d %s", resp.StatusCode, want)
+	}
+
+	before := srv.cache.Stats().Misses
+	var (
+		wg     sync.WaitGroup
+		start  = make(chan struct{})
+		status [readers]int
+		cache  [readers]string
+		bodies [readers][]byte
+	)
+	for i := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", strings.NewReader(scenario))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			status[i], cache[i] = resp.StatusCode, resp.Header.Get("X-Cache")
+			if bodies[i], err = io.ReadAll(resp.Body); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := range readers {
+		if status[i] != http.StatusOK || cache[i] != "hit" || !bytes.Equal(bodies[i], want) {
+			t.Errorf("reader %d: %d X-Cache %q, body equal to a fresh server's: %v",
+				i, status[i], cache[i], bytes.Equal(bodies[i], want))
+		}
+	}
+	if after := srv.cache.Stats().Misses; after != before {
+		t.Errorf("readers recomputed (%d -> %d misses)", before, after)
+	}
 }

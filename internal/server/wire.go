@@ -193,10 +193,11 @@ type SweepRow struct {
 
 // snapshotView is the slice of a core.Snapshot that sweep rows, compare
 // rows and the provenance headers read. Each result-cache entry keeps one
-// beside its bytes (cachedResult): a computed entry projects it from the
-// snapshot (viewOf), and a disk-tier hit decodes it once from the bytes,
-// skipping the curves and architecture texts that dominate a snapshot's
-// size. The JSON tags are what that decode reads.
+// (cachedResult): a computed entry builds it from the design's re-score,
+// before and without rendering the snapshot, and a disk-tier hit decodes
+// it once from the bytes, skipping the curves and architecture texts that
+// dominate a snapshot's size. Either way it holds the values decoding the
+// rendered bytes would give. The JSON tags are what that decode reads.
 type snapshotView struct {
 	// Channels is the Step 1 architecture's channel count (2·wires),
 	// which the compare rows report alongside the best operating point.
@@ -206,19 +207,6 @@ type snapshotView struct {
 	Gain     float64       `json:"gain_over_step1"`
 	Degraded bool          `json:"degraded"`
 	Optimal  bool          `json:"optimal"`
-}
-
-// viewOf projects a snapshot onto its view: the same fields, with the
-// same values, that decoding the snapshot's MarshalBytes would give.
-func viewOf(snap *core.Snapshot) snapshotView {
-	return snapshotView{
-		Channels: snap.Channels,
-		MaxSites: snap.MaxSites,
-		Best:     snap.Best,
-		Gain:     snap.Gain,
-		Degraded: snap.Degraded,
-		Optimal:  snap.Optimal,
-	}
 }
 
 // rowFromSnapshot projects an optimization snapshot onto a sweep row.
