@@ -17,9 +17,7 @@ package cachekey
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"strconv"
-	"strings"
 
 	"multisite/internal/core"
 )
@@ -34,23 +32,36 @@ import (
 // never alias (solver is a key dimension). Callers pass the solver's
 // canonical name (solve.Solver.Name), never the request's spelling, so
 // "" and "heuristic" address one entry. The configuration is normalized
-// here, so callers need not pre-normalize.
+// here, so callers need not pre-normalize. Every sweep row derives one
+// key, so the fields are appended into one buffer with strconv rather
+// than formatted through fmt; TestScenarioMatchesFmt pins the bytes to
+// the fmt rendering.
 func Scenario(socHash, solver string, cfg core.Config) string {
 	cfg = cfg.Normalized()
-	var b strings.Builder
-	b.WriteString("optimize/v1|soc=")
-	b.WriteString(socHash)
-	b.WriteString("|solver=")
-	b.WriteString(solver)
-	fmt.Fprintf(&b, "|N=%d|D=%d|clk=%s|bc=%t",
-		cfg.ATE.Channels, cfg.ATE.Depth, fmtFloat(cfg.ATE.ClockHz), cfg.ATE.Broadcast)
-	fmt.Fprintf(&b, "|ti=%s|tc=%s", fmtFloat(cfg.Probe.IndexTime), fmtFloat(cfg.Probe.ContactTime))
-	fmt.Fprintf(&b, "|pc=%s|pm=%s|abort=%t|retest=%t|pins=%d",
-		fmtFloat(cfg.ContactYield), fmtFloat(cfg.Yield), cfg.AbortOnFail, cfg.Retest, cfg.ControlPins)
-	fmt.Fprintf(&b, "|rule=%d|maxw=%d|nosq=%t|single=%t",
-		cfg.TAM.Rule, cfg.TAM.MaxWires, cfg.TAM.NoSqueeze, cfg.TAM.SinglePass)
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
+	b := make([]byte, 0, 256)
+	b = append(b, "optimize/v1|soc="...)
+	b = append(b, socHash...)
+	b = append(b, "|solver="...)
+	b = append(b, solver...)
+	b = strconv.AppendInt(append(b, "|N="...), int64(cfg.ATE.Channels), 10)
+	b = strconv.AppendInt(append(b, "|D="...), cfg.ATE.Depth, 10)
+	b = appendFloat(append(b, "|clk="...), cfg.ATE.ClockHz)
+	b = strconv.AppendBool(append(b, "|bc="...), cfg.ATE.Broadcast)
+	b = appendFloat(append(b, "|ti="...), cfg.Probe.IndexTime)
+	b = appendFloat(append(b, "|tc="...), cfg.Probe.ContactTime)
+	b = appendFloat(append(b, "|pc="...), cfg.ContactYield)
+	b = appendFloat(append(b, "|pm="...), cfg.Yield)
+	b = strconv.AppendBool(append(b, "|abort="...), cfg.AbortOnFail)
+	b = strconv.AppendBool(append(b, "|retest="...), cfg.Retest)
+	b = strconv.AppendInt(append(b, "|pins="...), int64(cfg.ControlPins), 10)
+	b = strconv.AppendInt(append(b, "|rule="...), int64(cfg.TAM.Rule), 10)
+	b = strconv.AppendInt(append(b, "|maxw="...), int64(cfg.TAM.MaxWires), 10)
+	b = strconv.AppendBool(append(b, "|nosq="...), cfg.TAM.NoSqueeze)
+	b = strconv.AppendBool(append(b, "|single="...), cfg.TAM.SinglePass)
+	sum := sha256.Sum256(b)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }
 
 // RouteCompare derives the fleet routing key of a /v1/compare request.
@@ -66,8 +77,8 @@ func RouteCompare(socHash string, cfg core.Config) string {
 	return Scenario(socHash, "compare", cfg)
 }
 
-// fmtFloat renders a float64 exactly (shortest round-trip form), so keys
-// never collide on formatting precision.
-func fmtFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+// appendFloat appends a float64 exactly (shortest round-trip form), so
+// keys never collide on formatting precision.
+func appendFloat(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }

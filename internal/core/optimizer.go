@@ -297,13 +297,14 @@ func (cfg Config) evaluate(arch *tam.Architecture, n int) SiteEval {
 		AbortOnFail:  cfg.AbortOnFail,
 		Retest:       cfg.Retest,
 	}
+	dth, du := p.Throughputs()
 	return SiteEval{
 		Sites:            n,
 		Channels:         k,
 		TestCycles:       cycles,
 		TestTimeSec:      tm,
-		Throughput:       p.Throughput(),
-		UniqueThroughput: p.UniqueThroughput(),
+		Throughput:       dth,
+		UniqueThroughput: du,
 	}
 }
 

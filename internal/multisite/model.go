@@ -84,21 +84,30 @@ func DeviceContactYield(pc float64, pins int) float64 {
 // PContactAny returns P'c (Eq. 4.2): the probability that at least one of
 // n SOCs passes its contact test.
 func PContactAny(pc float64, pins, n int) float64 {
-	pd := DeviceContactYield(pc, pins)
-	return 1 - math.Pow(1-pd, float64(n))
+	return anyOf(DeviceContactYield(pc, pins), n)
 }
 
 // PManufAny returns P'm (Eq. 4.3): the probability that at least one of n
 // SOCs passes the manufacturing test.
 func PManufAny(pm float64, n int) float64 {
-	return 1 - math.Pow(1-pm, float64(n))
+	return anyOf(pm, n)
+}
+
+// anyOf returns 1 − (1 − q)^n: the probability that at least one of n
+// independent trials, each passing with probability q, passes.
+func anyOf(q float64, n int) float64 {
+	return 1 - math.Pow(1-q, float64(n))
 }
 
 // EffectiveTestTime returns the expected time spent on one touchdown after
 // contact (Eq. 4.1, or the Eq. 4.4 lower bound when AbortOnFail is set).
 func (p Params) EffectiveTestTime() float64 {
+	return p.effectiveTestTime(PContactAny(p.ContactYield, p.Pins, p.Sites))
+}
+
+// effectiveTestTime is EffectiveTestTime given P'c.
+func (p Params) effectiveTestTime(pcAny float64) float64 {
 	t := p.ContactTime
-	pcAny := PContactAny(p.ContactYield, p.Pins, p.Sites)
 	if p.AbortOnFail {
 		t += pcAny * PManufAny(p.Yield, p.Sites) * p.TestTime
 	} else {
@@ -110,13 +119,8 @@ func (p Params) EffectiveTestTime() float64 {
 // Throughput returns Dth (Eq. 4.5): devices tested per hour, assuming full
 // ATE utilization.
 func (p Params) Throughput() float64 {
-	return 3600 * float64(p.Sites) / (p.IndexTime + p.EffectiveTestTime())
-}
-
-// RetestRate returns the fraction of devices that fail their contact test
-// and are therefore re-tested: 1 − pc^x.
-func (p Params) RetestRate() float64 {
-	return 1 - DeviceContactYield(p.ContactYield, p.Pins)
+	dth, _ := p.Throughputs()
+	return dth
 }
 
 // UniqueThroughput returns Du (Eq. 4.6): unique devices tested per hour.
@@ -125,11 +129,20 @@ func (p Params) RetestRate() float64 {
 // at most one failing terminal per device per the paper's assumptions), so
 // the tested-device stream carries 1 + (1 − pc^x) tests per unique device.
 func (p Params) UniqueThroughput() float64 {
-	d := p.Throughput()
+	_, du := p.Throughputs()
+	return du
+}
+
+// Throughputs returns Throughput and UniqueThroughput from one evaluation
+// of the model: pc^x is computed once and feeds both P'c and the re-test
+// rate 1 − pc^x. core scores every site count of every curve with it.
+func (p Params) Throughputs() (dth, du float64) {
+	pd := DeviceContactYield(p.ContactYield, p.Pins)
+	dth = 3600 * float64(p.Sites) / (p.IndexTime + p.effectiveTestTime(anyOf(pd, p.Sites)))
 	if !p.Retest {
-		return d
+		return dth, dth
 	}
-	return d / (1 + p.RetestRate())
+	return dth, dth / (1 + (1 - pd))
 }
 
 // TouchdownTime returns the full per-touchdown time ti + t in seconds.

@@ -137,7 +137,7 @@ func TestUniqueThroughput(t *testing.T) {
 		t.Error("without re-test, Du must equal Dth")
 	}
 	p.Retest = true
-	f := p.RetestRate()
+	f := 1 - DeviceContactYield(p.ContactYield, p.Pins)
 	want := p.Throughput() / (1 + f)
 	if got := p.UniqueThroughput(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("Du = %g, want %g", got, want)
@@ -147,12 +147,61 @@ func TestUniqueThroughput(t *testing.T) {
 	}
 }
 
+// TestRetestRatePerfectContact: with every terminal contacting, no
+// device is re-tested, so re-testing costs no unique throughput.
 func TestRetestRatePerfectContact(t *testing.T) {
 	p := baseParams()
 	p.ContactYield = 1
-	if got := p.RetestRate(); got != 0 {
-		t.Errorf("retest rate = %g, want 0", got)
+	p.Retest = true
+	if dth, du := p.Throughputs(); du != dth {
+		t.Errorf("Du = %g, want Dth = %g at a zero re-test rate", du, dth)
 	}
+}
+
+// TestThroughputsMatchReference pins the one-pass model bit for bit to
+// the two-pass forms in reference_test.go over a grid that covers the
+// degenerate corners: zero and subnormal-scale contact yields, zero and
+// perfect yields, zero times (an infinite throughput), and pin counts
+// where pc^x underflows.
+func TestThroughputsMatchReference(t *testing.T) {
+	bits := math.Float64bits
+	n := 0
+	for _, pc := range []float64{0, 1e-300, 0.5, 0.95, 0.999, 0.9995, 1} {
+		for _, pm := range []float64{0, 0.5, 1} {
+			for _, pins := range []int{1, 12, 74, 522, 2000} {
+				for _, abort := range []bool{false, true} {
+					for _, retest := range []bool{false, true} {
+						for _, ti := range []float64{0, 0.1} {
+							for _, tc := range []float64{0, 0.1} {
+								for _, tm := range []float64{0, 1e-3, 2.5} {
+									for sites := 1; sites <= 64; sites++ {
+										p := Params{Sites: sites, Pins: pins, IndexTime: ti, ContactTime: tc,
+											TestTime: tm, ContactYield: pc, Yield: pm, AbortOnFail: abort, Retest: retest}
+										wantD, wantU := p.referenceThroughput(), p.referenceUniqueThroughput()
+										dth, du := p.Throughputs()
+										if bits(dth) != bits(wantD) || bits(du) != bits(wantU) {
+											t.Fatalf("%+v: Throughputs = (%v, %v), reference (%v, %v)", p, dth, du, wantD, wantU)
+										}
+										if got := p.Throughput(); bits(got) != bits(wantD) {
+											t.Fatalf("%+v: Throughput = %v, reference %v", p, got, wantD)
+										}
+										if got := p.UniqueThroughput(); bits(got) != bits(wantU) {
+											t.Fatalf("%+v: UniqueThroughput = %v, reference %v", p, got, wantU)
+										}
+										if got, want := p.EffectiveTestTime(), p.referenceEffectiveTestTime(); bits(got) != bits(want) {
+											t.Fatalf("%+v: EffectiveTestTime = %v, reference %v", p, got, want)
+										}
+										n++
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d parameter sets bit-identical", n)
 }
 
 func TestTouchdownTime(t *testing.T) {

@@ -100,7 +100,7 @@ func TestFleetProxylessRedirect(t *testing.T) {
 }
 
 // TestFleetRouteKeyAgreesWithServerKey pins that the gateway-side key
-// derivation (FleetRouteKey) and the serving path's cacheKey agree for
+// derivation (FleetRouteKey) and the serving path's cache key agree for
 // every endpoint shape, including the sweep's base-scenario rule and
 // the compare pseudo-solver.
 func TestFleetRouteKeyAgreesWithServerKey(t *testing.T) {

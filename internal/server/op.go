@@ -125,7 +125,7 @@ func parseOp(typ jobs.Type, body []byte) (*op, int, error) {
 			return nil, status, err
 		}
 		o.solvers = []string{solver}
-		o.key = cacheKey(o.hash, solver, o.cfg)
+		o.key = cachekey.Scenario(o.hash, solver, o.cfg)
 	}
 
 	if sweep != nil {
@@ -270,7 +270,7 @@ func (s *Server) memoFor(o *op) *engine.Memo {
 // design, is fatal instead — it aborts the job attempt, since a durable
 // result must never embed a row a retry could improve.
 func (s *Server) outcome(ctx context.Context, memo *engine.Memo, o *op, solver string, cfg core.Config, durable bool) (view snapshotView, rowErr, fatal error) {
-	res, _, err := s.computeSnapshot(ctx, memo, o.chip, solver, cacheKey(o.hash, solver, cfg), cfg)
+	res, _, err := s.computeSnapshot(ctx, memo, o.chip, solver, cachekey.Scenario(o.hash, solver, cfg), cfg)
 	switch {
 	case !durable:
 	case err != nil && (jobRetryable(err) || ctx.Err() != nil):

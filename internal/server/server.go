@@ -357,13 +357,13 @@ func (c *cachedResult) bytes() ([]byte, error) {
 // computeSnapshot produces the optimization snapshot for one scenario of
 // chip under the named backend (a canonical solver name), through both
 // cache tiers: resultcache entries first, then memo's design re-scored
-// under the scenario's cost model. key is the scenario's cacheKey, which
-// the caller derives once. A miss holds a compute slot for the design,
-// its re-score and any render at compute time, including while
-// DesignSolverCtx waits on a design another request is computing. No slot
-// is held while waiting on a result-cache entry another request is
-// computing, or for a deferred render, which runs in the first reader of
-// the bytes.
+// under the scenario's cost model. key is the scenario's
+// cachekey.Scenario, which the caller derives once. A miss holds a
+// compute slot for the design, its re-score and any render at compute
+// time, including while DesignSolverCtx waits on a design another
+// request is computing. No slot is held while waiting on a result-cache
+// entry another request is computing, or for a deferred render, which
+// runs in the first reader of the bytes.
 func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *soc.SOC, solver, key string, cfg core.Config) (cachedResult, bool, error) {
 	cfg = cfg.Normalized()
 	if err := cfg.ATE.Validate(); err != nil {

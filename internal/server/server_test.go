@@ -15,6 +15,7 @@ import (
 
 	"multisite/internal/ate"
 	"multisite/internal/benchdata"
+	"multisite/internal/cachekey"
 	"multisite/internal/core"
 	"multisite/internal/soc"
 	"multisite/internal/solve"
@@ -391,8 +392,8 @@ func TestOptimizeSolverNoCacheAlias(t *testing.T) {
 	cfg := core.Config{ATE: ate.ATE{Channels: 256, Depth: 64 << 10, ClockHz: 5e6},
 		Probe: ate.DefaultProbeStation()}
 	hash := benchdata.Shared("d695").Hash()
-	if cacheKey(hash, "heuristic", cfg) == cacheKey(hash, "exact", cfg) {
-		t.Error("cacheKey ignores the solver name")
+	if cachekey.Scenario(hash, "heuristic", cfg) == cachekey.Scenario(hash, "exact", cfg) {
+		t.Error("cachekey.Scenario ignores the solver name")
 	}
 }
 

@@ -140,7 +140,7 @@ func TestUnencodableResultFailsUncached(t *testing.T) {
 // holds, and since rows read the entry's view, none renders a snapshot.
 // A row that renders one (the snapshot, its chip's hash, the architecture
 // texts and the encode) takes about 140 allocations; a row that reads
-// only the view, about 36.
+// only the view, about 13.
 func TestSweepAllocsPerRow(t *testing.T) {
 	const (
 		runs = 10
@@ -198,8 +198,8 @@ func TestSweepAllocsPerRow(t *testing.T) {
 		t.Fatalf("memo designed %d times while timed; every row must hit it", after-designed)
 	}
 	t.Logf("%.0f allocs per sweep, %.1f per row", allocs, allocs/rows)
-	if perRow := allocs / rows; perRow > 60 {
-		t.Errorf("%.0f allocations per sweep, %.1f per row; want at most 60 per row", allocs, perRow)
+	if perRow := allocs / rows; perRow > 25 {
+		t.Errorf("%.0f allocations per sweep, %.1f per row; want at most 25 per row", allocs, perRow)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 
 	"multisite/internal/ate"
-	"multisite/internal/cachekey"
 	"multisite/internal/cli"
 	"multisite/internal/core"
 	"multisite/internal/engine"
@@ -330,15 +329,4 @@ type JobSubmitRequest struct {
 // errorResponse is the JSON error body of every non-2xx response.
 type errorResponse struct {
 	Error string `json:"error"`
-}
-
-// cacheKey derives the content-addressed cache key of one scenario. The
-// derivation lives in internal/cachekey, shared with the fleet gateway
-// so routing and storage structurally cannot disagree (see that
-// package's doc; TestOptimizeSolverNoCacheAlias pins the solver
-// dimension here). Callers pass the solver's canonical name
-// (solve.Solver.Name), never the request's spelling, so "" and
-// "heuristic" address one entry.
-func cacheKey(socHash, solver string, cfg core.Config) string {
-	return cachekey.Scenario(socHash, solver, cfg)
 }

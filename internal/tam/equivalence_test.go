@@ -2,6 +2,7 @@ package tam
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"multisite/internal/ate"
@@ -121,6 +122,46 @@ func TestStep1MatchesReference(t *testing.T) {
 				t.Errorf("%s: invalid architecture after localMinimize: %v", name, err)
 			}
 			archEqual(t, name, got, want)
+		}
+	}
+}
+
+// TestOrdersMatchReference pins the set-up a Step 1 call shares to the
+// set-up each reference run repeats, at every wire cap: the module
+// orders, and for a cap some module cannot meet, the error. The area
+// order is the one a cap can reorder — a module's smallest w·time(w) can
+// lie above the cap — and area31 is a chip where it does at 3 wires.
+func TestOrdersMatchReference(t *testing.T) {
+	cases := equivCases()
+	area31 := benchdata.Generate(benchdata.GenSpec{
+		Name: "area31", Seed: 31,
+		LogicCores: 8, MemoryCores: 3,
+		TargetArea: benchdata.Mi, Spread: 1.4,
+	})
+	cases = append(cases, struct {
+		name   string
+		soc    *soc.SOC
+		target ate.ATE
+	}{"area31-96K", area31, ate.ATE{Channels: 64, Depth: 96 * 1024, ClockHz: 5e6}})
+	for _, tc := range cases {
+		c, err := prepare(tc.soc, tc.target)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for maxWires := tc.target.Channels / 2; maxWires >= 1; maxWires-- {
+			if _, _, errWant := referenceOrder(tc.soc, tc.target, maxWires, byMinWidth); errWant != nil {
+				_, err := c.portfolio(Options{MaxWires: maxWires})
+				if err == nil || err.Error() != errWant.Error() {
+					t.Errorf("%s/cap%d: portfolio error %v, reference %v", tc.name, maxWires, err, errWant)
+				}
+				break // every tighter cap fails alike
+			}
+			for order, got := range [][]int{c.byWidth, c.byArea(maxWires), c.byTime} {
+				want, _, _ := referenceOrder(tc.soc, tc.target, maxWires, sortOrder(order))
+				if !slices.Equal(got, want) {
+					t.Errorf("%s/cap%d/order%d: %v, reference %v", tc.name, maxWires, order, got, want)
+				}
+			}
 		}
 	}
 }

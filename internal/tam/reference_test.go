@@ -283,32 +283,59 @@ func (a *Architecture) referencePlace(mi, wmin, maxWires int, rule OptionRule, c
 	return nil
 }
 
-// referenceDesignOnce mirrors designOnce over the reference place and
-// local-minimize operations.
+// sortOrder selects the module processing order of one reference
+// restart.
+type sortOrder int
+
+const (
+	byMinWidth sortOrder = iota // the paper's decreasing k_min(m)
+	byMinArea                   // decreasing irreducible test volume
+	byMinTime                   // decreasing test time at k_min
+)
+
+// referenceDesignOnce is one greedy run as it was before the set-up was
+// shared: validation, minimum widths, keys and a sort per run, then the
+// reference place and local-minimize operations.
 func referenceDesignOnce(s *soc.SOC, target ate.ATE, opts Options, order sortOrder, choice placeChoice) (*Architecture, error) {
-	if err := target.Validate(); err != nil {
-		return nil, err
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
 	maxWires := opts.MaxWires
 	if maxWires <= 0 {
 		maxWires = target.Channels / 2
 	}
-	d := wrapper.For(s)
-	a := &Architecture{SOC: s, Designer: d, Depth: target.Depth}
+	modules, wmin, err := referenceOrder(s, target, maxWires, order)
+	if err != nil {
+		return nil, err
+	}
+	a := &Architecture{SOC: s, Designer: wrapper.For(s), Depth: target.Depth}
+	for _, mi := range modules {
+		if err := a.referencePlace(mi, wmin[mi], maxWires, opts.Rule, choice); err != nil {
+			return nil, err
+		}
+	}
+	a.referenceLocalMinimize()
+	return a, nil
+}
 
+// referenceOrder is the set-up every reference run repeats: it validates
+// the inputs, finds each testable module's minimum width under the cap,
+// and sorts the modules by the order's key.
+func referenceOrder(s *soc.SOC, target ate.ATE, maxWires int, order sortOrder) ([]int, map[int]int, error) {
+	if err := target.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if err := s.Validate(); err != nil {
+		return nil, nil, err
+	}
+	d := wrapper.For(s)
 	modules := s.TestableModules()
 	if len(modules) == 0 {
-		return nil, fmt.Errorf("soc %s: no testable modules", s.Name)
+		return nil, nil, fmt.Errorf("soc %s: no testable modules", s.Name)
 	}
 
 	wmin := make(map[int]int, len(modules))
 	for _, mi := range modules {
 		w, ok := d.MinWidth(mi, target.Depth, maxWires)
 		if !ok {
-			return nil, fmt.Errorf("soc %s: module %d (%s) cannot be tested within depth %d on %d wires",
+			return nil, nil, fmt.Errorf("soc %s: module %d (%s) cannot be tested within depth %d on %d wires",
 				s.Name, s.Modules[mi].ID, s.Modules[mi].Name, target.Depth, maxWires)
 		}
 		wmin[mi] = w
@@ -350,17 +377,10 @@ func referenceDesignOnce(s *soc.SOC, target ate.ATE, opts Options, order sortOrd
 		}
 		return a < b
 	})
-
-	for _, mi := range modules {
-		if err := a.referencePlace(mi, wmin[mi], maxWires, opts.Rule, choice); err != nil {
-			return nil, err
-		}
-	}
-	a.referenceLocalMinimize()
-	return a, nil
+	return modules, wmin, nil
 }
 
-// referenceDesignPortfolio mirrors designPortfolio over
+// referenceDesignPortfolio mirrors chip.portfolio over
 // referenceDesignOnce.
 func referenceDesignPortfolio(s *soc.SOC, target ate.ATE, opts Options) (*Architecture, error) {
 	if opts.SinglePass {

@@ -12,9 +12,10 @@
 package tam
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"multisite/internal/ate"
 	"multisite/internal/soc"
@@ -343,15 +344,6 @@ type Options struct {
 	SinglePass bool `json:"single_pass"`
 }
 
-// sortOrder selects the module processing order of one restart.
-type sortOrder int
-
-const (
-	byMinWidth sortOrder = iota // the paper's decreasing k_min(m)
-	byMinArea                   // decreasing irreducible test volume
-	byMinTime                   // decreasing test time at k_min
-)
-
 // placeChoice selects how a module picks among fitting groups.
 type placeChoice int
 
@@ -374,7 +366,11 @@ func DesignStep1(s *soc.SOC, target ate.ATE) (*Architecture, error) {
 
 // DesignStep1With runs Step 1 with explicit options.
 func DesignStep1With(s *soc.SOC, target ate.ATE, opts Options) (*Architecture, error) {
-	best, err := designPortfolio(s, target, opts)
+	c, err := prepare(s, target)
+	if err != nil {
+		return nil, err
+	}
+	best, err := c.portfolio(opts)
 	if err != nil || opts.NoSqueeze {
 		return best, err
 	}
@@ -383,12 +379,13 @@ func DesignStep1With(s *soc.SOC, target ate.ATE, opts Options) (*Architecture, e
 	// paper's "criterion 1 (minimize k) has priority" at full strength.
 	// The walk is deliberately one wire at a time: the greedy's output
 	// depends on the cap value itself (the cap prunes widening options in
-	// place and the byMinArea ordering keys), so probing caps this walk
+	// place and the area order's keys), so probing caps this walk
 	// would never visit — e.g. binary-searching for the tightest feasible
 	// cap — can return a different, occasionally worse, architecture
 	// (TestStep1MatchesReference covers seeds where it does). Each rerun
-	// rides the flat time tables and incremental fills, so the walk costs
-	// a small multiple of one portfolio, not the old per-query sums.
+	// shares the chip's set-up and rides the flat time tables and
+	// incremental fills, so the walk costs a small multiple of one
+	// portfolio's placements, not the old per-query sums.
 	// Ties on channels keep the earlier (lower-fill) architecture.
 	for {
 		tight := opts
@@ -396,7 +393,7 @@ func DesignStep1With(s *soc.SOC, target ate.ATE, opts Options) (*Architecture, e
 		if tight.MaxWires < 1 {
 			return best, nil
 		}
-		next, err := designPortfolio(s, target, tight)
+		next, err := c.portfolio(tight)
 		if err != nil {
 			return best, nil
 		}
@@ -407,20 +404,124 @@ func DesignStep1With(s *soc.SOC, target ate.ATE, opts Options) (*Architecture, e
 	}
 }
 
-// designPortfolio runs the greedy under one or several (order, choice)
-// strategies and keeps the architecture with the fewest wires (ties:
-// smallest test length).
-func designPortfolio(s *soc.SOC, target ate.ATE, opts Options) (*Architecture, error) {
-	if opts.SinglePass {
-		return designOnce(s, target, opts, byMinWidth, smallestAddedDepth)
+// chip is the set-up that every greedy run of one DesignStep1With call
+// shares — the restart portfolio's runs and every squeeze pass's: the
+// validated inputs, the testable modules with their cap-free minimum
+// widths and the times there, and the cap-free module orders. A run
+// itself only places modules and runs localMinimize.
+type chip struct {
+	soc    *soc.SOC
+	d      *wrapper.Designer
+	target ate.ATE
+	// modules are the testable module indices, ascending.
+	modules []int
+	// wmin[mi] is the smallest width at which module mi tests within the
+	// depth on any number of wires, or 0 when no width does; tmin[mi] is
+	// its test time there. A cap admits the module iff wmin[mi] is
+	// nonzero and within it, and then wmin[mi] is its minimum width under
+	// that cap too, since the time tables are non-increasing.
+	wmin []int
+	tmin []int64
+	// byWidth is the paper's module order, decreasing minimum width;
+	// byTime, a restart's, is decreasing test time at it. Neither key
+	// depends on the cap. The third restart order, decreasing area, does
+	// (the cap bounds the widths its key ranges over), so byArea builds
+	// it per portfolio pass.
+	byWidth, byTime []int
+}
+
+// prepare validates the inputs and builds the shared set-up.
+func prepare(s *soc.SOC, target ate.ATE) (*chip, error) {
+	if err := target.Validate(); err != nil {
+		return nil, err
 	}
-	orders := []sortOrder{byMinWidth, byMinArea, byMinTime}
-	choices := []placeChoice{smallestAddedDepth, bestFit}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	c := &chip{soc: s, d: wrapper.For(s), target: target, modules: s.TestableModules()}
+	if len(c.modules) == 0 {
+		return nil, fmt.Errorf("soc %s: no testable modules", s.Name)
+	}
+	c.wmin = make([]int, len(s.Modules))
+	c.tmin = make([]int64, len(s.Modules))
+	for _, mi := range c.modules {
+		if w, ok := c.d.MinWidth(mi, target.Depth, wrapper.MaxTableWidth); ok {
+			c.wmin[mi], c.tmin[mi] = w, c.d.Time(mi, w)
+		}
+	}
+	c.byWidth = sortedBy(c, c.wmin)
+	c.byTime = sortedBy(c, c.tmin)
+	return c, nil
+}
+
+// sortedBy returns the testable modules in one restart's processing
+// order: decreasing key[mi], ties falling back to decreasing minimum
+// width, then decreasing time at it, and finally the index, so the order
+// is total and deterministic.
+func sortedBy[K cmp.Ordered](c *chip, key []K) []int {
+	order := append([]int(nil), c.modules...)
+	slices.SortFunc(order, func(a, b int) int {
+		if key[a] != key[b] {
+			return cmp.Compare(key[b], key[a])
+		}
+		if c.wmin[a] != c.wmin[b] {
+			return cmp.Compare(c.wmin[b], c.wmin[a])
+		}
+		if c.tmin[a] != c.tmin[b] {
+			return cmp.Compare(c.tmin[b], c.tmin[a])
+		}
+		return cmp.Compare(a, b)
+	})
+	return order
+}
+
+// byArea returns the area order under a wire cap every module fits:
+// decreasing irreducible test volume, the smallest w·time(w) over the
+// widths within the cap that fit the depth. Widths below wmin[mi] never
+// fit, so the scan starts there.
+func (c *chip) byArea(maxWires int) []int {
+	area := make([]int64, len(c.soc.Modules))
+	for _, mi := range c.modules {
+		tt := c.d.TimeTable(mi)
+		top := min(len(tt), maxWires)
+		best := int64(c.wmin[mi]) * c.tmin[mi]
+		for w := c.wmin[mi] + 1; w <= top; w++ {
+			if a := int64(w) * tt[w-1]; a < best {
+				best = a
+			}
+		}
+		area[mi] = best
+	}
+	return sortedBy(c, area)
+}
+
+// portfolio runs the greedy under one or several (order, choice)
+// strategies and keeps the architecture with the fewest wires (ties:
+// smallest test length, then the earlier strategy). The orders are
+// byWidth, byArea and byTime, each run with both choices; SinglePass
+// runs the paper's byWidth with the smallest added depth only. A cap
+// that some module's minimum width exceeds fails every strategy alike,
+// so it fails the pass up front.
+func (c *chip) portfolio(opts Options) (*Architecture, error) {
+	maxWires := opts.MaxWires
+	if maxWires <= 0 {
+		maxWires = c.target.Channels / 2
+	}
+	for _, mi := range c.modules {
+		if w := c.wmin[mi]; w == 0 || w > maxWires {
+			m := &c.soc.Modules[mi]
+			return nil, fmt.Errorf("soc %s: module %d (%s) cannot be tested within depth %d on %d wires",
+				c.soc.Name, m.ID, m.Name, c.target.Depth, maxWires)
+		}
+	}
+	if opts.SinglePass {
+		return c.designOnce(c.byWidth, maxWires, opts.Rule, smallestAddedDepth)
+	}
 	var best *Architecture
 	var firstErr error
-	for _, order := range orders {
-		for _, choice := range choices {
-			a, err := designOnce(s, target, opts, order, choice)
+	for _, order := range [...][]int{c.byWidth, c.byArea(maxWires), c.byTime} {
+		for _, choice := range [...]placeChoice{smallestAddedDepth, bestFit} {
+			a, err := c.designOnce(order, maxWires, opts.Rule, choice)
 			if err != nil {
 				if firstErr == nil {
 					firstErr = err
@@ -439,86 +540,12 @@ func designPortfolio(s *soc.SOC, target ate.ATE, opts Options) (*Architecture, e
 	return best, nil
 }
 
-func designOnce(s *soc.SOC, target ate.ATE, opts Options, order sortOrder, choice placeChoice) (*Architecture, error) {
-	if err := target.Validate(); err != nil {
-		return nil, err
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	maxWires := opts.MaxWires
-	if maxWires <= 0 {
-		maxWires = target.Channels / 2
-	}
-	d := wrapper.For(s)
-	a := &Architecture{SOC: s, Designer: d, Depth: target.Depth}
-
-	modules := s.TestableModules()
-	if len(modules) == 0 {
-		return nil, fmt.Errorf("soc %s: no testable modules", s.Name)
-	}
-
-	// Minimum width per module, densely indexed by module index;
-	// infeasible if any module cannot fit the vector memory depth at any
-	// width.
-	wmin := make([]int, len(s.Modules))
-	for _, mi := range modules {
-		w, ok := d.MinWidth(mi, target.Depth, maxWires)
-		if !ok {
-			return nil, fmt.Errorf("soc %s: module %d (%s) cannot be tested within depth %d on %d wires",
-				s.Name, s.Modules[mi].ID, s.Modules[mi].Name, target.Depth, maxWires)
-		}
-		wmin[mi] = w
-	}
-
-	// Module processing order. The paper sorts by decreasing minimum
-	// width; the portfolio also tries decreasing irreducible area and
-	// decreasing minimum-width test time. Ties fall back to the other
-	// keys and finally the index, for determinism.
-	key := func(mi int) int64 {
-		switch order {
-		case byMinArea:
-			tt := d.TimeTable(mi)
-			top := len(tt)
-			if top > maxWires {
-				top = maxWires
-			}
-			var best int64 = -1
-			for w := 1; w <= top; w++ {
-				if t := tt[w-1]; t <= target.Depth {
-					if area := int64(w) * t; best < 0 || area < best {
-						best = area
-					}
-				}
-			}
-			return best
-		case byMinTime:
-			return d.Time(mi, wmin[mi])
-		default:
-			return int64(wmin[mi])
-		}
-	}
-	keys := make([]int64, len(s.Modules))
-	for _, mi := range modules {
-		keys[mi] = key(mi)
-	}
-	sort.SliceStable(modules, func(x, y int) bool {
-		a, b := modules[x], modules[y]
-		if keys[a] != keys[b] {
-			return keys[a] > keys[b]
-		}
-		if wmin[a] != wmin[b] {
-			return wmin[a] > wmin[b]
-		}
-		ta, tb := d.Time(a, wmin[a]), d.Time(b, wmin[b])
-		if ta != tb {
-			return ta > tb
-		}
-		return a < b
-	})
-
-	for _, mi := range modules {
-		if err := a.place(mi, wmin[mi], maxWires, opts.Rule, choice); err != nil {
+// designOnce is one greedy run: place the modules in order, then clean
+// up.
+func (c *chip) designOnce(order []int, maxWires int, rule OptionRule, choice placeChoice) (*Architecture, error) {
+	a := &Architecture{SOC: c.soc, Designer: c.d, Depth: c.target.Depth}
+	for _, mi := range order {
+		if err := a.place(mi, c.wmin[mi], maxWires, rule, choice); err != nil {
 			return nil, err
 		}
 	}

@@ -363,3 +363,26 @@ func BenchmarkLocalMinimize(b *testing.B) {
 		c.localMinimize()
 	}
 }
+
+// TestStep1Allocs pins the allocations of one Step 1 design with warm
+// wrapper tables: the validation, minimum widths and module orders are
+// set up once per call and shared by the restart portfolio's runs and
+// every squeeze pass, so the allocations left are the runs' placements
+// and clean-ups. p22810 at 256 channels and 1M depth takes two
+// portfolio passes, twelve greedy runs.
+func TestStep1Allocs(t *testing.T) {
+	s := benchdata.Shared("p22810")
+	target := ate.ATE{Channels: 256, Depth: 1 << 20, ClockHz: 5e6}
+	if _, err := DesignStep1(s, target); err != nil { // warms the tables
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := DesignStep1(s, target); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per design", allocs)
+	if allocs > 800 {
+		t.Errorf("%.0f allocations per Step 1 design; want at most 800", allocs)
+	}
+}

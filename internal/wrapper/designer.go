@@ -19,22 +19,27 @@ const MaxTableWidth = 512
 // times at many widths; the Designer tabulates each module's best time per
 // width once, with the time-only kernel of chainTimes, and answers every
 // width query from that table. Fit builds a full Design only for the
-// chain count it returns, once per (module, chain count).
+// chain count it returns, once per (module, chain count). Step 1 asks
+// for each module's minimum width and its time once per design, in the
+// set-up its restart and squeeze runs share; the runs' placements then
+// index the time tables directly.
 //
 // A Designer is safe for concurrent use: queries on an already-built
 // module table and Fit calls for an already-built design are lock-free,
 // so parallel architecture optimizations of the same SOC (the sweep
-// engine's common case) do not contend.
+// engine's common case) do not contend. A table lookup is one index into
+// a slot slice sized at construction and one atomic load, with no boxing
+// and no hashing: Step 1 and Step 2 make it in their innermost loops.
 type Designer struct {
 	// modules is the SOC's module slice. The Designer keeps the slice
 	// rather than the *soc.SOC so that For's cache entry does not keep
 	// its own weak key alive.
 	modules []soc.Module
-	// mu serializes table builds only; lookups go through the sync.Map.
+	// mu serializes table builds only; lookups load a slot atomically.
 	mu sync.Mutex
-	// tables maps a module index to its *moduleTable, built lazily on
-	// first query.
-	tables sync.Map
+	// tables[mi] holds module mi's table once built, lazily on first
+	// query; one slot per module, made with the Designer.
+	tables []atomic.Pointer[moduleTable]
 }
 
 // moduleTable is the per-module time table. Its slices are immutable once
@@ -55,7 +60,7 @@ type moduleTable struct {
 
 // NewDesigner returns a Designer for the given SOC.
 func NewDesigner(s *soc.SOC) *Designer {
-	return &Designer{modules: s.Modules}
+	return &Designer{modules: s.Modules, tables: make([]atomic.Pointer[moduleTable], len(s.Modules))}
 }
 
 // designers caches one Designer per live SOC value so that repeated
@@ -87,13 +92,14 @@ func For(s *soc.SOC) *Designer {
 func (d *Designer) Modules() []soc.Module { return d.modules }
 
 func (d *Designer) table(mi int) *moduleTable {
-	if v, ok := d.tables.Load(mi); ok {
-		return v.(*moduleTable)
+	slot := &d.tables[mi]
+	if tab := slot.Load(); tab != nil {
+		return tab
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if v, ok := d.tables.Load(mi); ok {
-		return v.(*moduleTable)
+	if tab := slot.Load(); tab != nil {
+		return tab
 	}
 	m := &d.modules[mi]
 	n := min(MaxUsefulWidth(m), MaxTableWidth)
@@ -115,7 +121,7 @@ func (d *Designer) table(mi int) *moduleTable {
 		tab.times[c] = tab.times[best]
 		tab.chains[c] = int32(best + 1)
 	}
-	d.tables.Store(mi, tab)
+	slot.Store(tab)
 	return tab
 }
 

@@ -109,15 +109,21 @@ func TestDesignerWidthCap(t *testing.T) {
 	}
 }
 
+// TestDesignerConcurrent queries one fresh designer from eight goroutines
+// released together, so each module table's slot is built under
+// contention and read lock-free while other slots are still being
+// built. CI repeats it under -race.
 func TestDesignerConcurrent(t *testing.T) {
 	s := designerSOC()
 	d := For(s)
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
+	start := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
+			<-start
 			if For(s) != d {
 				errs <- "For returned another designer under concurrency"
 				return
@@ -138,6 +144,7 @@ func TestDesignerConcurrent(t *testing.T) {
 			}
 		}(int64(g))
 	}
+	close(start)
 	wg.Wait()
 	close(errs)
 	for e := range errs {
