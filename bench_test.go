@@ -411,9 +411,9 @@ func BenchmarkSweepSerialNaive(b *testing.B) {
 // variants (4x fewer designs on this grid, independent of CPU count).
 // Extra workers do not help in grid order: neighbouring jobs share a
 // design key, so a second worker waits on the design the first is
-// computing (medians of 8 interleaved runs on a 2-core host: ~15.1 ms at
-// 2 workers vs ~14.6 ms at 1; ROADMAP item 2). Results are byte-identical
-// across all variants (TestEngineFamilySweepDeterministic).
+// computing (medians of 16 runs on a 2-core host, each timing both:
+// ~13.4 ms at 2 workers vs ~13.3 ms at 1; ROADMAP item 2). Results are
+// byte-identical across all variants (TestEngineFamilySweepDeterministic).
 func BenchmarkSweepEngine(b *testing.B) {
 	jobs := familySweepJobs()
 	counts := []int{1, 2, 4}

@@ -367,7 +367,7 @@ func ExtBitVal() *report.Table {
 		}
 		// The scenario-parallel lane engine (DESIGN.md §13) on the same
 		// fault set, as a one-scenario block.
-		lanes, err := sim.RunScenarios(arch, []sim.Scenario{{Faults: faults}}, sim.ScenarioOptions{})
+		lanes, err := sim.RunScenarios(arch, []sim.Scenario{{Faults: faults}})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: lane sim %s: %v", c.name, err))
 		}

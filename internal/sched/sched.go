@@ -141,7 +141,7 @@ func MeasuredExpectedCycles(arch *tam.Architecture, yield YieldModel, trials int
 	if err != nil {
 		return 0, err
 	}
-	results, err := sim.RunScenarios(arch, scenarios, sim.ScenarioOptions{})
+	results, err := sim.RunScenarios(arch, scenarios)
 	if err != nil {
 		return 0, err
 	}

@@ -17,6 +17,10 @@ import (
 // distinct solvers no more numerous than the body is long (a solver list
 // is a plain array; only a size range string may expand, and that is
 // bounded).
+//
+// Type "jobs" parses the body as a /v1/jobs submit envelope. An accepted
+// envelope must carry no anytime spec, and its inner spec, parsed on its
+// own, must give the same type and routing key.
 func FuzzParseOp(f *testing.F) {
 	for _, body := range []string{
 		`{"soc":"d695","channels":256,"depth":"64K"}`,
@@ -34,13 +38,47 @@ func FuzzParseOp(f *testing.F) {
 	f.Add("sweep", `{"soc":"d695","depths":"48K:96K:16K","channels_list":[4,256],"retest_both":true}`)
 	f.Add("sweep", `{"soc":"p93791","solver":"exact","contact_yields":[1,0.99]}`)
 	f.Add("bogus", `{"soc":"d695"}`)
+	for _, envelope := range []string{
+		`{"type":"optimize","request":{"soc":"d695","channels":256,"depth":"64K"}}`,
+		`{"type":"sweep","request":{"soc":"d695","depths":"48K:96K:16K","channels_list":[4,256]}}`,
+		`{"type":"compare","request":{"soc":"d695","solvers":["heuristic","exact"]}}`,
+		`{"type":"optimize","request":{"soc":"d695","anytime":true}}`,
+		`{"type":"sweep","request":{"soc":"d695","solver":"nope"}}`,
+		`{"type":"optimize"}`,
+		`{"type":"bogus","request":{"soc":"d695"}}`,
+		`{"type":"optimize","request":{"soc":"d695"},"priority":1}`,
+	} {
+		f.Add("jobs", envelope)
+	}
 	f.Fuzz(func(t *testing.T, typ, body string) {
-		o, status, err := parseOp(jobs.Type(typ), []byte(body))
+		var (
+			o      *op
+			status int
+			err    error
+		)
+		if typ == "jobs" {
+			o, status, err = parseRequest("/v1/jobs", []byte(body))
+		} else {
+			o, status, err = parseOp(jobs.Type(typ), []byte(body))
+		}
 		if err != nil {
 			if status < 400 || status > 499 {
 				t.Errorf("rejected %s %q with status %d", typ, body, status)
 			}
 			return
+		}
+		if typ == "jobs" {
+			if o.anytime {
+				t.Errorf("job envelope %q accepted an anytime spec", body)
+			}
+			inner, _, err := parseOp(o.typ, o.body)
+			switch {
+			case err != nil:
+				t.Errorf("job envelope %q: inner spec rejected on its own: %v", body, err)
+			case inner.typ != o.typ || inner.key != o.key:
+				t.Errorf("job envelope %q: inner spec gives %s key %q, envelope %s key %q",
+					body, inner.typ, inner.key, o.typ, o.key)
+			}
 		}
 		key, _, err := FleetRouteKey("/v1/"+typ, []byte(body))
 		if err != nil || key != o.key {

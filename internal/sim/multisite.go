@@ -226,7 +226,7 @@ func ExpectedAbortSavings(arch *tam.Architecture, n, pins int, contactYield, yie
 	full := float64(arch.TestCycles())
 	var results []ScenarioResult
 	if len(scenarios) > 0 {
-		if results, err = RunScenarios(arch, scenarios, ScenarioOptions{}); err != nil {
+		if results, err = RunScenarios(arch, scenarios); err != nil {
 			return 0, err
 		}
 	}

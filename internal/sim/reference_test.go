@@ -269,7 +269,7 @@ func TestPackedMatchesReferenceRandomFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4} {
-				got, err := RunWith(arch, BitAccurate, Options{Workers: workers}, faults...)
+				got, err := run(arch, BitAccurate, workers, faults...)
 				if err != nil {
 					t.Fatal(err)
 				}

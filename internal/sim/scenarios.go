@@ -32,15 +32,6 @@ type ScenarioResult struct {
 	FirstFailCycle int64
 }
 
-// ScenarioOptions tunes a RunScenarios call.
-type ScenarioOptions struct {
-	// Workers bounds the per-block worker pool: scenario blocks of 64
-	// lanes are independent. 0 picks GOMAXPROCS when there is more than
-	// one block, serial otherwise; 1 forces a serial run. Results are
-	// deterministic: identical for every worker count.
-	Workers int
-}
-
 // RunScenarios is the scenario-parallel counterpart of Run for
 // Monte-Carlo workloads: it packs up to 64 independent (fault set,
 // outcome) scenarios into the 64 lanes of each uint64 word — the
@@ -62,7 +53,17 @@ type ScenarioOptions struct {
 // is where the order-of-magnitude win over per-trial Run calls comes
 // from: a 64-trial block charges each clean module one table lookup
 // instead of 64 pattern walks.
-func RunScenarios(arch *tam.Architecture, scenarios []Scenario, opts ScenarioOptions) ([]ScenarioResult, error) {
+//
+// Scenario blocks of 64 lanes are independent: with more than one block
+// they run on GOMAXPROCS workers. Results are deterministic: identical
+// for every worker count.
+func RunScenarios(arch *tam.Architecture, scenarios []Scenario) ([]ScenarioResult, error) {
+	return runScenarios(arch, scenarios, 0)
+}
+
+// runScenarios is RunScenarios on a given number of block workers; 0
+// picks RunScenarios' default.
+func runScenarios(arch *tam.Architecture, scenarios []Scenario, workers int) ([]ScenarioResult, error) {
 	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("sim: no scenarios")
 	}
@@ -72,7 +73,6 @@ func RunScenarios(arch *tam.Architecture, scenarios []Scenario, opts ScenarioOpt
 	}
 
 	blocks := (len(scenarios) + bitvec.LaneCount - 1) / bitvec.LaneCount
-	workers := opts.Workers
 	if workers <= 0 {
 		workers = 1
 		if blocks > 1 {

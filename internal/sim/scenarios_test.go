@@ -22,9 +22,9 @@ func scenarioRefResult(t *testing.T, arch *tam.Architecture, sc Scenario) Scenar
 	return ScenarioResult{Cycles: r.Cycles, FirstFailCycle: r.FirstFailCycle}
 }
 
-func assertScenariosMatchScalar(t *testing.T, arch *tam.Architecture, scenarios []Scenario, opts ScenarioOptions, label string) {
+func assertScenariosMatchScalar(t *testing.T, arch *tam.Architecture, scenarios []Scenario, label string) {
 	t.Helper()
-	got, err := RunScenarios(arch, scenarios, opts)
+	got, err := RunScenarios(arch, scenarios)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -55,7 +55,7 @@ func syntheticSOC(id int) *soc.SOC {
 
 func TestRunScenariosEmptyInput(t *testing.T) {
 	arch := d695Arch(t, 64)
-	if _, err := RunScenarios(arch, nil, ScenarioOptions{}); err == nil {
+	if _, err := RunScenarios(arch, nil); err == nil {
 		t.Error("no scenarios accepted")
 	}
 }
@@ -75,7 +75,7 @@ func TestRunScenariosMatchesScalarBasic(t *testing.T) {
 		{Faults: []Fault{{Module: mi, FirstPattern: m.Patterns + 5}}},                   // corrupts nothing applied
 		{Faults: []Fault{{Module: mi, FirstPattern: 3}, {Module: mi, FirstPattern: 3}}}, // duplicate
 	}
-	assertScenariosMatchScalar(t, arch, scenarios, ScenarioOptions{}, "basic")
+	assertScenariosMatchScalar(t, arch, scenarios, "basic")
 }
 
 // TestRunScenariosRandomizedDifferential is the lane/scalar acceptance
@@ -131,7 +131,7 @@ func TestRunScenariosRandomizedDifferential(t *testing.T) {
 					}
 					scenarios[tr].Faults = faults
 				}
-				assertScenariosMatchScalar(t, ac.arch, scenarios, ScenarioOptions{},
+				assertScenariosMatchScalar(t, ac.arch, scenarios,
 					fmt.Sprintf("%s yield=%g seed=%d trials=%d", ac.label, yield, seed, trials))
 				configs++
 			}
@@ -159,12 +159,12 @@ func TestRunScenariosDeterministicAcrossWorkers(t *testing.T) {
 		}
 		scenarios[i].Faults = faults
 	}
-	want, err := RunScenarios(arch, scenarios, ScenarioOptions{Workers: 1})
+	want, err := runScenarios(arch, scenarios, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8, 0} {
-		got, err := RunScenarios(arch, scenarios, ScenarioOptions{Workers: workers})
+		got, err := runScenarios(arch, scenarios, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestRunScenariosDeterministicAcrossWorkers(t *testing.T) {
 
 func TestRunScenariosCyclesMatchAnalytic(t *testing.T) {
 	arch := d695Arch(t, 64)
-	res, err := RunScenarios(arch, make([]Scenario, 3), ScenarioOptions{})
+	res, err := RunScenarios(arch, make([]Scenario, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

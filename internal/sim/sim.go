@@ -92,24 +92,18 @@ type Result struct {
 	FirstFailCycle int64
 }
 
-// Options tunes a simulation run.
-type Options struct {
-	// Workers bounds the per-module worker pool. 0 picks the default:
-	// GOMAXPROCS for BitAccurate (module simulations are independent and
-	// CPU-bound), serial for Event (a module event walk is microseconds,
-	// not worth a goroutine). 1 forces a serial run.
-	Workers int
-}
-
 // Run simulates test application for the architecture, optionally with
-// injected faults, and returns the observed cycle counts. Results are
-// deterministic: identical for every worker count.
+// injected faults, and returns the observed cycle counts. BitAccurate
+// runs simulate modules on GOMAXPROCS workers (module simulations are
+// independent and CPU-bound), Event runs serially (a module event walk is
+// microseconds, not worth a goroutine). Results are deterministic:
+// identical for every worker count.
 func Run(arch *tam.Architecture, mode Mode, faults ...Fault) (*Result, error) {
-	return RunWith(arch, mode, Options{}, faults...)
+	return run(arch, mode, 0, faults...)
 }
 
-// RunWith is Run with explicit options.
-func RunWith(arch *tam.Architecture, mode Mode, opts Options, faults ...Fault) (*Result, error) {
+// run is Run on a given number of module workers; 0 picks Run's default.
+func run(arch *tam.Architecture, mode Mode, workers int, faults ...Fault) (*Result, error) {
 	var byModule map[int][]Fault
 	if len(faults) > 0 {
 		byModule = make(map[int][]Fault, len(faults))
@@ -139,7 +133,6 @@ func RunWith(arch *tam.Architecture, mode Mode, opts Options, faults ...Fault) (
 		return simulateEvents(arch, s.mi, d, byModule[s.mi])
 	}
 
-	workers := opts.Workers
 	if workers <= 0 {
 		workers = 1
 		if mode == BitAccurate {

@@ -10,14 +10,67 @@ import (
 	"multisite/internal/soc"
 )
 
-// The hot paths in tam.go (cached per-width fill tables, binary width
-// searches, the sort-free widening move) must be byte-identical to the
+// The hot paths in tam.go (binary width searches over the flat time
+// tables, the sort-free widening move) must be byte-identical to the
 // retained straightforward reference in reference_test.go. These tests pin
-// that equivalence on the d695 fixture and on seeded generated SOCs.
+// that equivalence on the d695 fixture and on seeded generated SOCs, and
+// FuzzStep1MatchesReference on fuzzed ones.
+
+// genCase is one generated chip of the equivalence table and the ATE it
+// is designed against.
+type genCase struct {
+	name     string
+	spec     benchdata.GenSpec
+	channels int
+	depthK   int64
+}
+
+// genCases are the generated chips equivCases sweeps and
+// FuzzStep1MatchesReference starts from.
+func genCases() []genCase {
+	var cases []genCase
+	// Seeded synthetic SOCs: small enough that the reference's quadratic
+	// scans stay fast, varied enough (core mix, spread, area) to exercise
+	// merges, moves, widening extensions, and multi-wire squeezes.
+	for seed := int64(1); seed <= 12; seed++ {
+		cases = append(cases, genCase{
+			name: fmt.Sprintf("gen%d", seed),
+			spec: benchdata.GenSpec{
+				Name:        fmt.Sprintf("equiv%d", seed),
+				Seed:        seed,
+				LogicCores:  4 + int(seed%5)*2,
+				MemoryCores: int(seed % 4),
+				TargetArea:  (1 + seed%6) * benchdata.Mi / 2,
+				Spread:      0.8 + float64(seed%3)*0.4,
+			},
+			channels: 128 + int(seed%2)*128,
+			depthK:   32 + 16*seed,
+		})
+	}
+	// Regression cases: on these SOCs a binary-searched criterion 1
+	// squeeze returned architectures the one-wire-at-a-time walk never
+	// produces (same wires, worse fill, or different group structure) —
+	// the greedy's output depends on the cap value, not only on
+	// feasibility, so the squeeze must walk caps one wire at a time.
+	squeeze33 := benchdata.GenSpec{
+		Name: "squeeze33", Seed: 33,
+		LogicCores: 9, MemoryCores: 3,
+		TargetArea: benchdata.Mi / 2, Spread: 0.5,
+	}
+	squeeze17 := benchdata.GenSpec{
+		Name: "squeeze17", Seed: 17,
+		LogicCores: 11, MemoryCores: 2,
+		TargetArea: benchdata.Mi, Spread: 1.2,
+	}
+	return append(cases,
+		genCase{"squeeze33-48K", squeeze33, 256, 48},
+		genCase{"squeeze17-96ch", squeeze17, 96, 24},
+		genCase{"squeeze17-256ch", squeeze17, 256, 48})
+}
 
 // equivCases is the table of scenarios the equivalence tests sweep:
-// the d695 fixture across depths plus seeded synthetic SOCs of varying
-// shape, each against its own ATE.
+// the d695 fixture across depths plus the generated chips of genCases,
+// each against its own ATE.
 func equivCases() []struct {
 	name   string
 	soc    *soc.SOC
@@ -28,49 +81,19 @@ func equivCases() []struct {
 		soc    *soc.SOC
 		target ate.ATE
 	}
-	add := func(name string, s *soc.SOC, channels int, depth int64) {
+	add := func(name string, s *soc.SOC, channels int, depthK int64) {
 		cases = append(cases, struct {
 			name   string
 			soc    *soc.SOC
 			target ate.ATE
-		}{name, s, ate.ATE{Channels: channels, Depth: depth, ClockHz: 5e6}})
+		}{name, s, ate.ATE{Channels: channels, Depth: depthK * 1024, ClockHz: 5e6}})
 	}
 	for _, depthK := range []int64{48, 64, 96, 128} {
-		add(fmt.Sprintf("d695-%dK", depthK), d695(), 256, depthK*1024)
+		add(fmt.Sprintf("d695-%dK", depthK), d695(), 256, depthK)
 	}
-	// Seeded synthetic SOCs: small enough that the reference's quadratic
-	// scans stay fast, varied enough (core mix, spread, area) to exercise
-	// merges, moves, widening extensions, and multi-wire squeezes.
-	for seed := int64(1); seed <= 12; seed++ {
-		s := benchdata.Generate(benchdata.GenSpec{
-			Name:        fmt.Sprintf("equiv%d", seed),
-			Seed:        seed,
-			LogicCores:  4 + int(seed%5)*2,
-			MemoryCores: int(seed % 4),
-			TargetArea:  (1 + seed%6) * benchdata.Mi / 2,
-			Spread:      0.8 + float64(seed%3)*0.4,
-		})
-		depth := int64(32+16*seed) * 1024
-		add(fmt.Sprintf("gen%d", seed), s, 128+int(seed%2)*128, depth)
+	for _, c := range genCases() {
+		add(c.name, benchdata.Generate(c.spec), c.channels, c.depthK)
 	}
-	// Regression cases: on these SOCs a binary-searched criterion 1
-	// squeeze returned architectures the one-wire-at-a-time walk never
-	// produces (same wires, worse fill, or different group structure) —
-	// the greedy's output depends on the cap value, not only on
-	// feasibility, so the squeeze must walk caps one wire at a time.
-	squeeze33 := benchdata.Generate(benchdata.GenSpec{
-		Name: "squeeze33", Seed: 33,
-		LogicCores: 9, MemoryCores: 3,
-		TargetArea: benchdata.Mi / 2, Spread: 0.5,
-	})
-	add("squeeze33-48K", squeeze33, 256, 48*1024)
-	squeeze17 := benchdata.Generate(benchdata.GenSpec{
-		Name: "squeeze17", Seed: 17,
-		LogicCores: 11, MemoryCores: 2,
-		TargetArea: benchdata.Mi, Spread: 1.2,
-	})
-	add("squeeze17-96ch", squeeze17, 96, 24*1024)
-	add("squeeze17-256ch", squeeze17, 256, 48*1024)
 	return cases
 }
 
@@ -93,8 +116,28 @@ func archEqual(t *testing.T, name string, got, want *Architecture) {
 	}
 }
 
+// step1MatchesReference designs one scenario with DesignStep1With and
+// with the reference: both must fail, or both succeed with a valid,
+// identical architecture.
+func step1MatchesReference(t *testing.T, name string, s *soc.SOC, target ate.ATE, o Options) {
+	t.Helper()
+	got, errGot := DesignStep1With(s, target, o)
+	want, errWant := referenceDesignStep1With(s, target, o)
+	if (errGot == nil) != (errWant == nil) {
+		t.Errorf("%s: error mismatch: got %v, reference %v", name, errGot, errWant)
+		return
+	}
+	if errGot != nil {
+		return // both infeasible
+	}
+	if err := got.Validate(); err != nil {
+		t.Errorf("%s: invalid architecture after localMinimize: %v", name, err)
+	}
+	archEqual(t, name, got, want)
+}
+
 // TestStep1MatchesReference pins the optimized DesignStep1With (flat time
-// tables, incremental fills, binary searches) byte-identical to the
+// tables, shared set-up, binary width searches) byte-identical to the
 // literal reference implementation, across option rules and with and
 // without the squeeze and the restart portfolio.
 func TestStep1MatchesReference(t *testing.T) {
@@ -108,22 +151,39 @@ func TestStep1MatchesReference(t *testing.T) {
 	}
 	for _, c := range equivCases() {
 		for oi, o := range opts {
-			name := fmt.Sprintf("%s/opts%d", c.name, oi)
-			got, errGot := DesignStep1With(c.soc, c.target, o)
-			want, errWant := referenceDesignStep1With(c.soc, c.target, o)
-			if (errGot == nil) != (errWant == nil) {
-				t.Errorf("%s: error mismatch: got %v, reference %v", name, errGot, errWant)
-				continue
-			}
-			if errGot != nil {
-				continue // both infeasible
-			}
-			if err := got.Validate(); err != nil {
-				t.Errorf("%s: invalid architecture after localMinimize: %v", name, err)
-			}
-			archEqual(t, name, got, want)
+			step1MatchesReference(t, fmt.Sprintf("%s/opts%d", c.name, oi), c.soc, c.target, o)
 		}
 	}
+}
+
+// FuzzStep1MatchesReference is TestStep1MatchesReference over fuzzed
+// generated chips, ATEs and options, seeded with genCases' shapes. The
+// ranges (up to 14 logic and 3 memory cores, 512 channels, 512K depth)
+// keep one reference design in the milliseconds.
+func FuzzStep1MatchesReference(f *testing.F) {
+	for _, c := range genCases() {
+		f.Add(c.spec.Seed, uint8(c.spec.LogicCores), uint8(c.spec.MemoryCores),
+			uint8(c.spec.TargetArea/(benchdata.Mi/2)), uint8(c.spec.Spread*10+0.5),
+			uint16(c.channels), uint16(c.depthK), uint8(RuleMaxFreeMemory), false, false)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, logic, memory, areaHalfMi, spreadTenths uint8,
+		channels, depthK uint16, rule uint8, noSqueeze, singlePass bool) {
+		spec := benchdata.GenSpec{
+			Name:        "fuzz",
+			Seed:        seed,
+			LogicCores:  max(1, int(logic%15)),
+			MemoryCores: int(memory % 4),
+			TargetArea:  max(1, int64(areaHalfMi%9)) * benchdata.Mi / 2,
+			Spread:      float64(max(1, spreadTenths%21)) / 10,
+		}
+		target := ate.ATE{
+			Channels: max(2, int(channels%513)),
+			Depth:    max(1, int64(depthK%513)) * 1024,
+			ClockHz:  5e6,
+		}
+		o := Options{Rule: OptionRule(rule % 3), NoSqueeze: noSqueeze, SinglePass: singlePass}
+		step1MatchesReference(t, fmt.Sprintf("%+v %+v %+v", spec, target, o), benchdata.Generate(spec), target, o)
+	})
 }
 
 // TestOrdersMatchReference pins the set-up a Step 1 call shares to the
@@ -245,27 +305,5 @@ func TestWidenOnceTieBreakDeterministic(t *testing.T) {
 	if a.Groups[0].Width != w0+1 || a.Groups[1].Width != w1 {
 		t.Errorf("tie not broken by index: widths %d/%d, want %d/%d",
 			a.Groups[0].Width, a.Groups[1].Width, w0+1, w1)
-	}
-}
-
-// TestFillTableMaintainedIncrementally checks the cached fill tables stay
-// consistent through a design run plus widening (Validate cross-checks
-// every cached entry against a straight member-time sum).
-func TestFillTableMaintainedIncrementally(t *testing.T) {
-	for _, c := range equivCases() {
-		a, err := DesignStep1(c.soc, c.target)
-		if err != nil {
-			continue
-		}
-		// Force tables to exist on every group, then mutate through the
-		// incremental paths and re-validate.
-		for _, g := range a.Groups {
-			a.fillTable(g)
-		}
-		for i := 0; i < 32 && a.WidenOnce(); i++ {
-		}
-		if err := a.Validate(); err != nil {
-			t.Errorf("%s: fill cache inconsistent after design+widen: %v", c.name, err)
-		}
 	}
 }

@@ -80,7 +80,6 @@ func (a *Architecture) referenceMergeOnce() bool {
 	}
 	gi.Members = append(gi.Members, gj.Members...)
 	gi.Times = append(gi.Times, gj.Times...)
-	gi.fills = nil
 	a.Groups = append(a.Groups[:bestJ], a.Groups[bestJ+1:]...)
 	a.refit(gi)
 	// The merged group may now shrink below the wider width.
@@ -126,14 +125,12 @@ func (a *Architecture) referenceMoveOnce() bool {
 				h.Members = append(h.Members, mi)
 				h.Times = append(h.Times, t)
 				h.Fill += t
-				h.fills = nil
 				if len(rest) == 0 {
 					a.Groups = append(a.Groups[:gi], a.Groups[gi+1:]...)
 				} else {
 					g.Members = rest
 					g.Times = make([]int64, len(rest))
 					g.Width = newW
-					g.fills = nil
 					a.refit(g)
 				}
 				return true
@@ -190,7 +187,6 @@ func (a *Architecture) referencePlace(mi, wmin, maxWires int, rule OptionRule, c
 		g.Members = append(g.Members, mi)
 		g.Times = append(g.Times, bestT)
 		g.Fill += bestT
-		g.fills = nil
 		return nil
 	}
 
@@ -275,7 +271,6 @@ func (a *Architecture) referencePlace(mi, wmin, maxWires int, rule OptionRule, c
 	}
 	g := a.Groups[chosen.group]
 	g.Width += chosen.extra
-	g.fills = nil
 	a.refit(g)
 	g.Members = append(g.Members, mi)
 	g.Times = append(g.Times, a.Designer.Time(mi, g.Width))

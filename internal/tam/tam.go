@@ -34,18 +34,10 @@ type Group struct {
 	Times []int64
 	// Fill is the vector memory depth the group consumes: ΣTimes.
 	Fill int64
-	// fills[w-1] caches the group's fill at width w; beyond its length the
-	// fill saturates at the last entry. Built lazily from the members'
-	// wrapper time tables and maintained incrementally as members are
-	// added and removed, it turns the per-width member-time sums of the
-	// Step 1/Step 2 inner loops into O(1) lookups. The table is
-	// non-increasing in w, so width searches over it binary-search.
-	// nil means not built; width changes never invalidate it.
-	fills []int64
 }
 
-// atWidth indexes a non-increasing per-width table (a wrapper time table
-// or a group fill table), saturating beyond its length.
+// atWidth indexes a non-increasing per-width wrapper time table,
+// saturating beyond its length.
 func atWidth(t []int64, w int) int64 {
 	if w > len(t) {
 		w = len(t)
@@ -55,8 +47,8 @@ func atWidth(t []int64, w int) int64 {
 
 // minFeasible returns the smallest value in [lo, hi] satisfying fits.
 // It requires fits to be monotone — false up to some threshold, true
-// from there on, which non-increasing per-width fill tables guarantee
-// for width (and width-extension) searches — and fits(hi) to be true.
+// from there on, which non-increasing member times guarantee for width
+// (and width-extension) searches — and fits(hi) to be true.
 func minFeasible(lo, hi int, fits func(w int) bool) int {
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -69,102 +61,19 @@ func minFeasible(lo, hi int, fits func(w int) bool) int {
 	return lo
 }
 
-// fillTable returns the group's per-width fill table. A single-member
-// group's fill table IS its member's wrapper time table, which is shared
-// (never stored in g.fills, so the incremental updates cannot scribble on
-// the designer's cache) and costs nothing to "build"; multi-member groups
-// cache an owned sum vector, built on first use.
-func (a *Architecture) fillTable(g *Group) []int64 {
-	if g.fills == nil {
-		if len(g.Members) == 1 {
-			return a.Designer.TimeTable(g.Members[0])
-		}
-		a.rebuildFills(g)
-	}
-	return g.fills
-}
-
-// rebuildFills recomputes the cached fill table from the members' wrapper
-// time tables.
-func (a *Architecture) rebuildFills(g *Group) {
-	top := 1
-	for _, mi := range g.Members {
-		if l := a.Designer.MaxWidthTable(mi); l > top {
-			top = l
-		}
-	}
-	fills := make([]int64, top)
-	for _, mi := range g.Members {
-		addTimes(fills, a.Designer.TimeTable(mi))
-	}
-	g.fills = fills
-}
-
-// addTimes adds the time table (saturated beyond its length) into fills.
-func addTimes(fills, tt []int64) {
-	n := len(tt)
-	if n > len(fills) {
-		n = len(fills)
-	}
-	for w := 0; w < n; w++ {
-		fills[w] += tt[w]
-	}
-	sat := tt[len(tt)-1]
-	for w := n; w < len(fills); w++ {
-		fills[w] += sat
-	}
-}
-
-// subTimes subtracts the time table (saturated beyond its length) from
-// fills.
-func subTimes(fills, tt []int64) {
-	n := len(tt)
-	if n > len(fills) {
-		n = len(fills)
-	}
-	for w := 0; w < n; w++ {
-		fills[w] -= tt[w]
-	}
-	sat := tt[len(tt)-1]
-	for w := n; w < len(fills); w++ {
-		fills[w] -= sat
-	}
-}
-
 // addMember appends module mi, whose test time at the group's current
-// width is t, and maintains the cached fill table.
-func (a *Architecture) addMember(g *Group, mi int, t int64) {
+// width is t.
+func (g *Group) addMember(mi int, t int64) {
 	g.Members = append(g.Members, mi)
 	g.Times = append(g.Times, t)
 	g.Fill += t
-	if g.fills == nil {
-		return
-	}
-	tt := a.Designer.TimeTable(mi)
-	if len(tt) > len(g.fills) {
-		// Every existing member saturates beyond the old length, so the
-		// extension continues at the old saturation value.
-		ext := make([]int64, len(tt))
-		copy(ext, g.fills)
-		sat := g.fills[len(g.fills)-1]
-		for w := len(g.fills); w < len(tt); w++ {
-			ext[w] = sat
-		}
-		g.fills = ext
-	}
-	addTimes(g.fills, tt)
 }
 
-// removeMemberAt deletes the idx-th member and maintains the cached fill
-// table (its length is left as is; the saturation point only shrinks).
-func (a *Architecture) removeMemberAt(g *Group, idx int) {
-	mi := g.Members[idx]
+// removeMemberAt deletes the idx-th member.
+func (g *Group) removeMemberAt(idx int) {
 	g.Fill -= g.Times[idx]
 	g.Members = append(g.Members[:idx], g.Members[idx+1:]...)
 	g.Times = append(g.Times[:idx], g.Times[idx+1:]...)
-	if g.fills != nil {
-		subTimes(g.fills, a.Designer.TimeTable(mi))
-	}
 }
 
 // Architecture is a complete channel-group assignment for an SOC against a
@@ -223,15 +132,21 @@ func (a *Architecture) refit(g *Group) {
 	}
 }
 
-// fillAt returns the group's fill if its width were w, without mutating it.
+// fillAt returns the group's fill if its width were w, without mutating
+// it: the sum of its members' times at w, non-increasing in w.
 func (a *Architecture) fillAt(g *Group, w int) int64 {
-	return atWidth(a.fillTable(g), w)
+	if w == g.Width {
+		return g.Fill
+	}
+	var fill int64
+	for _, mi := range g.Members {
+		fill += atWidth(a.Designer.TimeTable(mi), w)
+	}
+	return fill
 }
 
 // Clone deep-copies the architecture. The SOC and Designer are shared
-// (both are read-only caches for architecture purposes). The cached fill
-// tables are not copied — snapshots are usually only evaluated, and a
-// clone that is mutated rebuilds them lazily.
+// (both are read-only caches for architecture purposes).
 func (a *Architecture) Clone() *Architecture {
 	out := &Architecture{SOC: a.SOC, Designer: a.Designer, Depth: a.Depth}
 	out.Groups = make([]*Group, len(a.Groups))
@@ -272,29 +187,6 @@ func (a *Architecture) Validate() error {
 		}
 		if fill > a.Depth {
 			return fmt.Errorf("group %d: fill %d exceeds depth %d", gi, fill, a.Depth)
-		}
-		if g.fills != nil {
-			// The incremental fill cache must agree with a straight
-			// member-time sum at every width, and must extend at least to
-			// the point where every member's time has saturated.
-			need := 1
-			for _, mi := range g.Members {
-				if l := a.Designer.MaxWidthTable(mi); l > need {
-					need = l
-				}
-			}
-			if len(g.fills) < need {
-				return fmt.Errorf("group %d: fill cache covers %d widths, members saturate at %d", gi, len(g.fills), need)
-			}
-			for w := 1; w <= len(g.fills); w++ {
-				var want int64
-				for _, mi := range g.Members {
-					want += a.Designer.Time(mi, w)
-				}
-				if g.fills[w-1] != want {
-					return fmt.Errorf("group %d: cached fill %d at width %d != member-time sum %d", gi, g.fills[w-1], w, want)
-				}
-			}
 		}
 	}
 	for _, mi := range a.SOC.TestableModules() {
@@ -383,9 +275,9 @@ func DesignStep1With(s *soc.SOC, target ate.ATE, opts Options) (*Architecture, e
 	// would never visit — e.g. binary-searching for the tightest feasible
 	// cap — can return a different, occasionally worse, architecture
 	// (TestStep1MatchesReference covers seeds where it does). Each rerun
-	// shares the chip's set-up and rides the flat time tables and
-	// incremental fills, so the walk costs a small multiple of one
-	// portfolio's placements, not the old per-query sums.
+	// shares the chip's set-up and binary-searches its widths over the
+	// flat time tables, so the walk costs a small multiple of one
+	// portfolio's placements.
 	// Ties on channels keep the earlier (lower-fill) architecture.
 	for {
 		tight := opts
@@ -572,12 +464,11 @@ func (a *Architecture) localMinimize() {
 }
 
 // shrinkWidth returns the smallest width ≤ g.Width at which the group's
-// members still fit the depth. The fill table is non-increasing in width
-// and the group fits at its current width, so binary search applies.
+// members still fit the depth. The fill is non-increasing in width and
+// the group fits at its current width, so binary search applies.
 func (a *Architecture) shrinkWidth(g *Group) int {
-	f := a.fillTable(g)
 	return minFeasible(1, g.Width, func(w int) bool {
-		return atWidth(f, w) <= a.Depth
+		return a.fillAt(g, w) <= a.Depth
 	})
 }
 
@@ -596,21 +487,12 @@ func (a *Architecture) shrinkAll() {
 func (a *Architecture) mergeOnce() bool {
 	bestI, bestJ := -1, -1
 	var bestFill int64
-	// Resolve each group's fill table once; the O(G²) pair loop is then
-	// pure slice indexing.
-	tables := make([][]int64, len(a.Groups))
-	for i, g := range a.Groups {
-		tables[i] = a.fillTable(g)
-	}
 	for i := 0; i < len(a.Groups); i++ {
 		gi := a.Groups[i]
 		for j := i + 1; j < len(a.Groups); j++ {
 			gj := a.Groups[j]
-			w := gi.Width
-			if gj.Width > w {
-				w = gj.Width
-			}
-			fill := atWidth(tables[i], w) + atWidth(tables[j], w)
+			w := max(gi.Width, gj.Width)
+			fill := a.fillAt(gi, w) + a.fillAt(gj, w)
 			if fill > a.Depth {
 				continue
 			}
@@ -623,12 +505,10 @@ func (a *Architecture) mergeOnce() bool {
 		return false
 	}
 	gi, gj := a.Groups[bestI], a.Groups[bestJ]
-	if gj.Width > gi.Width {
-		gi.Width = gj.Width
-	}
+	gi.Width = max(gi.Width, gj.Width)
 	gi.Members = append(gi.Members, gj.Members...)
 	gi.Times = append(gi.Times, gj.Times...)
-	gi.fills = nil // rebuilt lazily on the next fill query
+	gi.Fill = bestFill // the union's fill at the wider width, as fillAt reads it
 	a.Groups = append(a.Groups[:bestJ], a.Groups[bestJ+1:]...)
 	// The merged group may now shrink below the wider width.
 	gi.Width = a.shrinkWidth(gi)
@@ -641,19 +521,18 @@ func (a *Architecture) mergeOnce() bool {
 // Returns false when no improving move exists.
 func (a *Architecture) moveOnce() bool {
 	for gi, g := range a.Groups {
-		gf := a.fillTable(g)
 		for idx, mi := range g.Members {
 			tt := a.Designer.TimeTable(mi)
 			// Donor width after losing the member: the remaining members'
-			// fill is the cached group fill minus this member's time,
-			// still non-increasing in width, so the smallest width that
-			// fits is found by binary search. The remainder fits at the
-			// current width (it is a subset of the group), so a feasible
-			// width always exists.
+			// fill is the group fill minus this member's time, still
+			// non-increasing in width, so the smallest width that fits is
+			// found by binary search. The remainder fits at the current
+			// width (it is a subset of the group), so a feasible width
+			// always exists.
 			newW := 0
 			if len(g.Members) > 1 {
 				newW = minFeasible(1, g.Width, func(w int) bool {
-					return atWidth(gf, w)-atWidth(tt, w) <= a.Depth
+					return a.fillAt(g, w)-atWidth(tt, w) <= a.Depth
 				})
 			}
 			if newW >= g.Width {
@@ -668,11 +547,11 @@ func (a *Architecture) moveOnce() bool {
 					continue
 				}
 				// Accept: move mi into h, shrink or delete g.
-				a.addMember(h, mi, t)
+				h.addMember(mi, t)
 				if len(g.Members) == 1 {
 					a.Groups = append(a.Groups[:gi], a.Groups[gi+1:]...)
 				} else {
-					a.removeMemberAt(g, idx)
+					g.removeMemberAt(idx)
 					g.Width = newW
 					a.refit(g)
 				}
@@ -706,7 +585,7 @@ func (a *Architecture) place(mi, wmin, maxWires int, rule OptionRule, choice pla
 		}
 	}
 	if bestG >= 0 {
-		a.addMember(a.Groups[bestG], mi, bestT)
+		a.Groups[bestG].addMember(mi, bestT)
 		return nil
 	}
 
@@ -732,16 +611,18 @@ func (a *Architecture) place(mi, wmin, maxWires int, rule OptionRule, choice pla
 			// The group's fill plus the module's time is non-increasing
 			// in width, so the minimal feasible extension is found by
 			// binary search over e in [1, maxE].
-			gf := a.fillTable(g)
-			if atWidth(gf, g.Width+maxE)+atWidth(tt, g.Width+maxE) > a.Depth {
+			extFill := func(e int) int64 {
+				w := g.Width + e
+				return a.fillAt(g, w) + atWidth(tt, w)
+			}
+			if extFill(maxE) > a.Depth {
 				continue // no feasible extension for this group
 			}
 			e := minFeasible(1, maxE, func(e int) bool {
-				w := g.Width + e
-				return atWidth(gf, w)+atWidth(tt, w) <= a.Depth
+				return extFill(e) <= a.Depth
 			})
 			w := g.Width + e
-			fill := atWidth(gf, w) + atWidth(tt, w)
+			fill := extFill(e)
 			free := totalFree - int64(g.Width)*(a.Depth-g.Fill) +
 				int64(w)*(a.Depth-fill)
 			candidates = append(candidates, option{group: gi, extra: e, free: free})
@@ -793,17 +674,14 @@ func (a *Architecture) place(mi, wmin, maxWires int, rule OptionRule, choice pla
 
 	if chosen.group == -1 {
 		g := &Group{Width: wmin}
-		t := atWidth(tt, wmin)
-		g.Members = []int{mi}
-		g.Times = []int64{t}
-		g.Fill = t
+		g.addMember(mi, atWidth(tt, wmin))
 		a.Groups = append(a.Groups, g)
 		return nil
 	}
 	g := a.Groups[chosen.group]
 	g.Width += chosen.extra
 	a.refit(g)
-	a.addMember(g, mi, atWidth(tt, g.Width))
+	g.addMember(mi, atWidth(tt, g.Width))
 	return nil
 }
 

@@ -2,6 +2,7 @@ package tam
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -364,25 +365,35 @@ func BenchmarkLocalMinimize(b *testing.B) {
 	}
 }
 
-// TestStep1Allocs pins the allocations of one Step 1 design with warm
-// wrapper tables: the validation, minimum widths and module orders are
-// set up once per call and shared by the restart portfolio's runs and
-// every squeeze pass, so the allocations left are the runs' placements
-// and clean-ups. p22810 at 256 channels and 1M depth takes two
-// portfolio passes, twelve greedy runs.
+// TestStep1Allocs pins the allocations and bytes of one Step 1 design
+// with warm wrapper tables: the validation, minimum widths and module
+// orders are set up once per call and shared by the restart portfolio's
+// runs and every squeeze pass, and width searches sum member times
+// instead of building per-group fill tables, so the allocations left are
+// the runs' groups and candidate lists. p22810 at 256 channels and 1M
+// depth takes two portfolio passes, twelve greedy runs.
 func TestStep1Allocs(t *testing.T) {
 	s := benchdata.Shared("p22810")
 	target := ate.ATE{Channels: 256, Depth: 1 << 20, ClockHz: 5e6}
 	if _, err := DesignStep1(s, target); err != nil { // warms the tables
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(20, func() {
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() {
 		if _, err := DesignStep1(s, target); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("%.0f allocations per design", allocs)
-	if allocs > 800 {
-		t.Errorf("%.0f allocations per Step 1 design; want at most 800", allocs)
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun calls the function once more as a warm-up.
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) / 1024
+	t.Logf("%.0f allocations, %.1f KB per design", allocs, kb)
+	if allocs > 720 {
+		t.Errorf("%.0f allocations per Step 1 design; want at most 720", allocs)
+	}
+	if kb > 48 {
+		t.Errorf("%.1f KB allocated per Step 1 design; want at most 48", kb)
 	}
 }
