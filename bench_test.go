@@ -523,7 +523,7 @@ func BenchmarkExactD695(b *testing.B) {
 	target := ate.ATE{Channels: 256, Depth: 64 * benchdata.Ki, ClockHz: 5e6}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exact.Solve(s, target); err != nil {
+		if _, err := exact.Solve(context.Background(), s, target, exact.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

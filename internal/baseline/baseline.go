@@ -57,16 +57,11 @@ func (p *Packing) Channels() int { return 2 * p.Wires }
 // Design packs the SOC's module tests into the target ATE's vector memory
 // with as few TAM wires as possible, mirroring [7]: start at the
 // theoretical lower bound and grow the bin width until the skyline packer
-// fits everything.
-func Design(s *soc.SOC, target ate.ATE) (*Packing, error) {
-	return DesignCtx(context.Background(), s, target)
-}
-
-// DesignCtx is Design with cancellation: the context is polled before each
-// bin-width attempt (one full skyline packing per width), so a cancelled
-// caller abandons the width escalation promptly. A cancelled design
-// returns the context's error and no partial packing.
-func DesignCtx(ctx context.Context, s *soc.SOC, target ate.ATE) (*Packing, error) {
+// fits everything. The context is polled before each bin-width attempt
+// (one full skyline packing per width), so a cancelled caller abandons
+// the width escalation promptly; a cancelled design returns the
+// context's error and no partial packing.
+func Design(ctx context.Context, s *soc.SOC, target ate.ATE) (*Packing, error) {
 	if err := target.Validate(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -26,7 +27,7 @@ func TestDesignD695(t *testing.T) {
 		{48, 28}, {64, 22}, {80, 18}, {96, 14}, {112, 12}, {128, 12},
 	}
 	for _, c := range cases {
-		pk, err := Design(s, target(256, c.depthK*1024))
+		pk, err := Design(context.Background(), s, target(256, c.depthK*1024))
 		if err != nil {
 			t.Fatalf("D=%dK: %v", c.depthK, err)
 		}
@@ -47,7 +48,7 @@ func TestPackingAtLeastLowerBound(t *testing.T) {
 		if !ok {
 			t.Fatalf("LB infeasible at %dK", depthK)
 		}
-		pk, err := Design(s, tg)
+		pk, err := Design(context.Background(), s, tg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +60,7 @@ func TestPackingAtLeastLowerBound(t *testing.T) {
 
 func TestPackingMakespanWithinDepth(t *testing.T) {
 	s := benchdata.Shared("d695")
-	pk, err := Design(s, target(256, 64*1024))
+	pk, err := Design(context.Background(), s, target(256, 64*1024))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,20 +71,20 @@ func TestPackingMakespanWithinDepth(t *testing.T) {
 
 func TestDesignInfeasible(t *testing.T) {
 	s := benchdata.Shared("d695")
-	if _, err := Design(s, target(256, 100)); err == nil {
+	if _, err := Design(context.Background(), s, target(256, 100)); err == nil {
 		t.Error("tiny depth accepted")
 	}
-	if _, err := Design(s, target(4, 48*1024)); err == nil {
+	if _, err := Design(context.Background(), s, target(4, 48*1024)); err == nil {
 		t.Error("4-channel ATE accepted")
 	}
-	if _, err := Design(s, ate.ATE{}); err == nil {
+	if _, err := Design(context.Background(), s, ate.ATE{}); err == nil {
 		t.Error("zero ATE accepted")
 	}
 }
 
 func TestValidateCatchesOverlap(t *testing.T) {
 	s := benchdata.Shared("d695")
-	pk, err := Design(s, target(256, 64*1024))
+	pk, err := Design(context.Background(), s, target(256, 64*1024))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestValidateCatchesOverlap(t *testing.T) {
 
 func TestValidateCatchesOutOfBin(t *testing.T) {
 	s := benchdata.Shared("d695")
-	pk, err := Design(s, target(256, 64*1024))
+	pk, err := Design(context.Background(), s, target(256, 64*1024))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestValidateCatchesOutOfBin(t *testing.T) {
 
 func TestValidateCatchesWrongTime(t *testing.T) {
 	s := benchdata.Shared("d695")
-	pk, err := Design(s, target(256, 64*1024))
+	pk, err := Design(context.Background(), s, target(256, 64*1024))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestPropertyPackingValid(t *testing.T) {
 			s.Modules = append(s.Modules, m)
 		}
 		depth := int64(3000 + rng.Intn(60000))
-		pk, err := Design(s, ate.ATE{Channels: 128, Depth: depth, ClockHz: 1e6})
+		pk, err := Design(context.Background(), s, ate.ATE{Channels: 128, Depth: depth, ClockHz: 1e6})
 		if err != nil {
 			return true // infeasibility is acceptable
 		}

@@ -17,12 +17,14 @@ import (
 // prunes almost nothing because nearly every prefix of nearly every
 // partition still looks like it could fit. Pattern counts step by a
 // prime-ish 61 to kill the symmetry that would otherwise let canonical
-// partition enumeration skip equivalent branches. Measured on the
-// reference container at ATE Channels=256, Depth=16000: the exact search
-// takes ~1.3s (optimum 29 wires) where the heuristic answers in ~2.5ms
-// (34 wires) — three orders of magnitude apart, wide enough that any
-// sub-second deadline reliably cuts the exact leg and never the
-// heuristic one.
+// partition enumeration skip equivalent branches. Measured on a 2-core
+// Intel Xeon (Go 1.24) at ATE Channels=256, Depth=16000: the exact
+// search takes ~0.37s (optimum 29 wires) where the heuristic answers in
+// ~0.2ms (34 wires) — three orders of magnitude apart, so a deadline of
+// 300ms or less cuts the exact leg and never the heuristic one. (The
+// search took ~1.3s before the wrapper designer's time tables got
+// faster; varying these modules' ports and pattern counts, within
+// MaxModules, reached at most ~0.8s.)
 //
 // The chip is deliberately NOT in Names(): it exists to be slow, and
 // listing it would poison the benchmark pools (loadgen traffic, the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestStep1VsExactProperty(t *testing.T) {
 			Depth:    int64(8+(seed%5)*14) * benchdata.Ki,
 			ClockHz:  5e6,
 		}
-		sol, err := exact.Solve(s, target)
+		sol, err := exact.Solve(context.Background(), s, target, exact.Options{})
 		if err != nil {
 			continue // infeasible or oversized corpus points are skipped
 		}

@@ -51,12 +51,12 @@ func TestSolveWithExternalBoundPreservesOptimum(t *testing.T) {
 	for _, c := range corpus(t) {
 		s := benchdata.Generate(c.spec)
 		target := benchdata.PropATE(c.seed)
-		base, err := exact.Solve(s, target)
+		base, err := exact.Solve(context.Background(), s, target, exact.Options{})
 		if err != nil {
 			continue // infeasible corpus point
 		}
 		for _, slack := range []int{1, 3, 10} {
-			sol, err := exact.SolveWith(context.Background(), s, target,
+			sol, err := exact.Solve(context.Background(), s, target,
 				exact.Options{Bound: fixedBound(base.Wires + slack)})
 			if err != nil {
 				t.Fatalf("seed %d bound=opt+%d: %v", c.seed, slack, err)
@@ -78,19 +78,19 @@ func TestSolveWithBoundAtOptimumProvesNoImprovement(t *testing.T) {
 	for _, c := range corpus(t) {
 		s := benchdata.Generate(c.spec)
 		target := benchdata.PropATE(c.seed)
-		base, err := exact.Solve(s, target)
+		base, err := exact.Solve(context.Background(), s, target, exact.Options{})
 		if err != nil {
 			continue
 		}
 		found = true
-		_, err = exact.SolveWith(context.Background(), s, target,
+		_, err = exact.Solve(context.Background(), s, target,
 			exact.Options{Bound: fixedBound(base.Wires)})
 		if !errors.Is(err, exact.ErrNoImprovement) {
 			t.Errorf("seed %d bound=optimum %d: err = %v, want ErrNoImprovement",
 				c.seed, base.Wires, err)
 		}
 		// One wire above the optimum the search must improve and win.
-		sol, err := exact.SolveWith(context.Background(), s, target,
+		sol, err := exact.Solve(context.Background(), s, target,
 			exact.Options{Bound: fixedBound(base.Wires + 1)})
 		if err != nil {
 			t.Fatalf("seed %d bound=opt+1: %v", c.seed, err)
@@ -111,7 +111,7 @@ func TestOnImprovingMonotone(t *testing.T) {
 		s := benchdata.Generate(c.spec)
 		target := benchdata.PropATE(c.seed)
 		var seen []int
-		sol, err := exact.SolveWith(context.Background(), s, target, exact.Options{
+		sol, err := exact.Solve(context.Background(), s, target, exact.Options{
 			OnImproving: func(sol *exact.Solution) { seen = append(seen, sol.Wires) },
 		})
 		if err != nil {
@@ -141,14 +141,14 @@ func TestTighteningBoundMidSearch(t *testing.T) {
 	for _, c := range corpus(t) {
 		s := benchdata.Generate(c.spec)
 		target := benchdata.PropATE(c.seed)
-		base, err := exact.Solve(s, target)
+		base, err := exact.Solve(context.Background(), s, target, exact.Options{})
 		if err != nil {
 			continue
 		}
 		b := &tighteningBound{}
 		b.cur.Store(int64(base.Wires + 20))
 		steps := 0
-		sol, err := exact.SolveWith(context.Background(), s, target, exact.Options{
+		sol, err := exact.Solve(context.Background(), s, target, exact.Options{
 			Bound: b,
 			OnImproving: func(*exact.Solution) {
 				// Tighten toward opt+1 as the search progresses.

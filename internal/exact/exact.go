@@ -64,7 +64,7 @@ type Bound interface {
 	Bound() int
 }
 
-// Options tune SolveWith beyond the plain branch-and-bound.
+// Options tune Solve beyond the plain branch-and-bound.
 type Options struct {
 	// Bound seeds (and keeps tightening) the pruning incumbent with an
 	// external wire count: any partition costing >= Bound() is pruned even
@@ -128,27 +128,17 @@ func (sv *solver) pruneBound() int {
 }
 
 // Solve finds the minimum-wire channel-group design of the SOC on the
-// target ATE, or an error if the SOC is too large or infeasible.
-func Solve(s *soc.SOC, target ate.ATE) (*Solution, error) {
-	return SolveCtx(context.Background(), s, target)
-}
-
-// SolveCtx is Solve with cancellation: the branch-and-bound polls the
-// context every cancelCheckInterval recursion steps (and once up front),
-// so a serving-layer deadline abandons even a hostile partition lattice
-// promptly. A cancelled search returns the context's error and no partial
-// solution.
-func SolveCtx(ctx context.Context, s *soc.SOC, target ate.ATE) (*Solution, error) {
-	return SolveWith(ctx, s, target, Options{})
-}
-
-// SolveWith is SolveCtx with anytime hooks: an external incumbent bound
-// that makes pruning bite from the first node, and a callback streaming
-// each improving solution as the search lands on it. With an active bound
-// and no partition beating it, the search returns ErrNoImprovement — a
-// completed proof that the incumbent is wire-optimal, distinguishable
-// from genuine infeasibility.
-func SolveWith(ctx context.Context, s *soc.SOC, target ate.ATE, opts Options) (*Solution, error) {
+// target ATE, or an error if the SOC is too large or infeasible. The
+// branch-and-bound polls the context every cancelCheckInterval recursion
+// steps (and once up front), so a serving-layer deadline abandons even a
+// hostile partition lattice promptly; a cancelled search returns the
+// context's error and no partial solution. The zero Options run the
+// plain search; opts.Bound makes pruning bite from the first node and
+// opts.OnImproving streams each improving solution as the search lands
+// on it. With an active bound and no partition beating it, the search
+// returns ErrNoImprovement — a completed proof that the incumbent is
+// wire-optimal, distinguishable from genuine infeasibility.
+func Solve(ctx context.Context, s *soc.SOC, target ate.ATE, opts Options) (*Solution, error) {
 	if err := target.Validate(); err != nil {
 		return nil, err
 	}

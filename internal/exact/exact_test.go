@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -25,7 +26,7 @@ func TestSolveTinySOC(t *testing.T) {
 	m1.ID, m2.ID = 1, 2
 	s := &soc.SOC{Name: "twins", Modules: []soc.Module{m1, m2}}
 	// T(1) = (1+10)*100 + 10 = 1110. Depth 1200 fits one but not two.
-	sol, err := Solve(s, target(64, 1200))
+	sol, err := Solve(context.Background(), s, target(64, 1200), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestSolveTinySOC(t *testing.T) {
 		t.Errorf("wires=%d blocks=%d, want 2 separate width-1 groups", sol.Wires, len(sol.Blocks))
 	}
 	// A deep memory merges them onto one wire.
-	sol2, err := Solve(s, target(64, 3000))
+	sol2, err := Solve(context.Background(), s, target(64, 3000), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestSolveTinySOC(t *testing.T) {
 
 func TestSolveRespectsDepth(t *testing.T) {
 	s := benchdata.Shared("d695")
-	sol, err := Solve(s, target(256, 64*1024))
+	sol, err := Solve(context.Background(), s, target(256, 64*1024), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestHeuristicMatchesExactOnD695(t *testing.T) {
 	s := benchdata.Shared("d695")
 	for _, depthK := range []int64{48, 64, 96, 128} {
 		tg := target(256, depthK*1024)
-		sol, err := Solve(s, tg)
+		sol, err := Solve(context.Background(), s, tg, Options{})
 		if err != nil {
 			t.Fatalf("D=%dK: %v", depthK, err)
 		}
@@ -88,18 +89,18 @@ func TestHeuristicMatchesExactOnD695(t *testing.T) {
 
 func TestSolveErrors(t *testing.T) {
 	s := benchdata.Shared("d695")
-	if _, err := Solve(s, target(256, 10)); err == nil {
+	if _, err := Solve(context.Background(), s, target(256, 10), Options{}); err == nil {
 		t.Error("infeasible depth accepted")
 	}
-	if _, err := Solve(s, ate.ATE{}); err == nil {
+	if _, err := Solve(context.Background(), s, ate.ATE{}, Options{}); err == nil {
 		t.Error("invalid ATE accepted")
 	}
 	big := benchdata.Shared("p22810") // 28 testable modules
-	if _, err := Solve(big, target(512, benchdata.Mi)); err == nil {
+	if _, err := Solve(context.Background(), big, target(512, benchdata.Mi), Options{}); err == nil {
 		t.Error("oversized SOC accepted by exact search")
 	}
 	empty := &soc.SOC{Name: "e", Modules: []soc.Module{{ID: 0}}}
-	if _, err := Solve(empty, target(64, 1000)); err == nil {
+	if _, err := Solve(context.Background(), empty, target(64, 1000), Options{}); err == nil {
 		t.Error("empty SOC accepted")
 	}
 }
@@ -109,7 +110,7 @@ func TestSolveTooManyChannelsNeeded(t *testing.T) {
 		{ID: 1, Inputs: 100, Outputs: 100, Patterns: 1000,
 			ScanChains: soc.UniformChains(16, 200)},
 	}}
-	if _, err := Solve(s, target(2, 2000)); err == nil {
+	if _, err := Solve(context.Background(), s, target(2, 2000), Options{}); err == nil {
 		t.Error("1-wire budget accepted for a huge module")
 	}
 }
@@ -134,7 +135,7 @@ func TestPropertyHeuristicNeverBeatsExact(t *testing.T) {
 		}
 		depth := int64(1500 + rng.Intn(30000))
 		tg := target(64, depth)
-		sol, errE := Solve(s, tg)
+		sol, errE := Solve(context.Background(), s, tg, Options{})
 		arch, errH := tam.DesignStep1(s, tg)
 		if (errE == nil) != (errH == nil) {
 			// The exact solver proves feasibility; the heuristic

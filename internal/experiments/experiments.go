@@ -414,7 +414,7 @@ func Table1() *report.Table {
 		if !ok {
 			return []interface{}{cfgSOC.Name, DepthLabel(depth), "-", "-", "-", "-", "-"}
 		}
-		pk, errB := baseline.Design(s, target)
+		pk, errB := baseline.Design(context.Background(), s, target)
 		arch, errU := tam.DesignStep1(s, target)
 		baseK, baseN := "-", "-"
 		if errB == nil {

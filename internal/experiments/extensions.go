@@ -63,7 +63,7 @@ func ExtExactGap() *report.Table {
 	depthsK := []int64{48, 56, 64, 72, 80, 96, 112, 128}
 	for _, row := range rows(len(depthsK), func(i int) []interface{} {
 		target := ate.ATE{Channels: 256, Depth: depthsK[i] * benchdata.Ki, ClockHz: BaseClock}
-		sol, err := exact.Solve(s, target)
+		sol, err := exact.Solve(context.Background(), s, target, exact.Options{})
 		if err != nil {
 			return []interface{}{DepthLabel(target.Depth), "-", "-", "-", "-", "-"}
 		}

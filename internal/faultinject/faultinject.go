@@ -173,15 +173,10 @@ func (p *Plan) String() string {
 }
 
 // Wrap injects the plan's schedule in front of a solver backend. The
-// anytime face is preserved: wrapping an AnytimeSolver yields an
-// AnytimeSolver whose pass/delay steps delegate with the incumbent and
-// observer intact.
-func Wrap(sv solve.Solver, p *Plan) solve.Solver {
-	w := wrapped{sv: sv, plan: p}
-	if _, ok := sv.(solve.AnytimeSolver); ok {
-		return wrappedAnytime{w}
-	}
-	return w
+// wrapper is anytime over any backend: pass and delay steps delegate
+// through solve.SolveAnytimeOf with the incumbent and observer intact.
+func Wrap(sv solve.Solver, p *Plan) solve.AnytimeSolver {
+	return wrapped{sv: sv, plan: p}
 }
 
 type wrapped struct {
@@ -218,17 +213,12 @@ func (w wrapped) apply(ctx context.Context, st Step) (proceed bool, err error) {
 }
 
 func (w wrapped) Solve(ctx context.Context, s *soc.SOC, cfg core.Config) (*core.Result, error) {
-	if proceed, err := w.apply(ctx, w.plan.draw()); !proceed {
-		return nil, err
-	}
-	return w.sv.Solve(ctx, s, cfg)
+	return w.SolveAnytime(ctx, s, cfg, nil, nil)
 }
 
-type wrappedAnytime struct{ wrapped }
-
-func (w wrappedAnytime) SolveAnytime(ctx context.Context, s *soc.SOC, cfg core.Config, inc *solve.Incumbent, observe func(*core.Result)) (*core.Result, error) {
+func (w wrapped) SolveAnytime(ctx context.Context, s *soc.SOC, cfg core.Config, inc *solve.Incumbent, observe func(*core.Result)) (*core.Result, error) {
 	if proceed, err := w.apply(ctx, w.plan.draw()); !proceed {
 		return nil, err
 	}
-	return w.sv.(solve.AnytimeSolver).SolveAnytime(ctx, s, cfg, inc, observe)
+	return solve.SolveAnytimeOf(ctx, w.sv, s, cfg, inc, observe)
 }

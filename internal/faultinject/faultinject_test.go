@@ -130,21 +130,26 @@ func TestPanicMode(t *testing.T) {
 	sv.Solve(context.Background(), s, cfg)
 }
 
+// TestWrapPreservesAnytime: pass steps keep every backend anytime —
+// heuristic, exact and baseline each tighten a shared incumbent through
+// the injection wrapper.
 func TestWrapPreservesAnytime(t *testing.T) {
 	s := benchdata.Generate(benchdata.PropSpec(42))
 	cfg := core.Config{ATE: benchdata.PropATE(42), Probe: ate.DefaultProbeStation()}
 	plan, _ := faultinject.ParsePlan("pass,repeat")
-	sv := faultinject.Wrap(heuristic(t), plan)
-	any, ok := sv.(solve.AnytimeSolver)
-	if !ok {
-		t.Fatal("faultinject.Wrap dropped the AnytimeSolver face")
-	}
-	inc := &solve.Incumbent{}
-	if _, err := any.SolveAnytime(context.Background(), s, cfg, inc, nil); err != nil {
-		t.Fatal(err)
-	}
-	if inc.Bound() <= 0 {
-		t.Error("incumbent not tightened through the injection wrapper")
+	for _, name := range []string{"heuristic", "exact", "baseline"} {
+		inner, err := solve.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc := &solve.Incumbent{}
+		res, err := faultinject.Wrap(inner, plan).SolveAnytime(context.Background(), s, cfg, inc, nil)
+		if err != nil {
+			t.Fatalf("%s wrapped SolveAnytime: %v", name, err)
+		}
+		if got, want := inc.Bound(), res.Step1.Wires(); got != want {
+			t.Errorf("%s: incumbent bound %d through the injection wrapper, want the design's %d wires", name, got, want)
+		}
 	}
 }
 

@@ -61,10 +61,6 @@ type Options struct {
 	// Breaker tunes the per-peer circuit breakers; the zero value takes
 	// the resilience defaults.
 	Breaker resilience.Options
-	// Client overrides the forwarding HTTP client; nil builds one with
-	// no overall timeout (streams are long-lived) — cancellation rides
-	// the inbound request's context.
-	Client *http.Client
 	// Logf receives operational log lines; nil means silent.
 	Logf func(format string, args ...any)
 }
@@ -111,16 +107,15 @@ func New(opts Options) (*Gateway, error) {
 	if len(members) == 0 {
 		return nil, errors.New("gateway: at least one peer is required")
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{
-			// Peers answer 307 only to unrouted requests; the gateway
-			// marks everything routed, so any redirect reaching the
-			// client library is unexpected — surface it, don't follow.
-			CheckRedirect: func(*http.Request, []*http.Request) error {
-				return http.ErrUseLastResponse
-			},
-		}
+	// No overall timeout: streams are long-lived, and cancellation rides
+	// the inbound request's context.
+	client := &http.Client{
+		// Peers answer 307 only to unrouted requests; the gateway marks
+		// everything routed, so any redirect reaching the client library
+		// is unexpected — surface it, don't follow.
+		CheckRedirect: func(*http.Request, []*http.Request) error {
+			return http.ErrUseLastResponse
+		},
 	}
 	logf := opts.Logf
 	if logf == nil {
@@ -236,6 +231,10 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, candidates []s
 			if target == nil {
 				writeError(w, http.StatusBadGateway,
 					fmt.Errorf("peer %s redirected to %q, which is not a fleet member", ps.addr, owner))
+				return
+			}
+			if err := target.breaker.Allow(); err != nil {
+				writeError(w, http.StatusBadGateway, fmt.Errorf("redirect target %s: %v", target.addr, err))
 				return
 			}
 			resp2, err := g.do(r, target, body)

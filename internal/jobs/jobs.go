@@ -477,18 +477,22 @@ func (m *Manager) Enqueue(spec Spec) (Snapshot, error) {
 	if !ValidType(spec.Type) {
 		return Snapshot{}, fmt.Errorf("jobs: unknown job type %q", spec.Type)
 	}
-	if int(m.pending.Load())+int(m.running.Load()) >= m.opts.QueueDepth {
-		return Snapshot{}, ErrQueueFull
-	}
 	specCopy := spec
 	rec := &record{Op: "enqueue", Spec: &specCopy}
-	// m.mu held across the append so m.order stays in sequence order.
+	// m.mu held across the bound check, the append and the pending
+	// count, so concurrent submitters cannot all pass the check at once
+	// and m.order stays in sequence order.
 	m.mu.Lock()
+	if int(m.pending.Load())+int(m.running.Load()) >= m.opts.QueueDepth {
+		m.mu.Unlock()
+		return Snapshot{}, ErrQueueFull
+	}
 	seq, err := m.j.append(rec, true)
 	if err != nil {
 		m.mu.Unlock()
 		return Snapshot{}, err
 	}
+	m.pending.Add(1)
 	jb := &job{
 		id: rec.ID, seq: seq, spec: specCopy,
 		state: StatePending, updated: make(chan struct{}),
@@ -498,7 +502,6 @@ func (m *Manager) Enqueue(spec Spec) (Snapshot, error) {
 	m.trimRetainedLocked()
 	m.mu.Unlock()
 	m.enqueued.Add(1)
-	m.pending.Add(1)
 	// Snapshot before dispatch: the acknowledgement describes the job as
 	// accepted, not whatever state a fast worker has already moved it to.
 	snap := jb.snapshot()

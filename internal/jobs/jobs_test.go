@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -439,6 +440,55 @@ func TestQueueBound(t *testing.T) {
 		t.Errorf("accepted %d jobs, want 3", accepted)
 	}
 	close(gate)
+}
+
+// TestQueueBoundConcurrent: submitters racing each other get the same
+// bound as serial ones — exactly QueueDepth accepted, the rest
+// ErrQueueFull — while the only worker is blocked.
+func TestQueueBoundConcurrent(t *testing.T) {
+	gate := make(chan struct{})
+	m := openM(t, t.TempDir(), Options{
+		Workers: 1, QueueDepth: 3,
+		Runner: func(ctx context.Context, spec Spec, sink Sink) error {
+			select {
+			case <-gate:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		},
+	})
+	defer m.Close(context.Background())
+	defer close(gate)
+	<-m.Ready()
+	const submitters = 16
+	var (
+		start          = make(chan struct{})
+		wg             sync.WaitGroup
+		accepted, full atomic.Int64
+	)
+	for i := 0; i < submitters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, err := m.Enqueue(Spec{Type: TypeOptimize, Request: []byte(`{}`)})
+			switch {
+			case err == nil:
+				accepted.Add(1)
+			case errors.Is(err, ErrQueueFull):
+				full.Add(1)
+			default:
+				t.Errorf("Enqueue: %v", err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if accepted.Load() != 3 || full.Load() != submitters-3 {
+		t.Errorf("accepted %d and refused %d of %d concurrent submits, want 3 and %d",
+			accepted.Load(), full.Load(), submitters, submitters-3)
+	}
 }
 
 func TestJournalTornTailDropped(t *testing.T) {

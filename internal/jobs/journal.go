@@ -205,13 +205,6 @@ func (j *journal) appendLocked(rec *record, sync bool) (int64, error) {
 	return rec.Seq, nil
 }
 
-// sync flushes appended records to stable storage.
-func (j *journal) sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Sync()
-}
-
 // rotate atomically replaces the journal with exactly recs (their
 // sequence numbers preserved), dropping everything else. The sequence
 // counter continues from its high-water mark.

@@ -17,9 +17,6 @@ import (
 type RunOptions struct {
 	// BaseURL is the server to load, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// Client is the HTTP client; nil means a dedicated client with a
-	// connection pool sized for the run.
-	Client *http.Client
 	// MaxInflight bounds concurrently outstanding requests; once the
 	// bound is hit, later arrivals wait for a slot (the generator
 	// degrades closed-loop under overload instead of spawning without
@@ -135,13 +132,11 @@ func Run(ctx context.Context, sched *Schedule, opts RunOptions) (*Result, error)
 	if inflight <= 0 {
 		inflight = 64
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        inflight,
-			MaxIdleConnsPerHost: inflight,
-		}}
-	}
+	// A dedicated client with a connection pool sized for the run.
+	client := &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        inflight,
+		MaxIdleConnsPerHost: inflight,
+	}}
 
 	var before metricsSnapshot
 	scraped := false

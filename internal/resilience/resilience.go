@@ -328,15 +328,11 @@ func (s *Set) Snapshots() []Snapshot {
 // Wrap guards a solver backend with a breaker: open → immediate
 // OpenError without calling the backend; otherwise the call proceeds and
 // its outcome (a panic included, surfaced as a transient error) is
-// recorded. The anytime face is preserved — wrapping an AnytimeSolver
-// yields an AnytimeSolver — so a portfolio racing wrapped backends keeps
-// its incumbent sharing and improving-design stream.
-func Wrap(sv solve.Solver, b *Breaker) solve.Solver {
-	w := wrapped{sv: sv, b: b}
-	if _, ok := sv.(solve.AnytimeSolver); ok {
-		return wrappedAnytime{w}
-	}
-	return w
+// recorded. The wrapper is anytime over any backend — it delegates
+// through solve.SolveAnytimeOf — so a portfolio racing wrapped backends
+// keeps its incumbent sharing and improving-design stream.
+func Wrap(sv solve.Solver, b *Breaker) solve.AnytimeSolver {
+	return wrapped{sv: sv, b: b}
 }
 
 type wrapped struct {
@@ -347,32 +343,19 @@ type wrapped struct {
 func (w wrapped) Name() string     { return w.sv.Name() }
 func (w wrapped) Info() solve.Info { return w.sv.Info() }
 
-func (w wrapped) Solve(ctx context.Context, s *soc.SOC, cfg core.Config) (res *core.Result, err error) {
+func (w wrapped) Solve(ctx context.Context, s *soc.SOC, cfg core.Config) (*core.Result, error) {
+	return w.SolveAnytime(ctx, s, cfg, nil, nil)
+}
+
+func (w wrapped) SolveAnytime(ctx context.Context, s *soc.SOC, cfg core.Config, inc *solve.Incumbent, observe func(*core.Result)) (res *core.Result, err error) {
 	if aerr := w.b.Allow(); aerr != nil {
 		return nil, aerr
 	}
-	defer w.guard(&res, &err)()
-	return w.sv.Solve(ctx, s, cfg)
-}
-
-type wrappedAnytime struct{ wrapped }
-
-func (w wrappedAnytime) SolveAnytime(ctx context.Context, s *soc.SOC, cfg core.Config, inc *solve.Incumbent, observe func(*core.Result)) (res *core.Result, err error) {
-	if aerr := w.b.Allow(); aerr != nil {
-		return nil, aerr
-	}
-	defer w.guard(&res, &err)()
-	return w.sv.(solve.AnytimeSolver).SolveAnytime(ctx, s, cfg, inc, observe)
-}
-
-// guard returns the deferred epilogue shared by both faces: convert a
-// backend panic into a transient error, then record the final outcome.
-func (w wrapped) guard(res **core.Result, err *error) func() {
-	return func() {
+	defer func() {
 		if r := recover(); r != nil {
-			*res = nil
-			*err = fmt.Errorf("resilience: backend %q panicked: %v: %w", w.sv.Name(), r, solve.ErrTransient)
+			res, err = nil, fmt.Errorf("resilience: backend %q panicked: %v: %w", w.sv.Name(), r, solve.ErrTransient)
 		}
-		w.b.Record(*err)
-	}
+		w.b.Record(err)
+	}()
+	return solve.SolveAnytimeOf(ctx, w.sv, s, cfg, inc, observe)
 }

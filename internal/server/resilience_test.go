@@ -20,7 +20,7 @@ import (
 )
 
 // adversarialBody renders an /v1/optimize body for the crafted
-// adversarial chip (exact ~1.3s, heuristic ~2.5ms) at its tuned
+// adversarial chip (exact ~0.37s, heuristic ~0.2ms) at its tuned
 // operating point, with extra fields spliced in.
 func adversarialBody(t *testing.T, extra string) string {
 	t.Helper()
@@ -140,7 +140,7 @@ func TestTimeoutMSField(t *testing.T) {
 // snapshot and the degraded provenance.
 func TestAnytimeNDJSON(t *testing.T) {
 	_, ts := newTestServer(t, Options{Breaker: lenientBreaker()})
-	resp, body := post(t, ts, "/v1/optimize", adversarialBody(t, `"solver":"portfolio","anytime":true,"timeout_ms":400`))
+	resp, body := post(t, ts, "/v1/optimize", adversarialBody(t, `"solver":"portfolio","anytime":true,"timeout_ms":200`))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, body %s", resp.StatusCode, body)
 	}
@@ -178,7 +178,7 @@ func TestAnytimeNDJSON(t *testing.T) {
 				t.Fatal("final event has no snapshot")
 			}
 			if !ev.Degraded {
-				t.Error("400ms-cut adversarial run should be degraded")
+				t.Error("200ms-cut adversarial run should be degraded")
 			}
 			if ev.Snapshot.Degraded != ev.Degraded || ev.Snapshot.Optimal != ev.Optimal {
 				t.Error("final event flags disagree with its snapshot")

@@ -224,7 +224,7 @@ func New(opts Options) *Server {
 		}
 		s.solvers[name] = resilience.Wrap(sv, s.breakers.For(name))
 	}
-	s.solvers[solve.PortfolioName] = solve.NewPortfolio(solve.PortfolioOptions{Resolve: s.solverFor})
+	s.solvers[solve.PortfolioName] = solve.NewPortfolio(s.solverFor)
 	s.memo.SetResolver(s.solverFor)
 
 	for _, ep := range []string{"optimize", "sweep", "compare", "solvers", "socs", "healthz", "readyz", "jobs", "metrics"} {

@@ -53,8 +53,9 @@ func (inc *Incumbent) Tighten(wires int) bool {
 // inc is a shared upper bound the backend must Tighten with every design
 // it realizes and may use to prune its own search; observe receives each
 // realized improving design, on the solving goroutine, before the final
-// return. Wrapping solvers (resilience, fault injection) must preserve
-// the interface so an AnytimeSolver stays anytime through any stack.
+// return. Wrapping solvers (resilience, fault injection) implement it
+// over any backend by delegating through SolveAnytimeOf, so a backend
+// stays anytime through any stack.
 type AnytimeSolver interface {
 	Solver
 	SolveAnytime(ctx context.Context, s *soc.SOC, cfg core.Config, inc *Incumbent, observe func(*core.Result)) (*core.Result, error)

@@ -43,7 +43,7 @@ func (baselineSolver) Info() Info {
 }
 
 func (baselineSolver) Solve(ctx context.Context, s *soc.SOC, cfg core.Config) (*core.Result, error) {
-	pk, err := baseline.DesignCtx(ctx, s, cfg.ATE)
+	pk, err := baseline.Design(ctx, s, cfg.ATE)
 	if err != nil {
 		return nil, err
 	}

@@ -34,13 +34,8 @@ func (exactSolver) Info() Info {
 	}
 }
 
-func (exactSolver) Solve(ctx context.Context, s *soc.SOC, cfg core.Config) (*core.Result, error) {
-	sol, err := exact.SolveCtx(ctx, s, cfg.ATE)
-	if err != nil {
-		return nil, err
-	}
-	arch := architectureOf(s, cfg.ATE.Depth, sol.Blocks, sol.Widths)
-	return core.BuildResult(ctx, s, cfg, arch)
+func (e exactSolver) Solve(ctx context.Context, s *soc.SOC, cfg core.Config) (*core.Result, error) {
+	return e.SolveAnytime(ctx, s, cfg, nil, nil)
 }
 
 // SolveAnytime is the anytime face of the branch-and-bound: the shared
@@ -69,7 +64,7 @@ func (e exactSolver) SolveAnytime(ctx context.Context, s *soc.SOC, cfg core.Conf
 			}
 		}
 	}
-	sol, err := exact.SolveWith(ctx, s, cfg.ATE, opts)
+	sol, err := exact.Solve(ctx, s, cfg.ATE, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,10 @@ func init() { Register(heuristicSolver{}) }
 // heuristicSolver is the paper's two-step algorithm — the default backend.
 // It is a pure delegate to core.OptimizeCtx, so a Result served through
 // the registry is bit-identical to one from a direct core.Optimize call
-// (the delegation is pinned by TestHeuristicMatchesCoreOptimize).
+// (the delegation is pinned by TestHeuristicMatchesCoreOptimize). It has
+// no anytime method: the greedy design has no improving sequence worth
+// streaming, so SolveAnytimeOf runs it once, tightens the incumbent with
+// its wire count and reports it to observe.
 type heuristicSolver struct{}
 
 func (heuristicSolver) Name() string { return DefaultName }
@@ -27,22 +30,4 @@ func (heuristicSolver) Info() Info {
 
 func (heuristicSolver) Solve(ctx context.Context, s *soc.SOC, cfg core.Config) (*core.Result, error) {
 	return core.OptimizeCtx(ctx, s, cfg)
-}
-
-// SolveAnytime runs the greedy design once (it has no internal improving
-// sequence worth streaming), then tightens the shared incumbent with its
-// wire count — which is what lets a racing exact search prune from the
-// first node — and reports the design to observe.
-func (h heuristicSolver) SolveAnytime(ctx context.Context, s *soc.SOC, cfg core.Config, inc *Incumbent, observe func(*core.Result)) (*core.Result, error) {
-	res, err := core.OptimizeCtx(ctx, s, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if inc != nil {
-		inc.Tighten(res.Step1.Wires())
-	}
-	if observe != nil {
-		observe(res)
-	}
-	return res, nil
 }

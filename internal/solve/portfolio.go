@@ -14,20 +14,11 @@ import (
 // PortfolioName is the registry key of the anytime portfolio backend.
 const PortfolioName = "portfolio"
 
-func init() { Register(NewPortfolio(PortfolioOptions{})) }
+func init() { Register(NewPortfolio(nil)) }
 
-// PortfolioOptions parameterize NewPortfolio.
-type PortfolioOptions struct {
-	// Backends lists the registry names the portfolio races, in
-	// preference order (ties in the final pick go to the earlier name).
-	// Empty means {heuristic, exact}.
-	Backends []string
-	// Resolve maps a backend name to the Solver instance to run; nil
-	// means the process-global registry (Get). The serving layer passes
-	// its own resolver so the raced backends carry that server's circuit
-	// breakers and fault-injection wrappers.
-	Resolve func(name string) (Solver, error)
-}
+// portfolioBackends lists the registry names the portfolio races, in
+// preference order: ties in the final pick go to the earlier name.
+var portfolioBackends = [...]string{DefaultName, "exact"}
 
 // Portfolio is the anytime meta-backend: it races its backends
 // concurrently on one scenario, shares a wire-count incumbent between
@@ -50,21 +41,18 @@ type PortfolioOptions struct {
 // on timing — exactly the runs flagged Degraded, which the caching tiers
 // refuse to store.
 type Portfolio struct {
-	backends []string
-	resolve  func(name string) (Solver, error)
+	resolve func(name string) (Solver, error)
 }
 
-// NewPortfolio builds a portfolio backend. The zero options value is the
-// registered default: heuristic + exact through the global registry.
-func NewPortfolio(opts PortfolioOptions) *Portfolio {
-	p := &Portfolio{backends: opts.Backends, resolve: opts.Resolve}
-	if len(p.backends) == 0 {
-		p.backends = []string{DefaultName, "exact"}
+// NewPortfolio builds a portfolio backend that resolves the backends it
+// races through resolve; nil means the process-global registry (Get).
+// The serving layer passes its own resolver so the raced backends carry
+// that server's circuit breakers and fault-injection wrappers.
+func NewPortfolio(resolve func(name string) (Solver, error)) *Portfolio {
+	if resolve == nil {
+		resolve = Get
 	}
-	if p.resolve == nil {
-		p.resolve = Get
-	}
-	return p
+	return &Portfolio{resolve: resolve}
 }
 
 func (p *Portfolio) Name() string { return PortfolioName }
@@ -91,14 +79,11 @@ type outcome struct {
 
 // SolveAnytime races the backends. Improving designs flow to observe in
 // strictly improving (wires, then test-cycles) order, serialized under
-// the portfolio's publish lock. An external incumbent, when supplied,
-// seeds the internal one and is tightened alongside it.
-func (p *Portfolio) SolveAnytime(ctx context.Context, s *soc.SOC, cfg core.Config, ext *Incumbent, observe func(*core.Result)) (*core.Result, error) {
-	inc := &Incumbent{}
-	if ext != nil {
-		if b := ext.Bound(); b > 0 {
-			inc.Tighten(b)
-		}
+// the portfolio's publish lock. The legs share inc, the caller's
+// incumbent when one is supplied and a fresh one otherwise.
+func (p *Portfolio) SolveAnytime(ctx context.Context, s *soc.SOC, cfg core.Config, inc *Incumbent, observe func(*core.Result)) (*core.Result, error) {
+	if inc == nil {
+		inc = &Incumbent{}
 	}
 
 	// tracker publishes the best-so-far under a mutex: only strict
@@ -116,18 +101,15 @@ func (p *Portfolio) SolveAnytime(ctx context.Context, s *soc.SOC, cfg core.Confi
 		}
 		best = res
 		inc.Tighten(res.Step1.Wires())
-		if ext != nil {
-			ext.Tighten(res.Step1.Wires())
-		}
 		if observe != nil {
 			observe(res)
 		}
 	}
 
-	outcomes := make([]outcome, len(p.backends))
-	exactLeg := make([]bool, len(p.backends))
+	outcomes := make([]outcome, len(portfolioBackends))
+	exactLeg := make([]bool, len(portfolioBackends))
 	var wg sync.WaitGroup
-	for i, name := range p.backends {
+	for i, name := range portfolioBackends {
 		sv, err := p.resolve(name)
 		if err != nil {
 			outcomes[i] = outcome{err: err}
@@ -197,7 +179,7 @@ func (p *Portfolio) SolveAnytime(ctx context.Context, s *soc.SOC, cfg core.Confi
 		errs := make([]error, 0, len(outcomes))
 		for i := range outcomes {
 			if outcomes[i].err != nil {
-				errs = append(errs, fmt.Errorf("%s: %w", p.backends[i], outcomes[i].err))
+				errs = append(errs, fmt.Errorf("%s: %w", portfolioBackends[i], outcomes[i].err))
 			}
 		}
 		return nil, fmt.Errorf("portfolio: no backend produced a design: %w", errors.Join(errs...))

@@ -51,7 +51,7 @@ func TestPortfolioOptimalWithoutDeadline(t *testing.T) {
 }
 
 // TestPortfolioDegradedOnDeadline is the graceful-degradation contract on
-// the crafted adversarial chip: the exact search needs ~1.3s, so a 250ms
+// the crafted adversarial chip: the exact search needs ~0.37s, so a 250ms
 // deadline cuts it — and the portfolio returns the best feasible design
 // so far (at worst the heuristic's, at 250ms usually better) marked
 // Degraded, with a nil error, instead of surfacing the deadline.
@@ -98,17 +98,15 @@ func TestPortfolioHeuristicOnlyOnFailedExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := solve.NewPortfolio(solve.PortfolioOptions{
-			Resolve: func(name string) (solve.Solver, error) {
-				sv, err := solve.Get(name)
-				if err != nil {
-					return nil, err
-				}
-				if name == "exact" {
-					return faultinject.Wrap(sv, plan), nil
-				}
-				return sv, nil
-			},
+		p := solve.NewPortfolio(func(name string) (solve.Solver, error) {
+			sv, err := solve.Get(name)
+			if err != nil {
+				return nil, err
+			}
+			if name == "exact" {
+				return faultinject.Wrap(sv, plan), nil
+			}
+			return sv, nil
 		})
 		res, err := p.Solve(context.Background(), s, cfg)
 		if err != nil {
@@ -129,14 +127,12 @@ func TestPortfolioHeuristicOnlyOnFailedExact(t *testing.T) {
 func TestPortfolioAllBackendsFail(t *testing.T) {
 	s := benchdata.Generate(benchdata.PropSpec(42))
 	plan, _ := faultinject.ParsePlan("error,repeat")
-	p := solve.NewPortfolio(solve.PortfolioOptions{
-		Resolve: func(name string) (solve.Solver, error) {
-			sv, err := solve.Get(name)
-			if err != nil {
-				return nil, err
-			}
-			return faultinject.Wrap(sv, plan), nil
-		},
+	p := solve.NewPortfolio(func(name string) (solve.Solver, error) {
+		sv, err := solve.Get(name)
+		if err != nil {
+			return nil, err
+		}
+		return faultinject.Wrap(sv, plan), nil
 	})
 	_, err := p.Solve(context.Background(), s, propConfig(42))
 	if err == nil {
@@ -153,7 +149,7 @@ func TestPortfolioAllBackendsFail(t *testing.T) {
 func TestPortfolioObserveMonotone(t *testing.T) {
 	s := benchdata.Adversarial()
 	cfg := adversarialConfig()
-	p := solve.NewPortfolio(solve.PortfolioOptions{})
+	p := solve.NewPortfolio(nil)
 	var (
 		mu   sync.Mutex
 		seen []int
@@ -195,7 +191,7 @@ func TestPortfolioSharedIncumbent(t *testing.T) {
 	}
 	inc := &solve.Incumbent{}
 	inc.Tighten(opt.Step1.Wires() + 1)
-	p := solve.NewPortfolio(solve.PortfolioOptions{})
+	p := solve.NewPortfolio(nil)
 	res, err := p.SolveAnytime(context.Background(), s, cfg, inc, nil)
 	if err != nil {
 		t.Fatal(err)

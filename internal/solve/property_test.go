@@ -80,7 +80,7 @@ func TestRegistryExactVsHeuristicProperty(t *testing.T) {
 		}
 		// The realized exact architecture must carry the raw solver's
 		// optimal wire count through the registry unchanged.
-		if raw, err := exact.Solve(s, cfg.ATE); err == nil && raw.Wires != opt.Step1.Wires() {
+		if raw, err := exact.Solve(context.Background(), s, cfg.ATE, exact.Options{}); err == nil && raw.Wires != opt.Step1.Wires() {
 			t.Errorf("seed %d: registry exact wires %d != raw branch-and-bound %d",
 				seed, opt.Step1.Wires(), raw.Wires)
 		}

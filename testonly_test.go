@@ -20,9 +20,9 @@ import (
 	"testing"
 )
 
-// testOnlyAllowed lists the exported functions and methods under
-// internal/ that no non-test code calls but that stay anyway, keyed as
-// "pkg.Func" or "pkg.Type.Method"; a bare "pkg" covers a whole package.
+// testOnlyAllowed lists the functions and methods under internal/ that
+// no non-test code calls but that stay anyway, keyed as "pkg.Func" or
+// "pkg.Type.Method"; a bare "pkg" covers a whole package.
 var testOnlyAllowed = map[string]string{
 	"fleettest":                          "in-process fleet harness the server, gateway and fleet tests share",
 	"benchdata.PropSpec":                 "property-test fixture shared by the tests of four packages",
@@ -33,13 +33,14 @@ var testOnlyAllowed = map[string]string{
 	"sim.ExpectedAbortSavingsScalar":     "scalar twin the gated ExpectedAbortSavings/scalar benchmark calls",
 }
 
-// TestNoTestOnlyExports fails on any exported function or method under
-// internal/ that no non-test Go file of the repository references:
-// production code whose only consumer is a test. cmd/, examples/ and the
-// benchmark module count as callers. A method also counts as used when
-// its type satisfies an interface, visible to non-test code, that has
-// the method, since a dynamic call reaches it without naming it. Build
-// constraints are honoured for the host platform.
+// TestNoTestOnlyExports fails on any function or method under internal/,
+// exported or not (init aside), that no non-test Go file of the
+// repository references: production code whose only consumer is a test.
+// cmd/, examples/ and the benchmark module count as callers. A method
+// also counts as used when its type satisfies an interface, visible to
+// non-test code, that has the method, since a dynamic call reaches it
+// without naming it. Build constraints are honoured for the host
+// platform.
 func TestNoTestOnlyExports(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := loadNonTest(fset, ".")
@@ -55,7 +56,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every exported function and method declared in internal/.
+	// Every function and method declared in internal/ but init.
 	decls := map[*types.Func]token.Pos{}
 	for _, p := range pkgs {
 		if !strings.HasPrefix(p.path, "multisite/internal/") {
@@ -63,7 +64,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 		for _, f := range p.files {
 			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name != "init" {
 					decls[infos[p.path].Defs[fd.Name].(*types.Func)] = fd.Pos()
 				}
 			}
@@ -145,12 +146,12 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	for key := range testOnlyAllowed {
 		if !keys[key] {
-			t.Errorf("%s: allowlisted, but no such exported function, method or package under internal/", key)
+			t.Errorf("%s: allowlisted, but no such function, method or package under internal/", key)
 		}
 	}
 	sort.Strings(unused)
 	if len(unused) > 0 {
-		t.Errorf("%d exported functions or methods under internal/ have no non-test caller; "+
+		t.Errorf("%d functions or methods under internal/ have no non-test caller; "+
 			"delete them, or move a test's reference code into its _test.go:\n\t%s",
 			len(unused), strings.Join(unused, "\n\t"))
 	}
