@@ -179,9 +179,6 @@ func buildResult(ctx context.Context, s *soc.SOC, cfg Config, step1 *tam.Archite
 			s.Name, k, cfg.ATE.Channels)
 	}
 
-	res := &Result{SOC: s, Config: cfg, Step1: step1, MaxSites: nmax}
-	res.Curve = make([]SiteEval, nmax)
-	res.Step1Curve = make([]SiteEval, nmax)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -189,19 +186,11 @@ func buildResult(ctx context.Context, s *soc.SOC, cfg Config, step1 *tam.Archite
 	if err != nil {
 		return nil, err
 	}
-	res.Arches = arches
-
-	for n := nmax; n >= 1; n-- {
-		// Step 1-only line: same architecture at every site count.
-		res.Step1Curve[n-1] = cfg.evaluate(step1, n)
-		res.Curve[n-1] = cfg.evaluate(res.Arches[n-1], n)
-
-		better := res.Curve[n-1].score(cfg) > res.Best.score(cfg)
-		if res.BestArch == nil || better {
-			res.Best = res.Curve[n-1]
-			res.BestArch = res.Arches[n-1]
-		}
-	}
+	res := &Result{SOC: s, Config: cfg, Step1: step1, MaxSites: nmax, Arches: arches}
+	res.Curve = make([]SiteEval, nmax)
+	res.Step1Curve = make([]SiteEval, nmax)
+	res.Best, _, _ = res.Rescore(cfg, res.Curve, res.Step1Curve)
+	res.BestArch = arches[res.Best.Sites-1]
 	return res, nil
 }
 
@@ -260,49 +249,125 @@ func step2Arches(ctx context.Context, target ate.ATE, step1 *tam.Architecture, n
 // are honored; the ATE clock and channel budget must match the original
 // optimization. It returns the full curve and the best evaluation.
 func (r *Result) ReEvaluate(cfg Config) ([]SiteEval, SiteEval) {
-	cfg = cfg.normalized()
 	curve := make([]SiteEval, r.MaxSites)
-	var best SiteEval
+	best, _, _ := r.Rescore(cfg, curve, nil)
+	return curve, best
+}
+
+// Rescore scores the designed architectures under cfg's cost model, as
+// ReEvaluate does, in one pass over the site counts from MaxSites down to
+// 1. It writes the Step 1+2 evaluation at n sites to curve[n-1] and the
+// Step 1 architecture's to step1Curve[n-1], each only when that slice is
+// non-nil (a caller that keeps no curve passes nil), and returns the best
+// Step 1+2 evaluation (the Step 2 objective's maximum, the largest site
+// count on ties), the gain CurveGain(step1Curve, curve, MaxSites) reports,
+// and whether every evaluation of both curves and the gain are finite,
+// which is whether the result's snapshot under cfg encodes. Only the
+// cost-model fields of cfg are honored, as in ReEvaluate.
+//
+// One pass costs less than scoring each site count afresh: an
+// architecture's channels, test length and pc^x are read once, not once
+// per site count (site counts share Arches snapshots), and a site count
+// whose Step 2 architecture is Step1 itself is scored once for both
+// curves.
+func (r *Result) Rescore(cfg Config, curve, step1Curve []SiteEval) (best SiteEval, gain float64, finite bool) {
+	cfg = cfg.normalized()
+	var s1 archModel
+	s1.read(r.Step1, &cfg)
+	s2 := s1
+	best1, best2 := 0.0, 0.0
+	nonFinite := 0.0 // the sum of every evaluation's zeroOrNaN
 	for n := r.MaxSites; n >= 1; n-- {
-		curve[n-1] = cfg.evaluate(r.Arches[n-1], n)
-		if best.Sites == 0 || curve[n-1].score(cfg) > best.score(cfg) {
-			best = curve[n-1]
+		e1 := s1.at(n)
+		e2 := e1
+		if arch := r.Arches[n-1]; arch != r.Step1 {
+			if arch != s2.arch {
+				s2.read(arch, &cfg)
+			}
+			e2 = s2.at(n)
+			nonFinite += e2.zeroOrNaN()
+		}
+		nonFinite += e1.zeroOrNaN()
+		if curve != nil {
+			curve[n-1] = e2
+		}
+		if step1Curve != nil {
+			step1Curve[n-1] = e1
+		}
+		if n == r.MaxSites || e2.score(cfg.Retest) > best.score(cfg.Retest) {
+			best = e2
+		}
+		// CurveGain's running maxima: a NaN throughput never wins.
+		if e1.Throughput > best1 {
+			best1 = e1.Throughput
+		}
+		if e2.Throughput > best2 {
+			best2 = e2.Throughput
 		}
 	}
-	return curve, best
+	gain = gainOf(best1, best2)
+	return best, gain, nonFinite+gain*0 == 0
 }
 
 // score is the Step 2 objective: unique throughput when re-testing is
 // modeled, plain throughput otherwise.
-func (e SiteEval) score(cfg Config) float64 {
-	if cfg.Retest {
+func (e SiteEval) score(retest bool) float64 {
+	if retest {
 		return e.UniqueThroughput
 	}
 	return e.Throughput
 }
 
-// evaluate computes the throughput of an architecture at n sites.
-func (cfg Config) evaluate(arch *tam.Architecture, n int) SiteEval {
+// zeroOrNaN is 0 when every float of e is finite and NaN otherwise: x*0
+// is 0 (or −0) for a finite x and NaN for ±Inf or NaN, and a sum with a
+// NaN term is NaN.
+func (e SiteEval) zeroOrNaN() float64 {
+	return e.TestTimeSec*0 + e.Throughput*0 + e.UniqueThroughput*0
+}
+
+// archModel is what scoring an architecture at any site count reads of
+// it under one normalized cost model: its channels and test length, the
+// throughput model's inputs, and pc^x for its contacted pins.
+type archModel struct {
+	arch     *tam.Architecture
+	channels int
+	cycles   int64
+	p        multisite.Params // Sites is set by each score
+	pd       float64          // multisite.DeviceContactYield(p.ContactYield, p.Pins)
+}
+
+// read points m at arch under cfg, reading arch's channels and test
+// length once for every site count. pc^x carries over from the
+// architecture m held before when the pin counts match.
+func (m *archModel) read(arch *tam.Architecture, cfg *Config) {
 	k := arch.Channels()
-	cycles := arch.TestCycles()
-	tm := cfg.ATE.SecondsFor(cycles)
-	p := multisite.Params{
-		Sites:        n,
-		Pins:         k + cfg.ControlPins,
+	pins := k + cfg.ControlPins
+	if m.arch == nil || pins != m.p.Pins {
+		m.pd = multisite.DeviceContactYield(cfg.ContactYield, pins)
+	}
+	m.arch, m.channels, m.cycles = arch, k, arch.TestCycles()
+	m.p = multisite.Params{
+		Pins:         pins,
 		IndexTime:    cfg.Probe.IndexTime,
 		ContactTime:  cfg.Probe.ContactTime,
-		TestTime:     tm,
+		TestTime:     cfg.ATE.SecondsFor(m.cycles),
 		ContactYield: cfg.ContactYield,
 		Yield:        cfg.Yield,
 		AbortOnFail:  cfg.AbortOnFail,
 		Retest:       cfg.Retest,
 	}
-	dth, du := p.Throughputs()
+}
+
+// at scores the architecture at n sites: the throughput model of
+// Section 4 (multisite.Params).
+func (m *archModel) at(n int) SiteEval {
+	m.p.Sites = n
+	dth, du := m.p.ThroughputsFrom(m.pd)
 	return SiteEval{
 		Sites:            n,
-		Channels:         k,
-		TestCycles:       cycles,
-		TestTimeSec:      tm,
+		Channels:         m.channels,
+		TestCycles:       m.cycles,
+		TestTimeSec:      m.p.TestTime,
 		Throughput:       dth,
 		UniqueThroughput: du,
 	}
@@ -311,7 +376,10 @@ func (cfg Config) evaluate(arch *tam.Architecture, n int) SiteEval {
 // EvaluateAt exposes the per-site-count evaluation for a fixed architecture
 // (used by the experiment harness for Fig. 7(b)-style sweeps).
 func (cfg Config) EvaluateAt(arch *tam.Architecture, n int) SiteEval {
-	return cfg.normalized().evaluate(arch, n)
+	cfg = cfg.normalized()
+	var m archModel
+	m.read(arch, &cfg)
+	return m.at(n)
 }
 
 // CurveGain returns the relative gain of the best throughput on curve over
@@ -333,6 +401,11 @@ func CurveGain(base, curve []SiteEval, maxN int) float64 {
 			}
 		}
 	}
+	return gainOf(best1, best2)
+}
+
+// gainOf is the relative gain of best2 over best1, 0 when best1 is 0.
+func gainOf(best1, best2 float64) float64 {
 	if best1 == 0 {
 		return 0
 	}

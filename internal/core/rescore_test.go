@@ -1,0 +1,201 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"multisite/internal/ate"
+	"multisite/internal/benchdata"
+)
+
+// sameEval reports whether two evaluations are bit-identical.
+func sameEval(a, b SiteEval) bool {
+	bits := math.Float64bits
+	return a.Sites == b.Sites && a.Channels == b.Channels && a.TestCycles == b.TestCycles &&
+		bits(a.TestTimeSec) == bits(b.TestTimeSec) &&
+		bits(a.Throughput) == bits(b.Throughput) &&
+		bits(a.UniqueThroughput) == bits(b.UniqueThroughput)
+}
+
+// checkCurve fails unless got matches want entry for entry, bit for bit.
+func checkCurve(t *testing.T, name, which string, got, want []SiteEval) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %s has %d entries, reference %d", name, which, len(got), len(want))
+	}
+	for i := range want {
+		if !sameEval(got[i], want[i]) {
+			t.Fatalf("%s: %s n=%d: %+v, reference %+v", name, which, i+1, got[i], want[i])
+		}
+	}
+}
+
+// rescoreYields are the contact yields and yields the cost models draw
+// from: 0 (which normalizes to 1), one at which pc^x and 1 − pm round to
+// 0 and 1, and ordinary ones.
+var rescoreYields = [...]float64{0, 1e-300, 0.5, 0.95, 0.999, 1}
+
+// seededCostModel draws a cost model for base's design: yields, abort,
+// re-test, control pins −1..40 (−1 is the default) and probe times; one
+// in eight runs the clock at 1e-320 Hz, which makes every test time +Inf
+// (and, with a yield of 1e-300, throughputs NaN).
+func seededCostModel(rng *rand.Rand, base Config) Config {
+	cfg := base
+	cfg.ContactYield = rescoreYields[rng.Intn(len(rescoreYields))]
+	cfg.Yield = rescoreYields[rng.Intn(len(rescoreYields))]
+	cfg.AbortOnFail = rng.Intn(2) == 1
+	cfg.Retest = rng.Intn(2) == 1
+	cfg.ControlPins = rng.Intn(42) - 1
+	cfg.Probe = ate.ProbeStation{IndexTime: rng.Float64(), ContactTime: rng.Float64() / 2}
+	if rng.Intn(8) == 0 {
+		cfg.ATE.ClockHz = 1e-320
+	}
+	return cfg
+}
+
+// checkBuild pins a design's own curves and best to buildResult's loop.
+func checkBuild(t *testing.T, name string, res *Result) {
+	t.Helper()
+	curve, step1Curve, best, bestArch := res.referenceBuild()
+	checkCurve(t, name, "Curve", res.Curve, curve)
+	checkCurve(t, name, "Step1Curve", res.Step1Curve, step1Curve)
+	if !sameEval(res.Best, best) || res.BestArch != bestArch {
+		t.Fatalf("%s: Best %+v (arch %p), reference %+v (arch %p)", name, res.Best, res.BestArch, best, bestArch)
+	}
+}
+
+// checkRescore pins Rescore under cfg to the reference loops, once with
+// nil curves and once with curves to fill, and ReEvaluate and EvaluateAt,
+// which score through the same code.
+func checkRescore(t *testing.T, name string, res *Result, cfg Config) {
+	t.Helper()
+	name = fmt.Sprintf("%s %+v", name, cfg)
+	wantCurve, wantBest := res.referenceReEvaluate(cfg)
+	wantStep1 := res.referenceStep1Curve(cfg)
+	wantGain := CurveGain(wantStep1, wantCurve, res.MaxSites)
+	wantFinite := referenceFinite(wantCurve, wantStep1, wantGain)
+	check := func(how string, best SiteEval, gain float64, finite bool) {
+		t.Helper()
+		if !sameEval(best, wantBest) {
+			t.Fatalf("%s: %s best %+v, reference %+v", name, how, best, wantBest)
+		}
+		if math.Float64bits(gain) != math.Float64bits(wantGain) {
+			t.Fatalf("%s: %s gain %v, reference %v", name, how, gain, wantGain)
+		}
+		if finite != wantFinite {
+			t.Fatalf("%s: %s finite %v, reference %v", name, how, finite, wantFinite)
+		}
+	}
+
+	best, gain, finite := res.Rescore(cfg, nil, nil)
+	check("nil curves", best, gain, finite)
+
+	curve := make([]SiteEval, res.MaxSites)
+	step1Curve := make([]SiteEval, res.MaxSites)
+	best, gain, finite = res.Rescore(cfg, curve, step1Curve)
+	check("filled curves", best, gain, finite)
+	checkCurve(t, name, "curve", curve, wantCurve)
+	checkCurve(t, name, "step1 curve", step1Curve, wantStep1)
+
+	curve, best = res.ReEvaluate(cfg)
+	checkCurve(t, name, "ReEvaluate curve", curve, wantCurve)
+	if !sameEval(best, wantBest) {
+		t.Fatalf("%s: ReEvaluate best %+v, reference %+v", name, best, wantBest)
+	}
+	for n := 1; n <= res.MaxSites; n++ {
+		if got := cfg.EvaluateAt(res.Step1, n); !sameEval(got, wantStep1[n-1]) {
+			t.Fatalf("%s: EvaluateAt(Step1, %d) %+v, reference %+v", name, n, got, wantStep1[n-1])
+		}
+	}
+}
+
+// TestRescoreMatchesReference pins the one-pass kernel bit for bit to the
+// per-site-count loops it replaced (reference_test.go): every built-in
+// chip at 128, 256 and 512 channels, five depths, broadcast off and on,
+// each design re-scored under its own cost model and eight seeded ones,
+// the degenerate corners included — yields whose pc^x underflows, zero
+// and perfect yields, and a clock at which every test time is +Inf and
+// throughputs turn 0 or NaN.
+func TestRescoreMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	designs, pairs := 0, 0
+	for _, chip := range benchdata.Names() {
+		s := benchdata.Shared(chip)
+		designed := 0
+		for _, channels := range []int{128, 256, 512} {
+			for _, depth := range []int64{64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20} {
+				for _, broadcast := range []bool{false, true} {
+					base := Config{
+						ATE:   ate.ATE{Channels: channels, Depth: depth, ClockHz: 5e6, Broadcast: broadcast},
+						Probe: ate.DefaultProbeStation(),
+					}
+					res, err := Optimize(s, base)
+					if err != nil {
+						continue // the chip does not fit this ATE
+					}
+					designed++
+					name := fmt.Sprintf("%s/%dch/%d/broadcast=%v", chip, channels, depth, broadcast)
+					checkBuild(t, name, res)
+					checkRescore(t, name, res, res.Config)
+					for range 8 {
+						checkRescore(t, name, res, seededCostModel(rng, base))
+					}
+					pairs += 9
+				}
+			}
+		}
+		if designed == 0 {
+			t.Errorf("%s: no ATE of the table hosts it; the chip is never checked", chip)
+		}
+		designs += designed
+	}
+	t.Logf("%d designs, %d (design, cost model) pairs bit-identical", designs, pairs)
+}
+
+// FuzzRescoreMatchesReference is TestRescoreMatchesReference over fuzzed
+// generated chips, ATEs and cost models. The yields, control pins and
+// probe times are taken as they come, out-of-range values included: the
+// kernel must match the reference on any input, not only on validated
+// ones.
+func FuzzRescoreMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint8(2), uint16(256), uint16(256), false, 0.999, 0.95, false, true, int8(-1), 0.5, 0.1, false)
+	f.Add(int64(7), uint8(12), uint8(3), uint16(512), uint16(128), true, 0.5, 1.0, true, true, int8(0), 0.0, 0.0, false)
+	f.Add(int64(42), uint8(4), uint8(0), uint16(128), uint16(64), false, 1e-300, 1e-300, true, false, int8(40), 0.2, 0.3, true)
+	f.Add(int64(3), uint8(10), uint8(1), uint16(384), uint16(512), true, 0.95, 0.5, false, false, int8(10), 1.0, 0.05, true)
+	f.Fuzz(func(t *testing.T, seed int64, logic, memory uint8, channels, depthK uint16, broadcast bool,
+		contactYield, yield float64, abort, retest bool, controlPins int8, indexTime, contactTime float64, slowClock bool) {
+		spec := benchdata.GenSpec{
+			Name:        "fuzz",
+			Seed:        seed,
+			LogicCores:  max(1, int(logic%15)),
+			MemoryCores: int(memory % 4),
+			TargetArea:  benchdata.Mi,
+		}
+		base := Config{
+			ATE: ate.ATE{
+				Channels:  max(2, int(channels%513)),
+				Depth:     max(1, int64(depthK%513)) * 1024,
+				ClockHz:   5e6,
+				Broadcast: broadcast,
+			},
+			Probe: ate.DefaultProbeStation(),
+		}
+		res, err := Optimize(benchdata.Generate(spec), base)
+		if err != nil {
+			return // infeasible: nothing to score
+		}
+		name := fmt.Sprintf("%+v %+v", spec, base.ATE)
+		checkBuild(t, name, res)
+		cfg := base
+		cfg.ContactYield, cfg.Yield = contactYield, yield
+		cfg.AbortOnFail, cfg.Retest = abort, retest
+		cfg.ControlPins = int(controlPins)
+		cfg.Probe = ate.ProbeStation{IndexTime: indexTime, ContactTime: contactTime}
+		if slowClock {
+			cfg.ATE.ClockHz = 1e-320
+		}
+		checkRescore(t, name, res, cfg)
+	})
+}

@@ -1,5 +1,5 @@
 // Package engine is the concurrent sweep harness of the repository: it
-// fans core.Optimize / core.Result.ReEvaluate jobs across a bounded worker
+// fans core.Optimize / core.Result.Rescore jobs across a bounded worker
 // pool and streams deterministic, order-stable results back to a reducer.
 //
 // The paper's two-step algorithm designs one SOC for one tester; a
@@ -16,7 +16,7 @@
 //     delivery are Ordered, which Map and the server's row streams share.
 //   - Memo caches the expensive Step 1+2 architecture design keyed on
 //     (solver backend, SOC, ATE, TAM options); jobs that differ only in
-//     cost-model fields re-score the cached design via Result.ReEvaluate,
+//     cost-model fields re-score the cached design via Result.Rescore,
 //     which is orders of magnitude cheaper than a fresh design.
 //   - Grid expands SOC × ATE × cost-model axes into a deterministic job
 //     list ordered so that design-key axes vary slowest, maximizing memo
@@ -184,11 +184,9 @@ func runJob(ctx context.Context, i int, j Job, memo *Memo) (r JobResult) {
 		return r
 	}
 	r.Design = design
-	r.Curve, r.Best = design.ReEvaluate(j.Config)
+	r.Curve = make([]core.SiteEval, design.MaxSites)
 	r.Step1Curve = make([]core.SiteEval, design.MaxSites)
-	for n := 1; n <= design.MaxSites; n++ {
-		r.Step1Curve[n-1] = j.Config.EvaluateAt(design.Step1, n)
-	}
+	r.Best, _, _ = design.Rescore(j.Config, r.Curve, r.Step1Curve)
 	return r
 }
 

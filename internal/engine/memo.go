@@ -26,7 +26,7 @@ const memoCapacity = 256
 // (SOC, ATE, TAM) must never alias (see TestMemoSolverDimension).
 // Cost-model fields (probe timing, yields, abort, re-test, control
 // pins) deliberately do not appear: they only affect scoring, which
-// Result.ReEvaluate recomputes per job.
+// Result.Rescore recomputes per job.
 type designKey struct {
 	soc    *soc.SOC
 	ate    ate.ATE
@@ -113,7 +113,7 @@ func designConfig(cfg core.Config) core.Config {
 // alias. An unknown solver name errors immediately and is never cached.
 //
 // The returned Result is shared: callers must treat it as read-only and
-// re-score it via ReEvaluate (the embedded Curve/Best reflect the
+// re-score it via Rescore (the embedded Curve/Best reflect the
 // canonical design-time cost model, not any particular job's). Sharing is
 // two-level: the Result is shared across jobs, and within it
 // Result.Arches shares one architecture snapshot across site counts whose

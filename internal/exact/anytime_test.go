@@ -167,3 +167,19 @@ func TestTighteningBoundMidSearch(t *testing.T) {
 		}
 	}
 }
+
+// TestCancelMidSearch cuts the exact search mid-search on any host: on
+// the adversarial chip the first improving solution cancels the context,
+// and the search, whose visit order is fixed, has far more than one
+// cancellation check's worth of partitions left to visit. It must notice
+// at its next check and return the context's error with no solution.
+func TestCancelMidSearch(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sol, err := exact.Solve(ctx, benchdata.Adversarial(), benchdata.AdversarialATE(), exact.Options{
+		OnImproving: func(*exact.Solution) { cancel() },
+	})
+	if !errors.Is(err, context.Canceled) || sol != nil {
+		t.Fatalf("Solve = %+v, %v; want no solution and context.Canceled", sol, err)
+	}
+}

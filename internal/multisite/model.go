@@ -135,9 +135,16 @@ func (p Params) UniqueThroughput() float64 {
 
 // Throughputs returns Throughput and UniqueThroughput from one evaluation
 // of the model: pc^x is computed once and feeds both P'c and the re-test
-// rate 1 − pc^x. core scores every site count of every curve with it.
+// rate 1 − pc^x.
 func (p Params) Throughputs() (dth, du float64) {
-	pd := DeviceContactYield(p.ContactYield, p.Pins)
+	return p.ThroughputsFrom(DeviceContactYield(p.ContactYield, p.Pins))
+}
+
+// ThroughputsFrom is Throughputs given pc^x, which must equal
+// DeviceContactYield(p.ContactYield, p.Pins). core scores every site count
+// of a design's curves with it, computing pc^x once per pin count rather
+// than once per site count.
+func (p Params) ThroughputsFrom(pd float64) (dth, du float64) {
 	dth = 3600 * float64(p.Sites) / (p.IndexTime + p.effectiveTestTime(anyOf(pd, p.Sites)))
 	if !p.Retest {
 		return dth, dth

@@ -182,6 +182,9 @@ func TestThroughputsMatchReference(t *testing.T) {
 										if bits(dth) != bits(wantD) || bits(du) != bits(wantU) {
 											t.Fatalf("%+v: Throughputs = (%v, %v), reference (%v, %v)", p, dth, du, wantD, wantU)
 										}
+										if dth, du := p.ThroughputsFrom(DeviceContactYield(pc, pins)); bits(dth) != bits(wantD) || bits(du) != bits(wantU) {
+											t.Fatalf("%+v: ThroughputsFrom = (%v, %v), reference (%v, %v)", p, dth, du, wantD, wantU)
+										}
 										if got := p.Throughput(); bits(got) != bits(wantD) {
 											t.Fatalf("%+v: Throughput = %v, reference %v", p, got, wantD)
 										}

@@ -61,7 +61,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -332,7 +331,8 @@ type cachedResult struct {
 
 // pendingRender is a deferred snapshot render, run at most once, by the
 // entry's first bytes call. Running it drops render, and with it the
-// design and curves, so a rendered entry keeps only its view and bytes.
+// design and the config, so a rendered entry keeps only its view and
+// bytes.
 type pendingRender struct {
 	once   sync.Once
 	render func() ([]byte, error) // nil once run
@@ -364,8 +364,8 @@ func (c *cachedResult) bytes() ([]byte, error) {
 // request is computing. No slot is held while waiting on a result-cache
 // entry another request is computing, or for a deferred render, which
 // runs in the first reader of the bytes.
-func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *soc.SOC, solver, key string, cfg core.Config) (cachedResult, bool, error) {
-	cfg = cfg.Normalized()
+func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *soc.SOC, solver, key string, scenario core.Config) (cachedResult, bool, error) {
+	cfg := scenario.Normalized()
 	if err := cfg.ATE.Validate(); err != nil {
 		return cachedResult{}, false, err
 	}
@@ -398,21 +398,17 @@ func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *s
 		if err != nil {
 			return cachedResult{}, false, err
 		}
-		curve, best := design.ReEvaluate(cfg)
-		step1Curve := make([]core.SiteEval, design.MaxSites)
-		for n := 1; n <= design.MaxSites; n++ {
-			step1Curve[n-1] = cfg.EvaluateAt(design.Step1, n)
-		}
+		// The view needs no curve, so none is kept: a render re-scores
+		// into fresh ones, and a deferred render holds only the design
+		// and the config until its first reader.
+		best, gain, finite := design.Rescore(cfg, nil, nil)
 		view := snapshotView{
 			Channels: design.Step1.Channels(),
 			MaxSites: design.MaxSites,
 			Best:     best,
-			Gain:     core.CurveGain(step1Curve, curve, design.MaxSites),
+			Gain:     gain,
 			Degraded: design.Degraded,
 			Optimal:  design.Optimal,
-		}
-		render := func() ([]byte, error) {
-			return design.SnapshotUnder(cfg, curve, step1Curve, best).MarshalBytes()
 		}
 		// A degraded design is served but never stored — in either tier:
 		// the design memo already refused it, and caching its bytes would
@@ -426,8 +422,8 @@ func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *s
 		// can produce (a vanishing clock_hz makes every test time +Inf),
 		// fails encoding: rendering now fails the compute with the
 		// encoder's error, uncached, so a deferred render never fails.
-		if store && (s.disk != nil || memo != s.memo) || !finite(curve, step1Curve, view.Gain) {
-			data, err := render()
+		if store && (s.disk != nil || memo != s.memo) || !finite {
+			data, err := renderSnapshot(design, cfg)
 			if err != nil {
 				return cachedResult{}, false, err
 			}
@@ -438,25 +434,20 @@ func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *s
 			}
 			return cachedResult{view: view, data: data}, store, nil
 		}
+		render := func() ([]byte, error) { return renderSnapshot(design, cfg) }
 		return cachedResult{view: view, pending: &pendingRender{render: render}}, store, nil
 	})
 }
 
-// finite reports whether a re-score's evaluations and gain hold no NaN or
-// ±Inf, which is whether its snapshot encodes: the snapshot's best point
-// is one of curve's, and its only other floats are its config's, which
-// arrive as JSON numbers.
-func finite(curve, step1Curve []core.SiteEval, gain float64) bool {
-	for _, evals := range [...][]core.SiteEval{curve, step1Curve} {
-		for _, e := range evals {
-			for _, f := range [...]float64{e.TestTimeSec, e.Throughput, e.UniqueThroughput} {
-				if math.IsNaN(f) || math.IsInf(f, 0) {
-					return false
-				}
-			}
-		}
-	}
-	return !math.IsNaN(gain) && !math.IsInf(gain, 0)
+// renderSnapshot re-scores design under cfg into fresh curves and
+// encodes the snapshot they make up. Encoding fails only on a NaN or
+// ±Inf, so only where Rescore reports a score not finite: the snapshot's
+// other floats are its config's, which arrive as JSON numbers.
+func renderSnapshot(design *core.Result, cfg core.Config) ([]byte, error) {
+	curve := make([]core.SiteEval, design.MaxSites)
+	step1Curve := make([]core.SiteEval, design.MaxSites)
+	best, _, _ := design.Rescore(cfg, curve, step1Curve)
+	return design.SnapshotUnder(cfg, curve, step1Curve, best).MarshalBytes()
 }
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -64,8 +65,9 @@ func checkView(t *testing.T, res cachedResult) {
 // TestCachedViewMatchesDecode pins that reading the view kept beside an
 // entry's bytes, instead of decoding them, cannot change a row byte or a
 // header. It covers every built-in chip under the heuristic and the
-// baseline, each re-scored under several cost models, plus a degraded and
-// a proven-optimal portfolio result.
+// baseline, each re-scored under several cost models, plus a
+// proven-optimal portfolio result and a degraded one, which a deadline
+// cuts from a server whose exact backend hangs.
 func TestCachedViewMatchesDecode(t *testing.T) {
 	s := New(Options{Breaker: lenientBreaker()})
 	indexTime := 0.3
@@ -90,8 +92,9 @@ func TestCachedViewMatchesDecode(t *testing.T) {
 	}
 	checkView(t, optimal)
 
+	hung, _ := chaosServer(t, "hang,repeat", Options{Breaker: lenientBreaker()})
 	text := soc.WriteString(benchdata.Adversarial())
-	degraded := computeEntry(t, s, ScenarioRequest{SOCText: text, Solver: "portfolio", Channels: 256, Depth: 16000},
+	degraded := computeEntry(t, hung, ScenarioRequest{SOCText: text, Solver: "portfolio", Channels: 256, Depth: 16000},
 		300*time.Millisecond)
 	if !degraded.view.Degraded || degraded.view.Optimal {
 		t.Fatalf("adversarial portfolio view %+v under 300ms, want degraded and not optimal", degraded.view)
@@ -136,11 +139,12 @@ func TestUnencodableResultFailsUncached(t *testing.T) {
 }
 
 // TestSweepAllocsPerRow pins the allocation cost of the sweep-stream row
-// path: every row misses the result cache and re-scores a design the memo
-// holds, and since rows read the entry's view, none renders a snapshot.
-// A row that renders one (the snapshot, its chip's hash, the architecture
-// texts and the encode) takes about 140 allocations; a row that reads
-// only the view, about 13.
+// path, in allocations and in bytes: every row misses the result cache and
+// re-scores a design the memo holds, and since rows read the entry's view,
+// none renders a snapshot. A row that renders one (the snapshot, its
+// chip's hash, the architecture texts and the encode) takes about 140
+// allocations. A row that reads only the view takes about 11 and 1.2 KB;
+// one that also scores and keeps both curves, about 13 and 6.8 KB.
 func TestSweepAllocsPerRow(t *testing.T) {
 	const (
 		runs = 10
@@ -187,19 +191,26 @@ func TestSweepAllocsPerRow(t *testing.T) {
 	}
 	_, designed := s.memo.Stats()
 	next := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	allocs := testing.AllocsPerRun(runs, func() {
 		run(ops[next])
 		next++
 	})
+	runtime.ReadMemStats(&after)
+	bytesPerRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(ops)*rows)
 	if failed != nil {
 		t.Fatalf("sweep row failed: %s", failed)
 	}
 	if _, after := s.memo.Stats(); after != designed {
 		t.Fatalf("memo designed %d times while timed; every row must hit it", after-designed)
 	}
-	t.Logf("%.0f allocs per sweep, %.1f per row", allocs, allocs/rows)
-	if perRow := allocs / rows; perRow > 25 {
-		t.Errorf("%.0f allocations per sweep, %.1f per row; want at most 25 per row", allocs, perRow)
+	t.Logf("%.0f allocs per sweep, %.1f and %.0f B per row", allocs, allocs/rows, bytesPerRow)
+	if perRow := allocs / rows; perRow > 14 {
+		t.Errorf("%.0f allocations per sweep, %.1f per row; want at most 14 per row", allocs, perRow)
+	}
+	if bytesPerRow > 2048 {
+		t.Errorf("%.0f B allocated per row; want at most 2048", bytesPerRow)
 	}
 }
 

@@ -51,10 +51,12 @@ func TestPortfolioOptimalWithoutDeadline(t *testing.T) {
 }
 
 // TestPortfolioDegradedOnDeadline is the graceful-degradation contract on
-// the crafted adversarial chip: the exact search needs ~0.37s, so a 250ms
-// deadline cuts it — and the portfolio returns the best feasible design
-// so far (at worst the heuristic's, at 250ms usually better) marked
-// Degraded, with a nil error, instead of surfacing the deadline.
+// the crafted adversarial chip: a deadline cuts the exact leg, and the
+// portfolio returns the best feasible design so far (at worst the
+// heuristic's) marked Degraded, with a nil error, instead of surfacing
+// the deadline. The exact leg hangs until the deadline, so the cut lands
+// first on any host; exact's own mid-search cancellation is
+// TestCancelMidSearch's (internal/exact).
 func TestPortfolioDegradedOnDeadline(t *testing.T) {
 	s := benchdata.Adversarial()
 	cfg := adversarialConfig()
@@ -62,9 +64,20 @@ func TestPortfolioDegradedOnDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan, err := faultinject.ParsePlan("hang,repeat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := solve.NewPortfolio(func(name string) (solve.Solver, error) {
+		sv, err := solve.Get(name)
+		if err != nil || name != "exact" {
+			return sv, err
+		}
+		return faultinject.Wrap(sv, plan), nil
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 	defer cancel()
-	res, err := solve.Solve(ctx, "portfolio", s, cfg)
+	res, err := p.Solve(ctx, s, cfg)
 	if err != nil {
 		t.Fatalf("portfolio under deadline: %v (want degraded result, not error)", err)
 	}

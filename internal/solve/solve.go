@@ -53,7 +53,7 @@ type Info struct {
 // the SOC's channel-group architecture for cfg.ATE and returns it evaluated
 // through the shared Step 2 pipeline (core.BuildResult), so Results from
 // different backends are interchangeable everywhere a core.Result flows:
-// ReEvaluate, snapshots, the engine memo, the serving layer.
+// Rescore, snapshots, the engine memo, the serving layer.
 //
 // Implementations must be stateless and safe for concurrent use, must
 // honor ctx (a cancelled Solve returns the context's error and no partial

@@ -146,15 +146,27 @@ func (a *Architecture) fillAt(g *Group, w int) int64 {
 }
 
 // Clone deep-copies the architecture. The SOC and Designer are shared
-// (both are read-only caches for architecture purposes).
+// (both are read-only caches for architecture purposes). The copy's
+// groups, members and times are three blocks, not three allocations per
+// group; each group's slices are capped at their length, so an append to
+// one group reallocates instead of writing into the next group's part.
 func (a *Architecture) Clone() *Architecture {
 	out := &Architecture{SOC: a.SOC, Designer: a.Designer, Depth: a.Depth}
+	n := 0
+	for _, g := range a.Groups {
+		n += len(g.Members)
+	}
+	groups := make([]Group, len(a.Groups))
+	members := make([]int, 0, n)
+	times := make([]int64, 0, n)
 	out.Groups = make([]*Group, len(a.Groups))
 	for i, g := range a.Groups {
-		ng := &Group{Width: g.Width, Fill: g.Fill}
-		ng.Members = append([]int(nil), g.Members...)
-		ng.Times = append([]int64(nil), g.Times...)
-		out.Groups[i] = ng
+		lo := len(members)
+		members = append(members, g.Members...)
+		times = append(times, g.Times...)
+		hi := len(members)
+		groups[i] = Group{Width: g.Width, Members: members[lo:hi:hi], Times: times[lo:hi:hi], Fill: g.Fill}
+		out.Groups[i] = &groups[i]
 	}
 	return out
 }
@@ -320,6 +332,12 @@ type chip struct {
 	// (the cap bounds the widths its key ranges over), so byArea builds
 	// it per portfolio pass.
 	byWidth, byTime []int
+	// tables and options are place's scratch, reused by every placement
+	// of every greedy run: one group's member time tables, and the
+	// options for a module that fits no group. They live here, not in
+	// the Architecture, so no design the caches keep pins them.
+	tables  [][]int64
+	options []placeOption
 }
 
 // prepare validates the inputs and builds the shared set-up.
@@ -437,7 +455,7 @@ func (c *chip) portfolio(opts Options) (*Architecture, error) {
 func (c *chip) designOnce(order []int, maxWires int, rule OptionRule, choice placeChoice) (*Architecture, error) {
 	a := &Architecture{SOC: c.soc, Designer: c.d, Depth: c.target.Depth}
 	for _, mi := range order {
-		if err := a.place(mi, c.wmin[mi], maxWires, rule, choice); err != nil {
+		if err := c.place(a, mi, maxWires, rule, choice); err != nil {
 			return nil, err
 		}
 	}
@@ -562,9 +580,19 @@ func (a *Architecture) moveOnce() bool {
 	return false
 }
 
-// place assigns one module, implementing the per-module step of Step 1.
-func (a *Architecture) place(mi, wmin, maxWires int, rule OptionRule, choice placeChoice) error {
+// placeOption is one way to place a module that fits no group as it is:
+// a new group, or an existing one widened.
+type placeOption struct {
+	group int // -1 for a new group
+	extra int // wires added
+	free  int64
+}
+
+// place assigns module mi to a, implementing the per-module step of
+// Step 1.
+func (c *chip) place(a *Architecture, mi, maxWires int, rule OptionRule, choice placeChoice) error {
 	tt := a.Designer.TimeTable(mi)
+	wmin := c.wmin[mi]
 	// First try existing groups without widening. The paper assigns to
 	// the group requiring the smallest vector memory depth (smallest
 	// added time); the best-fit variant instead minimizes the slack
@@ -594,26 +622,33 @@ func (a *Architecture) place(mi, wmin, maxWires int, rule OptionRule, choice pla
 	// the module (and the refitted members) fit.
 	used := a.Wires()
 	totalFree := a.FreeMemory()
-	type option struct {
-		group int // -1 for a new group
-		extra int // wires added
-		free  int64
-	}
-	candidates := make([]option, 0, len(a.Groups)+1)
+	candidates := c.options[:0]
 
 	if used+wmin <= maxWires {
 		newFill := atWidth(tt, wmin)
 		free := totalFree + int64(wmin)*(a.Depth-newFill)
-		candidates = append(candidates, option{group: -1, extra: wmin, free: free})
+		candidates = append(candidates, placeOption{group: -1, extra: wmin, free: free})
 	}
 	if maxE := maxWires - used; maxE >= 1 {
 		for gi, g := range a.Groups {
 			// The group's fill plus the module's time is non-increasing
 			// in width, so the minimal feasible extension is found by
-			// binary search over e in [1, maxE].
+			// binary search over e in [1, maxE]. Every probe widens the
+			// group (e ≥ 1), so its fill is the sum of its members' times
+			// there, as fillAt reads it; their tables are looked up once
+			// per group, not once per probe.
+			tables := c.tables[:0]
+			for _, m := range g.Members {
+				tables = append(tables, a.Designer.TimeTable(m))
+			}
+			c.tables = tables
 			extFill := func(e int) int64 {
 				w := g.Width + e
-				return a.fillAt(g, w) + atWidth(tt, w)
+				var fill int64
+				for _, t := range tables {
+					fill += atWidth(t, w)
+				}
+				return fill + atWidth(tt, w)
 			}
 			if extFill(maxE) > a.Depth {
 				continue // no feasible extension for this group
@@ -625,9 +660,10 @@ func (a *Architecture) place(mi, wmin, maxWires int, rule OptionRule, choice pla
 			fill := extFill(e)
 			free := totalFree - int64(g.Width)*(a.Depth-g.Fill) +
 				int64(w)*(a.Depth-fill)
-			candidates = append(candidates, option{group: gi, extra: e, free: free})
+			candidates = append(candidates, placeOption{group: gi, extra: e, free: free})
 		}
 	}
+	c.options = candidates
 	if len(candidates) == 0 {
 		return fmt.Errorf("soc %s cannot be tested on the target ATE: module %d needs more than the %d available wires",
 			a.SOC.Name, a.SOC.Modules[mi].ID, maxWires)
@@ -638,25 +674,25 @@ func (a *Architecture) place(mi, wmin, maxWires int, rule OptionRule, choice pla
 	case RuleAlwaysNewGroup:
 		// Prefer the new-group option when present; otherwise fall
 		// back to the cheapest widening.
-		for _, c := range candidates {
-			if c.group == -1 {
-				chosen = c
+		for _, o := range candidates {
+			if o.group == -1 {
+				chosen = o
 				break
 			}
 		}
 		if chosen.group != -1 {
-			for _, c := range candidates[1:] {
-				if c.extra < chosen.extra {
-					chosen = c
+			for _, o := range candidates[1:] {
+				if o.extra < chosen.extra {
+					chosen = o
 				}
 			}
 		}
 	case RulePreferWiden:
 		found := false
-		for _, c := range candidates {
-			if c.group >= 0 && (!found || c.extra < chosen.extra ||
-				(c.extra == chosen.extra && c.free > chosen.free)) {
-				chosen = c
+		for _, o := range candidates {
+			if o.group >= 0 && (!found || o.extra < chosen.extra ||
+				(o.extra == chosen.extra && o.free > chosen.free)) {
+				chosen = o
 				found = true
 			}
 		}
@@ -664,10 +700,10 @@ func (a *Architecture) place(mi, wmin, maxWires int, rule OptionRule, choice pla
 			chosen = candidates[0]
 		}
 	default: // RuleMaxFreeMemory, the paper's rule.
-		for _, c := range candidates[1:] {
-			if c.free > chosen.free ||
-				(c.free == chosen.free && c.extra < chosen.extra) {
-				chosen = c
+		for _, o := range candidates[1:] {
+			if o.free > chosen.free ||
+				(o.free == chosen.free && o.extra < chosen.extra) {
+				chosen = o
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package tam
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -198,6 +199,19 @@ func TestCloneIndependence(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Errorf("original corrupted by clone mutation: %v", err)
 	}
+
+	// A clone's groups keep their members and times in one block each:
+	// growing one group must not write into the next one's part.
+	if len(c.Groups) < 2 {
+		t.Fatalf("d695 designs %d groups; the check needs two", len(c.Groups))
+	}
+	members := slices.Clone(c.Groups[1].Members)
+	times := slices.Clone(c.Groups[1].Times)
+	c.Groups[0].addMember(-1, 7)
+	if !slices.Equal(c.Groups[1].Members, members) || !slices.Equal(c.Groups[1].Times, times) {
+		t.Errorf("appending to a clone's group 0 changed group 1: members %v times %v, want %v %v",
+			c.Groups[1].Members, c.Groups[1].Times, members, times)
+	}
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
@@ -368,9 +382,10 @@ func BenchmarkLocalMinimize(b *testing.B) {
 // TestStep1Allocs pins the allocations and bytes of one Step 1 design
 // with warm wrapper tables: the validation, minimum widths and module
 // orders are set up once per call and shared by the restart portfolio's
-// runs and every squeeze pass, and width searches sum member times
-// instead of building per-group fill tables, so the allocations left are
-// the runs' groups and candidate lists. p22810 at 256 channels and 1M
+// runs and every squeeze pass, width searches sum member times instead
+// of building per-group fill tables, and place's member tables and
+// options are scratch every run reuses, so the allocations left are the
+// runs' groups and their member lists. p22810 at 256 channels and 1M
 // depth takes two portfolio passes, twelve greedy runs.
 func TestStep1Allocs(t *testing.T) {
 	s := benchdata.Shared("p22810")
@@ -390,10 +405,10 @@ func TestStep1Allocs(t *testing.T) {
 	// AllocsPerRun calls the function once more as a warm-up.
 	kb := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) / 1024
 	t.Logf("%.0f allocations, %.1f KB per design", allocs, kb)
-	if allocs > 720 {
-		t.Errorf("%.0f allocations per Step 1 design; want at most 720", allocs)
+	if allocs > 640 {
+		t.Errorf("%.0f allocations per Step 1 design; want at most 640", allocs)
 	}
-	if kb > 48 {
-		t.Errorf("%.1f KB allocated per Step 1 design; want at most 48", kb)
+	if kb > 28 {
+		t.Errorf("%.1f KB allocated per Step 1 design; want at most 28", kb)
 	}
 }
