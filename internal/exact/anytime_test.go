@@ -172,14 +172,19 @@ func TestTighteningBoundMidSearch(t *testing.T) {
 // the adversarial chip the first improving solution cancels the context,
 // and the search, whose visit order is fixed, has far more than one
 // cancellation check's worth of partitions left to visit. It must notice
-// at its next check and return the context's error with no solution.
+// at its next check and return the context's error with no solution, and
+// it must hand no further solution to OnImproving after the cancel.
 func TestCancelMidSearch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	calls := 0
 	sol, err := exact.Solve(ctx, benchdata.Adversarial(), benchdata.AdversarialATE(), exact.Options{
-		OnImproving: func(*exact.Solution) { cancel() },
+		OnImproving: func(*exact.Solution) { calls++; cancel() },
 	})
 	if !errors.Is(err, context.Canceled) || sol != nil {
 		t.Fatalf("Solve = %+v, %v; want no solution and context.Canceled", sol, err)
+	}
+	if calls != 1 {
+		t.Errorf("OnImproving called %d times; want 1, the call that cancelled", calls)
 	}
 }

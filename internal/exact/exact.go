@@ -258,6 +258,13 @@ func (sv *solver) recurse(i int) {
 			(sol.Wires == sv.best.Wires && sol.TestCycles < sv.best.TestCycles) {
 			sv.best = sol
 			if sv.emit != nil {
+				// A caller that has gone must not receive designs: check
+				// the context before each emit, not only every
+				// cancelCheckInterval calls.
+				if err := sv.ctx.Err(); err != nil {
+					sv.err = err
+					return
+				}
 				sv.emit(sol)
 			}
 		}

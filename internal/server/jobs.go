@@ -295,16 +295,12 @@ func (s *Server) runJob(ctx context.Context, spec jobs.Spec, sink jobs.Sink) err
 		return sink.Emit(data)
 	}
 	sink.SetTotal(1)
-	res, _, err := s.computeSnapshot(ctx, s.memoFor(o), o.chip, o.solvers[0], o.key, o.cfg)
+	res, _, err := s.computeSnapshot(ctx, s.memoFor(o), o.chip, o.solvers[0], o.key, o.cfg, false)
 	if err != nil {
 		return err
 	}
 	if res.view.Degraded {
 		return errDegradedResult
 	}
-	data, err := res.bytes()
-	if err != nil {
-		return err
-	}
-	return sink.Emit(data)
+	return sink.Emit(res.data)
 }

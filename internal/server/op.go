@@ -264,13 +264,14 @@ func (s *Server) memoFor(o *op) *engine.Memo {
 }
 
 // outcome computes one scenario of o under solver and cfg through the
-// cache tiers and applies the failure policy. It returns the snapshot's
-// view, or rowErr: a failure the row reports in the view's place. Under
-// the durable policy a transient or cancelled compute, or a degraded
-// design, is fatal instead — it aborts the job attempt, since a durable
-// result must never embed a row a retry could improve.
+// cache tiers, as a row whose entry keeps only the view, and applies the
+// failure policy. It returns the snapshot's view, or rowErr: a failure
+// the row reports in the view's place. Under the durable policy a
+// transient or cancelled compute, or a degraded design, is fatal instead
+// — it aborts the job attempt, since a durable result must never embed a
+// row a retry could improve.
 func (s *Server) outcome(ctx context.Context, memo *engine.Memo, o *op, solver string, cfg core.Config, durable bool) (view snapshotView, rowErr, fatal error) {
-	res, _, err := s.computeSnapshot(ctx, memo, o.chip, solver, cachekey.Scenario(o.hash, solver, cfg), cfg)
+	res, _, err := s.computeSnapshot(ctx, memo, o.chip, solver, cachekey.Scenario(o.hash, solver, cfg), cfg, true)
 	switch {
 	case !durable:
 	case err != nil && (jobRetryable(err) || ctx.Err() != nil):

@@ -34,12 +34,12 @@
 // model), deduplicating concurrent identical requests singleflight-style:
 // a thundering herd of equal /v1/optimize calls runs exactly one
 // core.Optimize. Each entry holds the few fields rows and headers read,
-// so no hit decodes JSON, and the snapshot's response bytes, rendered at
-// most once: on the first /v1/optimize (or optimize job) that reads them,
-// or when the entry is computed if the disk tier needs the bytes or the
-// design came from an upload's memo. Sweep and compare rows never render.
-// Sweeps read and populate the same cache, so a sweep warms the
-// point-query path and vice versa.
+// so no hit decodes JSON. An optimize's entry (or an optimize job's) also
+// holds the snapshot's response bytes, rendered when it is computed. A
+// sweep or compare row's entry holds only those fields, under a key of
+// its own, and a row renders only for the disk tier's Put or to fail a
+// score JSON cannot encode. So a sweep warms the point-query path only
+// through the memo's designs and the disk tier, and vice versa.
 //
 // Each operation is defined once (op.go). Every compute body — a
 // synchronous request, a job submission or replay (jobs.go), a body the
@@ -152,7 +152,7 @@ type Options struct {
 type Server struct {
 	opts  Options
 	memo  *engine.Memo
-	cache *resultcache.Store[string, cachedResult]
+	cache *resultcache.Store[entryKey, cachedResult]
 	sem   chan struct{}
 
 	// disk is the persistent L2 behind the in-memory result cache, and
@@ -197,7 +197,7 @@ func New(opts Options) *Server {
 		opts:      opts,
 		fleet:     fl,
 		memo:      engine.NewMemo(),
-		cache:     resultcache.NewOf[string, cachedResult](resultcache.Options{Capacity: opts.CacheCapacity}),
+		cache:     resultcache.NewOf[entryKey, cachedResult](resultcache.Options{Capacity: opts.CacheCapacity}),
 		sem:       make(chan struct{}, opts.Concurrency),
 		requests:  make(map[string]*atomic.Int64),
 		durations: make(map[string]*histogram),
@@ -318,53 +318,33 @@ func (s *Server) requestCtx(r *http.Request, timeoutMS int) (context.Context, co
 	return context.WithCancel(r.Context())
 }
 
-// cachedResult is one result-cache entry: the view rows and headers read,
-// and the snapshot's response bytes. An entry rendered when it was
-// computed, or read from the disk tier, holds its bytes; one whose render
-// is deferred holds a pendingRender instead, so an entry only rows read
-// never encodes.
+// entryKey is a result-cache key: a scenario's cachekey.Scenario, and
+// whether the entry holds the snapshot's bytes. An optimize stores its
+// view and its bytes; a sweep or compare row stores only its view, under
+// its own key, so no row entry keeps bytes no request reads.
+type entryKey struct {
+	scenario string
+	bytes    bool
+}
+
+// cachedResult is one result-cache entry: the view rows and headers read
+// and, under a bytes key, the snapshot's response bytes. It holds no
+// design, config or closure.
 type cachedResult struct {
-	view    snapshotView
-	data    []byte
-	pending *pendingRender
-}
-
-// pendingRender is a deferred snapshot render, run at most once, by the
-// entry's first bytes call. Running it drops render, and with it the
-// design and the config, so a rendered entry keeps only its view and
-// bytes.
-type pendingRender struct {
-	once   sync.Once
-	render func() ([]byte, error) // nil once run
-	data   []byte
-	err    error
-}
-
-// bytes returns the entry's snapshot bytes, running a deferred render on
-// the first call; concurrent first calls share one render.
-func (c *cachedResult) bytes() ([]byte, error) {
-	p := c.pending
-	if p == nil {
-		return c.data, nil
-	}
-	p.once.Do(func() {
-		p.data, p.err = p.render()
-		p.render = nil
-	})
-	return p.data, p.err
+	view snapshotView
+	data []byte
 }
 
 // computeSnapshot produces the optimization snapshot for one scenario of
 // chip under the named backend (a canonical solver name), through both
 // cache tiers: resultcache entries first, then memo's design re-scored
 // under the scenario's cost model. key is the scenario's
-// cachekey.Scenario, which the caller derives once. A miss holds a
-// compute slot for the design, its re-score and any render at compute
-// time, including while DesignSolverCtx waits on a design another
-// request is computing. No slot is held while waiting on a result-cache
-// entry another request is computing, or for a deferred render, which
-// runs in the first reader of the bytes.
-func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *soc.SOC, solver, key string, scenario core.Config) (cachedResult, bool, error) {
+// cachekey.Scenario, which the caller derives once; row says the caller
+// reads only the view. A miss holds a compute slot for the design, its
+// re-score and any render, including while DesignSolverCtx waits on a
+// design another request is computing. No slot is held while waiting on
+// a result-cache entry another request is computing.
+func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *soc.SOC, solver, key string, scenario core.Config, row bool) (cachedResult, bool, error) {
 	cfg := scenario.Normalized()
 	if err := cfg.ATE.Validate(); err != nil {
 		return cachedResult{}, false, err
@@ -372,7 +352,7 @@ func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *s
 	if err := cfg.Probe.Validate(); err != nil {
 		return cachedResult{}, false, err
 	}
-	return s.cache.DoCond(ctx, key, func(ctx context.Context) (cachedResult, bool, error) {
+	return s.cache.DoCond(ctx, entryKey{key, !row}, func(ctx context.Context) (cachedResult, bool, error) {
 		// The disk tier is consulted inside the singleflight compute, so
 		// a thundering herd on a cold in-memory cache still reads the
 		// persisted bytes, and decodes their view, exactly once. Every
@@ -385,7 +365,10 @@ func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *s
 				var view snapshotView
 				err := json.Unmarshal(data, &view)
 				if err == nil {
-					return cachedResult{data: data, view: view}, true, nil
+					if row {
+						data = nil
+					}
+					return cachedResult{view: view, data: data}, true, nil
 				}
 				s.logf("disk cache entry %s is not a snapshot, recomputing: %v", key, err)
 			}
@@ -399,8 +382,7 @@ func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *s
 			return cachedResult{}, false, err
 		}
 		// The view needs no curve, so none is kept: a render re-scores
-		// into fresh ones, and a deferred render holds only the design
-		// and the config until its first reader.
+		// into fresh ones.
 		best, gain, finite := design.Rescore(cfg, nil, nil)
 		view := snapshotView{
 			Channels: design.Step1.Channels(),
@@ -415,27 +397,27 @@ func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *s
 		// pin a deadline-cut answer on a key that a later, uncut request
 		// would otherwise improve.
 		store := !design.Degraded
-		// The entry renders now, not on first read, in three cases. The
-		// disk tier's Put takes the bytes. An entry from an upload's
-		// request-scoped memo must not pin the chip and its wrapper tables
-		// once the request is gone. And a NaN or ±Inf, which client input
-		// can produce (a vanishing clock_hz makes every test time +Inf),
-		// fails encoding: rendering now fails the compute with the
-		// encoder's error, uncached, so a deferred render never fails.
-		if store && (s.disk != nil || memo != s.memo) || !finite {
-			data, err := renderSnapshot(design, cfg)
-			if err != nil {
-				return cachedResult{}, false, err
-			}
-			if store && s.disk != nil {
-				// Best-effort spill: a failed Put is counted and logged
-				// by the disk tier; the in-memory entry still serves.
-				s.disk.Put(key, data)
-			}
-			return cachedResult{view: view, data: data}, store, nil
+		spill := store && s.disk != nil
+		// A row renders in two cases only. The disk tier's Put takes the
+		// bytes. And a NaN or ±Inf, which client input can produce (a
+		// vanishing clock_hz makes every test time +Inf), fails encoding:
+		// rendering fails the compute with the encoder's error, uncached.
+		if row && finite && !spill {
+			return cachedResult{view: view}, store, nil
 		}
-		render := func() ([]byte, error) { return renderSnapshot(design, cfg) }
-		return cachedResult{view: view, pending: &pendingRender{render: render}}, store, nil
+		data, err := renderSnapshot(design, cfg)
+		if err != nil {
+			return cachedResult{}, false, err
+		}
+		if spill {
+			// Best-effort spill: a failed Put is counted and logged by
+			// the disk tier; the in-memory entry still serves.
+			s.disk.Put(key, data)
+		}
+		if row {
+			data = nil
+		}
+		return cachedResult{view: view, data: data}, store, nil
 	})
 }
 
@@ -461,11 +443,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.handleOptimizeAnytime(ctx, w, r, o)
 		return
 	}
-	res, cached, err := s.computeSnapshot(ctx, s.memoFor(o), o.chip, o.solvers[0], o.key, o.cfg)
-	var data []byte
-	if err == nil {
-		data, err = res.bytes()
-	}
+	res, cached, err := s.computeSnapshot(ctx, s.memoFor(o), o.chip, o.solvers[0], o.key, o.cfg, false)
 	if err != nil {
 		writeError(w, s.computeStatus(r, err), err)
 		return
@@ -482,7 +460,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if res.view.Optimal {
 		w.Header().Set("X-Optimal", "true")
 	}
-	w.Write(data)
+	w.Write(res.data)
 }
 
 // handleOptimizeAnytime streams one optimization as NDJSON AnytimeEvents:
@@ -598,9 +576,9 @@ func (s *Server) handleSolvers(w http.ResponseWriter, r *http.Request) {
 // handleCompare runs one scenario through N optimizer backends and
 // returns a side-by-side delta table — the paper's Table 3-style
 // heuristic-vs-exact-vs-baseline comparison as a single API call. Each
-// backend's snapshot goes through the same two cache tiers as
-// /v1/optimize (the solver is a cache-key dimension), so a comparison
-// warms the point-query path per backend and vice versa; backends run
+// backend's row goes through the same two cache tiers as /v1/optimize
+// (the solver is a cache-key dimension), under a row entry of its own
+// that holds no snapshot bytes (see computeSnapshot); backends run
 // concurrently on the engine pool, and one infeasible backend (the exact
 // solver on a too-large SOC) becomes an error row, not a failed request.
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
