@@ -172,7 +172,8 @@ func main() {
 	fmt.Printf("\nOptimal: n=%d sites, k=%d channels/site, Dth=%.0f devices/hour\n",
 		res.Best.Sites, res.Best.Channels, res.Best.Throughput)
 
-	w, err := rpct.Design(res.BestArch(), res.Best.Channels, 0)
+	bestArch := res.BestArch()
+	w, err := rpct.Design(bestArch, res.Best.Channels, 0)
 	if err != nil {
 		fatal(err)
 	}
@@ -183,14 +184,14 @@ func main() {
 
 	if *showArch {
 		fmt.Println()
-		fmt.Print(res.BestArch().String())
+		fmt.Print(bestArch.String())
 	}
 	if *saveArch != "" {
 		f, err := os.Create(*saveArch)
 		if err != nil {
 			fatal(err)
 		}
-		if err := res.BestArch().Write(f); err != nil {
+		if err := bestArch.Write(f); err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {

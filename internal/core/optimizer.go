@@ -18,6 +18,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"multisite/internal/ate"
 	"multisite/internal/multisite"
@@ -87,7 +88,12 @@ type SiteEval struct {
 	UniqueThroughput float64 `json:"unique_throughput"`
 }
 
-// Result is the outcome of the two-step optimization.
+// Result is the outcome of the two-step optimization. Step 2 hands the
+// channels freed at each site count to Step 1's groups and never
+// regroups modules, so a result keeps each distinct Step 2 architecture
+// as the widths of Step 1's groups plus the channel count and test
+// length scoring reads: Rescore scores the site counts without building
+// an architecture, and ArchAt builds the one at a site count on demand.
 type Result struct {
 	// SOC is the chip optimized for.
 	SOC *soc.SOC
@@ -98,21 +104,21 @@ type Result struct {
 	// MaxSites is nmax implied by Step 1's channel count.
 	MaxSites int
 	// Curve[i] is the Step 1+2 evaluation at n = i+1 sites (channels
-	// redistributed per site count).
+	// redistributed per site count), under Config.
 	Curve []SiteEval
 	// Step1Curve[i] evaluates n = i+1 sites with the Step 1
-	// architecture unchanged (the paper's dashed line in Fig. 5).
+	// architecture unchanged (the paper's dashed line in Fig. 5), under
+	// Config. Both curves are nil in a design engine.Memo returns:
+	// callers re-score it under their own cost model.
 	Step1Curve []SiteEval
 	// Best is the optimal evaluation: maximum throughput (unique
 	// throughput when re-testing).
 	Best SiteEval
 	// BestArch is the redistributed architecture at Best.Sites.
 	BestArch *tam.Architecture
-	// Arches[i] is the redistributed architecture at n = i+1 sites.
-	// Entries are shared: with Step1 where no redistribution was
-	// possible, and across site counts whose widening budgets produce
-	// the same architecture. Treat them as read-only.
-	Arches []*tam.Architecture
+	// step2 is the Step 2 architecture at every site count, in compact
+	// form; ArchAt builds one.
+	step2 step2Curve
 
 	// Degraded marks a best-effort result produced under failure — an
 	// anytime solve that hit its deadline, or a portfolio whose stronger
@@ -182,50 +188,87 @@ func buildResult(ctx context.Context, s *soc.SOC, cfg Config, step1 *tam.Archite
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	arches, err := step2Arches(ctx, cfg.ATE, step1, nmax)
+	step2, err := step2Arches(ctx, cfg.ATE, step1, nmax)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{SOC: s, Config: cfg, Step1: step1, MaxSites: nmax, Arches: arches}
+	res := &Result{SOC: s, Config: cfg, Step1: step1, MaxSites: nmax, step2: step2}
 	res.Curve = make([]SiteEval, nmax)
 	res.Step1Curve = make([]SiteEval, nmax)
 	res.Best, _, _ = res.Rescore(cfg, res.Curve, res.Step1Curve)
-	res.BestArch = arches[res.Best.Sites-1]
+	res.BestArch = res.ArchAt(res.Best.Sites)
 	return res, nil
+}
+
+// step2Curve is the Step 2 curve in compact form: one snapshot per
+// distinct Step 2 architecture, the width of each of Step 1's groups
+// plus the channel count and test length scoring reads.
+type step2Curve struct {
+	// at[n-1] is the index of the snapshot at n sites, or −1 where the
+	// architecture is Step 1's itself (no channel was freed).
+	at []int
+	// scores[i] is snapshot i's channel count and test length.
+	scores []step2Score
+	// widths holds the snapshots' group widths in Step 1's group order:
+	// snapshot i's are widths[i*g:(i+1)*g] for g groups.
+	widths []int
+}
+
+// step2Score is what scoring reads of one Step 2 architecture.
+type step2Score struct {
+	channels int
+	cycles   int64
+}
+
+// ArchAt returns the Step 1+2 architecture at n sites, for n from 1 to
+// MaxSites: Step1 itself where no channel was freed, otherwise a new
+// architecture, Step 1's groups refitted at the widths Step 2 gave them
+// at n. The caller owns a new architecture; Step1 is shared and
+// read-only.
+func (r *Result) ArchAt(n int) *tam.Architecture {
+	i := r.step2.at[n-1]
+	if i < 0 {
+		return r.Step1
+	}
+	g := len(r.Step1.Groups)
+	return r.Step1.WithWidths(r.step2.widths[i*g : (i+1)*g])
 }
 
 // step2Arches builds the Step 2 architecture per site count: at each n the
 // channels freed by giving up sites are redistributed over the remaining
-// sites by widening the maximally-filled channel group first. Arches[n-1]
-// is the architecture at n sites (shared with step1 where no redistribution
-// was possible).
+// sites by widening the maximally-filled channel group first.
 //
 // The widening budget grows monotonically as n decreases, and WidenOnce
 // is a deterministic, memoryless greedy — widening to budget b and then
 // continuing to b' > b lands in exactly the state widening to b' from
 // scratch would. The whole curve is therefore one widening sequence: a
 // single running architecture advances from each site count's budget to
-// the next and is snapshot-cloned per n, turning the curve from
+// the next and its widths are snapshot per n, turning the curve from
 // O(nmax·budget) widening moves into O(max budget). Site counts whose
 // budget adds no moves (equal budgets, or a saturated architecture) share
-// one snapshot. Cancellation is checked once per site count — the
-// widening work between checks is bounded by one site count's budget
-// growth.
-func step2Arches(ctx context.Context, target ate.ATE, step1 *tam.Architecture, nmax int) ([]*tam.Architecture, error) {
-	arches := make([]*tam.Architecture, nmax)
-	var running, snapshot *tam.Architecture
+// one snapshot. Every site count from the first with a positive budget
+// down to 1 has one, so blocks sized for that many hold the snapshots;
+// they are copied to their used length at the end, which keeps the
+// allocations of a curve fixed and what a kept design holds small.
+// Cancellation is checked once per site count — the widening work
+// between checks is bounded by one site count's budget growth.
+func step2Arches(ctx context.Context, target ate.ATE, step1 *tam.Architecture, nmax int) (step2Curve, error) {
+	c := step2Curve{at: make([]int, nmax)}
+	var running *tam.Architecture
 	applied, saturated := 0, false
 	for n := nmax; n >= 1; n-- {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return step2Curve{}, err
 		}
 		budget := target.MaxWiresPerSite(n) - step1.Wires()
 		if budget <= 0 {
-			arches[n-1] = step1
+			c.at[n-1] = -1
 			continue
 		}
 		if running == nil {
 			running = step1.Clone()
+			c.scores = make([]step2Score, 0, n)
+			c.widths = make([]int, 0, n*len(step1.Groups))
 		}
 		prev := applied
 		for applied < budget && !saturated {
@@ -235,12 +278,16 @@ func step2Arches(ctx context.Context, target ate.ATE, step1 *tam.Architecture, n
 				saturated = true
 			}
 		}
-		if snapshot == nil || applied != prev {
-			snapshot = running.Clone()
+		if len(c.scores) == 0 || applied != prev {
+			for _, g := range running.Groups {
+				c.widths = append(c.widths, g.Width)
+			}
+			c.scores = append(c.scores, step2Score{running.Channels(), running.TestCycles()})
 		}
-		arches[n-1] = snapshot
+		c.at[n-1] = len(c.scores) - 1
 	}
-	return arches, nil
+	c.scores, c.widths = slices.Clone(c.scores), slices.Clone(c.widths)
+	return c, nil
 }
 
 // ReEvaluate re-scores the already-designed per-site-count architectures
@@ -267,22 +314,23 @@ func (r *Result) ReEvaluate(cfg Config) ([]SiteEval, SiteEval) {
 //
 // One pass costs less than scoring each site count afresh: an
 // architecture's channels, test length and pc^x are read once, not once
-// per site count (site counts share Arches snapshots), and a site count
-// whose Step 2 architecture is Step1 itself is scored once for both
-// curves.
+// per site count (site counts share Step 2 snapshots, each of which
+// carries them), and a site count whose Step 2 architecture is Step1
+// itself is scored once for both curves. No architecture is built.
 func (r *Result) Rescore(cfg Config, curve, step1Curve []SiteEval) (best SiteEval, gain float64, finite bool) {
 	cfg = cfg.normalized()
 	var s1 archModel
-	s1.read(r.Step1, &cfg)
-	s2 := s1
+	s1.read(r.Step1.Channels(), r.Step1.TestCycles(), &cfg)
+	s2, read := s1, -1 // read is the snapshot s2 holds
 	best1, best2 := 0.0, 0.0
 	nonFinite := 0.0 // the sum of every evaluation's zeroOrNaN
 	for n := r.MaxSites; n >= 1; n-- {
 		e1 := s1.at(n)
 		e2 := e1
-		if arch := r.Arches[n-1]; arch != r.Step1 {
-			if arch != s2.arch {
-				s2.read(arch, &cfg)
+		if i := r.step2.at[n-1]; i >= 0 {
+			if i != read {
+				s2.read(r.step2.scores[i].channels, r.step2.scores[i].cycles, &cfg)
+				read = i
 			}
 			e2 = s2.at(n)
 			nonFinite += e2.zeroOrNaN()
@@ -329,23 +377,22 @@ func (e SiteEval) zeroOrNaN() float64 {
 // it under one normalized cost model: its channels and test length, the
 // throughput model's inputs, and pc^x for its contacted pins.
 type archModel struct {
-	arch     *tam.Architecture
 	channels int
 	cycles   int64
 	p        multisite.Params // Sites is set by each score
 	pd       float64          // multisite.DeviceContactYield(p.ContactYield, p.Pins)
 }
 
-// read points m at arch under cfg, reading arch's channels and test
-// length once for every site count. pc^x carries over from the
-// architecture m held before when the pin counts match.
-func (m *archModel) read(arch *tam.Architecture, cfg *Config) {
-	k := arch.Channels()
+// read points m at an architecture of k channels and a test length of
+// cycles under cfg, for every site count. pc^x carries over from the
+// architecture m held before when the pin counts match; a zero m holds
+// none.
+func (m *archModel) read(k int, cycles int64, cfg *Config) {
 	pins := k + cfg.ControlPins
-	if m.arch == nil || pins != m.p.Pins {
+	if m.channels == 0 || pins != m.p.Pins {
 		m.pd = multisite.DeviceContactYield(cfg.ContactYield, pins)
 	}
-	m.arch, m.channels, m.cycles = arch, k, arch.TestCycles()
+	m.channels, m.cycles = k, cycles
 	m.p = multisite.Params{
 		Pins:         pins,
 		IndexTime:    cfg.Probe.IndexTime,
@@ -378,7 +425,7 @@ func (m *archModel) at(n int) SiteEval {
 func (cfg Config) EvaluateAt(arch *tam.Architecture, n int) SiteEval {
 	cfg = cfg.normalized()
 	var m archModel
-	m.read(arch, &cfg)
+	m.read(arch.Channels(), arch.TestCycles(), &cfg)
 	return m.at(n)
 }
 

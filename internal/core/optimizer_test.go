@@ -252,11 +252,51 @@ func BenchmarkStep2Curve(b *testing.B) {
 	}
 }
 
+// TestStep2Allocs pins the allocations of one Step 2 curve: the running
+// architecture's clone (its struct, groups, group pointers, members and
+// times), the per-site-count indices, and two blocks each, sized up front
+// and then to their used length, for the snapshots' scores and their
+// widths, however many snapshots the curve keeps. BenchmarkStep2Curve's
+// pnx8550 design is widened for testers of 512 to 4,096 channels, whose
+// curves keep different numbers of snapshots.
+func TestStep2Allocs(t *testing.T) {
+	const blocks = 10
+	s := benchdata.Shared("pnx8550")
+	base := ate.ATE{Channels: 512, Depth: 7 * benchdata.Mi, ClockHz: 5e6}
+	step1, err := tam.DesignStep1(s, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshots := map[int]bool{}
+	for _, channels := range []int{512, 1024, 2048, 4096} {
+		target := base
+		target.Channels = channels
+		nmax := target.MaxSites(step1.Channels())
+		step2, err := step2Arches(context.Background(), target, step1, nmax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapshots[len(step2.scores)] = true
+		allocs := testing.AllocsPerRun(20, func() {
+			step2Arches(context.Background(), target, step1, nmax)
+		})
+		t.Logf("%d channels: %d sites, %d snapshots, %.0f allocations", channels, nmax, len(step2.scores), allocs)
+		if allocs != blocks {
+			t.Errorf("%d channels: %.0f allocations for %d snapshots; want %d", channels, allocs, len(step2.scores), blocks)
+		}
+	}
+	if len(snapshots) < 2 {
+		t.Fatalf("every tester keeps the same number of snapshots (%v); the bound is not shown to hold across counts", snapshots)
+	}
+}
+
 // TestStep2ArchesMatchCloneRewiden pins the incremental Step 2 curve (one
-// running widening sequence, snapshot-cloned per site count) against the
-// straightforward reference that clones step1 and re-widens from scratch
-// for every n, on seeded generated SOCs, and validates every architecture
-// on the curve.
+// running widening sequence, its widths snapshot per site count) against
+// the straightforward reference that clones step1 and re-widens from
+// scratch for every n, on seeded generated SOCs: the architecture ArchAt
+// builds from each snapshot, and the channels and test length the
+// snapshot keeps for scoring. Every architecture on the curve is
+// validated.
 func TestStep2ArchesMatchCloneRewiden(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		s := benchdata.Generate(benchdata.GenSpec{
@@ -276,10 +316,11 @@ func TestStep2ArchesMatchCloneRewiden(t *testing.T) {
 			if nmax < 1 {
 				continue
 			}
-			arches, err := step2Arches(context.Background(), target, step1, nmax)
+			step2, err := step2Arches(context.Background(), target, step1, nmax)
 			if err != nil {
 				t.Fatal(err)
 			}
+			res := &Result{Step1: step1, MaxSites: nmax, step2: step2}
 			for n := nmax; n >= 1; n-- {
 				naive := step1
 				if budget := target.MaxWiresPerSite(n) - step1.Wires(); budget > 0 {
@@ -288,12 +329,17 @@ func TestStep2ArchesMatchCloneRewiden(t *testing.T) {
 					}
 					naive = c
 				}
-				if got, want := arches[n-1].WriteString(), naive.WriteString(); got != want {
+				arch := res.ArchAt(n)
+				if got, want := arch.WriteString(), naive.WriteString(); got != want {
 					t.Errorf("seed %d broadcast %v n %d: incremental curve differs\ngot:\n%s\nwant:\n%s",
 						seed, bc, n, got, want)
 				}
-				if err := arches[n-1].Validate(); err != nil {
+				if err := arch.Validate(); err != nil {
 					t.Errorf("seed %d broadcast %v n %d: invalid curve architecture: %v", seed, bc, n, err)
+				}
+				if i := step2.at[n-1]; i >= 0 && step2.scores[i] != (step2Score{naive.Channels(), naive.TestCycles()}) {
+					t.Errorf("seed %d broadcast %v n %d: snapshot scores %+v; architecture has %d channels, %d cycles",
+						seed, bc, n, step2.scores[i], naive.Channels(), naive.TestCycles())
 				}
 			}
 		}

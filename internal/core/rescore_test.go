@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"multisite/internal/ate"
 	"multisite/internal/benchdata"
+	"multisite/internal/tam"
 )
 
 // sameEval reports whether two evaluations are bit-identical.
@@ -55,24 +57,55 @@ func seededCostModel(rng *rand.Rand, base Config) Config {
 	return cfg
 }
 
-// checkBuild pins a design's own curves and best to buildResult's loop.
-func checkBuild(t *testing.T, name string, res *Result) {
+// checkArch fails unless got is want: the same text (widths and
+// members), the same member times and fill in every group, and valid.
+func checkArch(t *testing.T, name string, got, want *tam.Architecture) {
 	t.Helper()
-	curve, step1Curve, best, bestArch := res.referenceBuild()
-	checkCurve(t, name, "Curve", res.Curve, curve)
-	checkCurve(t, name, "Step1Curve", res.Step1Curve, step1Curve)
-	if !sameEval(res.Best, best) || res.BestArch != bestArch {
-		t.Fatalf("%s: Best %+v (arch %p), reference %+v (arch %p)", name, res.Best, res.BestArch, best, bestArch)
+	if g, w := got.WriteString(), want.WriteString(); g != w {
+		t.Fatalf("%s: architecture\n%s\nreference\n%s", name, g, w)
+	}
+	for gi, g := range got.Groups {
+		w := want.Groups[gi]
+		if !slices.Equal(g.Times, w.Times) || g.Fill != w.Fill {
+			t.Fatalf("%s: group %d times %v fill %d, reference %v fill %d", name, gi, g.Times, g.Fill, w.Times, w.Fill)
+		}
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatalf("%s: invalid architecture: %v", name, err)
 	}
 }
 
-// checkRescore pins Rescore under cfg to the reference loops, once with
-// nil curves and once with curves to fill, and ReEvaluate and EvaluateAt,
-// which score through the same code.
-func checkRescore(t *testing.T, name string, res *Result, cfg Config) {
+// checkBuild pins a design's Step 2 architectures to the clone-per-budget
+// curve, and its own curves and best to buildResult's loop. It returns
+// the reference curve for checkRescore.
+func checkBuild(t *testing.T, name string, res *Result) []*tam.Architecture {
+	t.Helper()
+	arches := referenceStep2Arches(res.Config.ATE, res.Step1, res.MaxSites)
+	for n := 1; n <= res.MaxSites; n++ {
+		got := res.ArchAt(n)
+		if (got == res.Step1) != (arches[n-1] == res.Step1) {
+			t.Fatalf("%s: ArchAt(%d) is Step1: %v, reference: %v", name, n, got == res.Step1, arches[n-1] == res.Step1)
+		}
+		checkArch(t, fmt.Sprintf("%s: ArchAt(%d)", name, n), got, arches[n-1])
+	}
+	curve, step1Curve, best, bestArch := res.referenceBuild(arches)
+	checkCurve(t, name, "Curve", res.Curve, curve)
+	checkCurve(t, name, "Step1Curve", res.Step1Curve, step1Curve)
+	if !sameEval(res.Best, best) {
+		t.Fatalf("%s: Best %+v, reference %+v", name, res.Best, best)
+	}
+	checkArch(t, name+": BestArch", res.BestArch, bestArch)
+	return arches
+}
+
+// checkRescore pins Rescore under cfg to the reference loops over arches,
+// the reference Step 2 curve, once with nil curves and once with curves
+// to fill, and ReEvaluate and EvaluateAt, which score through the same
+// code.
+func checkRescore(t *testing.T, name string, res *Result, arches []*tam.Architecture, cfg Config) {
 	t.Helper()
 	name = fmt.Sprintf("%s %+v", name, cfg)
-	wantCurve, wantBest := res.referenceReEvaluate(cfg)
+	wantCurve, wantBest := res.referenceReEvaluate(arches, cfg)
 	wantStep1 := res.referenceStep1Curve(cfg)
 	wantGain := CurveGain(wantStep1, wantCurve, res.MaxSites)
 	wantFinite := referenceFinite(wantCurve, wantStep1, wantGain)
@@ -112,7 +145,8 @@ func checkRescore(t *testing.T, name string, res *Result, cfg Config) {
 }
 
 // TestRescoreMatchesReference pins the one-pass kernel bit for bit to the
-// per-site-count loops it replaced (reference_test.go): every built-in
+// per-site-count loops it replaced, and the Step 2 snapshots to the
+// clone-per-budget curve they replaced (reference_test.go): every built-in
 // chip at 128, 256 and 512 channels, five depths, broadcast off and on,
 // each design re-scored under its own cost model and eight seeded ones,
 // the degenerate corners included — yields whose pc^x underflows, zero
@@ -137,10 +171,10 @@ func TestRescoreMatchesReference(t *testing.T) {
 					}
 					designed++
 					name := fmt.Sprintf("%s/%dch/%d/broadcast=%v", chip, channels, depth, broadcast)
-					checkBuild(t, name, res)
-					checkRescore(t, name, res, res.Config)
+					arches := checkBuild(t, name, res)
+					checkRescore(t, name, res, arches, res.Config)
 					for range 8 {
-						checkRescore(t, name, res, seededCostModel(rng, base))
+						checkRescore(t, name, res, arches, seededCostModel(rng, base))
 					}
 					pairs += 9
 				}
@@ -187,7 +221,7 @@ func FuzzRescoreMatchesReference(f *testing.F) {
 			return // infeasible: nothing to score
 		}
 		name := fmt.Sprintf("%+v %+v", spec, base.ATE)
-		checkBuild(t, name, res)
+		arches := checkBuild(t, name, res)
 		cfg := base
 		cfg.ContactYield, cfg.Yield = contactYield, yield
 		cfg.AbortOnFail, cfg.Retest = abort, retest
@@ -196,6 +230,6 @@ func FuzzRescoreMatchesReference(f *testing.F) {
 		if slowClock {
 			cfg.ATE.ClockHz = 1e-320
 		}
-		checkRescore(t, name, res, cfg)
+		checkRescore(t, name, res, arches, cfg)
 	})
 }

@@ -1,7 +1,7 @@
 // Cacheable result serialization: a Snapshot is the self-contained,
 // JSON-stable capture of an optimization that the result cache stores and
 // the HTTP serving layer returns. Unlike Result — which holds live
-// pointers into the SOC and shared architecture snapshots — a Snapshot is
+// pointers into the SOC and its Step 1 architecture — a Snapshot is
 // pure data: curves, the best operating point, and the architectures in
 // their textual form (tam's serialization format, which round-trips via
 // tam.ParseArchitecture). Marshaling is deterministic: fixed field order,
@@ -54,8 +54,7 @@ func (r *Result) Snapshot() *Snapshot {
 // SnapshotUnder captures the result's architectures together with
 // evaluations re-scored under a different cost model (the curves and best
 // a Result.ReEvaluate / engine job produced for cfg). The best
-// architecture is resolved from best.Sites against the result's per-site
-// portfolio.
+// architecture is built at best.Sites (ArchAt).
 func (r *Result) SnapshotUnder(cfg Config, curve, step1Curve []SiteEval, best SiteEval) *Snapshot {
 	s := &Snapshot{
 		SOC:        r.SOC.Name,
@@ -71,8 +70,8 @@ func (r *Result) SnapshotUnder(cfg Config, curve, step1Curve []SiteEval, best Si
 		Degraded:   r.Degraded,
 		Optimal:    r.Optimal,
 	}
-	if best.Sites >= 1 && best.Sites <= len(r.Arches) {
-		s.BestArch = r.Arches[best.Sites-1].WriteString()
+	if best.Sites >= 1 && best.Sites <= r.MaxSites {
+		s.BestArch = r.ArchAt(best.Sites).WriteString()
 	}
 	return s
 }

@@ -64,10 +64,10 @@ type JobResult struct {
 	// Job echoes the job.
 	Job Job
 	// Design is the architecture portfolio for the job's design key
-	// (SOC, ATE, TAM). When a Memo is in use it is shared across jobs;
-	// its embedded Curve/Best reflect the design-time cost model, so use
-	// the JobResult fields below, which are always scored under
-	// Job.Config.
+	// (SOC, ATE, TAM), as the Memo keeps it: shared across jobs, and
+	// carrying no design-time curves (its Curve and Step1Curve are nil)
+	// and a Best under the design-time cost model. Use the JobResult
+	// fields below, which are always scored under Job.Config.
 	Design *core.Result
 	// Curve[i] evaluates n = i+1 sites with channels redistributed per
 	// site count, under Job.Config.
@@ -83,12 +83,13 @@ type JobResult struct {
 }
 
 // BestArch returns the redistributed architecture at Best.Sites, or nil
-// for a failed job.
+// for a failed job. It builds the architecture from the design's Step 2
+// snapshot on each call (core.Result.ArchAt).
 func (r *JobResult) BestArch() *tam.Architecture {
 	if r.Err != nil || r.Design == nil || r.Best.Sites == 0 {
 		return nil
 	}
-	return r.Design.Arches[r.Best.Sites-1]
+	return r.Design.ArchAt(r.Best.Sites)
 }
 
 // GainOverStep1 returns the job's Step 1+2 throughput gain over Step 1

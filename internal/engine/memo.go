@@ -112,13 +112,14 @@ func designConfig(cfg core.Config) core.Config {
 // canonical name, so two backends' designs for one (SOC, ATE, TAM) never
 // alias. An unknown solver name errors immediately and is never cached.
 //
-// The returned Result is shared: callers must treat it as read-only and
-// re-score it via Rescore (the embedded Curve/Best reflect the
-// canonical design-time cost model, not any particular job's). Sharing is
-// two-level: the Result is shared across jobs, and within it
-// Result.Arches shares one architecture snapshot across site counts whose
-// widening budgets coincide — both are safe because evaluation never
-// mutates an architecture.
+// The returned Result is shared across jobs: callers must treat it as
+// read-only and re-score it via Rescore (its Best reflects the canonical
+// design-time cost model, not any particular job's). It is a copy of the
+// backend's result without the design-time curves, Curve and Step1Curve,
+// which no caller reads: what the memo keeps of a design is its Step 1
+// architecture, its Step 2 snapshots (the widths of Step 1's groups per
+// distinct widening budget) and its best architecture. Rescore reads the
+// snapshots without building an architecture; Result.ArchAt builds one.
 //
 // A deterministic design error is memoized like a design. A cancellation
 // (it reflects the request's deadline), a transient backend failure (an
@@ -144,7 +145,9 @@ func (m *Memo) DesignSolverCtx(ctx context.Context, solver string, s *soc.SOC, c
 		case err != nil:
 			return outcome{err: err}, true, nil // deterministic: memoized
 		}
-		return outcome{res: res}, !res.Degraded, nil
+		kept := *res
+		kept.Curve, kept.Step1Curve = nil, nil
+		return outcome{res: &kept}, !res.Degraded, nil
 	})
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -50,6 +51,44 @@ func TestMemoSingleflight(t *testing.T) {
 	for i := 1; i < callers; i++ {
 		if results[i] != results[0] {
 			t.Errorf("caller %d got a different result instance", i)
+		}
+	}
+}
+
+// TestMemoKeepsNoCurves checks what the memo keeps of a design: no
+// design-time curves, yet re-scoring the kept design under a config
+// fills curves, a best and a best architecture equal to a fresh
+// core.Optimize under that config.
+func TestMemoKeepsNoCurves(t *testing.T) {
+	memo := NewMemo()
+	for _, chip := range []string{"d695", "p22810"} {
+		s := benchdata.Shared(chip)
+		cfg := memoConfig()
+		cfg.ATE.Depth = 1 << 20
+		cfg.ContactYield, cfg.Yield, cfg.Retest = 0.999, 0.9, true
+		design, err := memo.DesignSolverCtx(context.Background(), "", s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if design.Curve != nil || design.Step1Curve != nil {
+			t.Fatalf("%s: memoized design keeps curves of %d and %d entries", chip, len(design.Curve), len(design.Step1Curve))
+		}
+		fresh, err := core.Optimize(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		curve := make([]core.SiteEval, design.MaxSites)
+		step1Curve := make([]core.SiteEval, design.MaxSites)
+		best, _, _ := design.Rescore(cfg, curve, step1Curve)
+		if !slices.Equal(curve, fresh.Curve) || !slices.Equal(step1Curve, fresh.Step1Curve) {
+			t.Errorf("%s: re-scored curves differ from core.Optimize's:\n%+v\n%+v\nwant\n%+v\n%+v",
+				chip, curve, step1Curve, fresh.Curve, fresh.Step1Curve)
+		}
+		if best != fresh.Best {
+			t.Errorf("%s: re-scored best %+v, core.Optimize's %+v", chip, best, fresh.Best)
+		}
+		if got, want := design.ArchAt(best.Sites).WriteString(), fresh.BestArch.WriteString(); got != want {
+			t.Errorf("%s: best architecture\n%s\ncore.Optimize's\n%s", chip, got, want)
 		}
 	}
 }

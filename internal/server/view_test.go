@@ -140,7 +140,9 @@ func TestUnencodableResultFailsUncached(t *testing.T) {
 // chip's hash, the architecture texts and the encode) takes about 140
 // allocations. A row that stores only its view takes about 8.6 and 0.97
 // KB; under -race, up to 11.2 and 1.28 KB. One that also scores and keeps
-// both curves takes about 13 and 6.8 KB.
+// both curves takes about 13 and 6.8 KB. The race detector's own
+// allocations get bounds of their own, so a plain run's bounds stay
+// tight.
 func TestSweepAllocsPerRow(t *testing.T) {
 	const (
 		runs = 10
@@ -202,10 +204,14 @@ func TestSweepAllocsPerRow(t *testing.T) {
 		t.Fatalf("memo designed %d times while timed; every row must hit it", after-designed)
 	}
 	t.Logf("%.0f allocs per sweep, %.1f and %.0f B per row", allocs, allocs/rows, bytesPerRow)
-	if perRow := allocs / rows; perRow > 12 {
-		t.Errorf("%.0f allocations per sweep, %.1f per row; want at most 12 per row", allocs, perRow)
+	maxAllocs, maxBytes := 9.0, 1000.0
+	if raceEnabled {
+		maxAllocs, maxBytes = 12, 1408
 	}
-	if bytesPerRow > 1408 {
-		t.Errorf("%.0f B allocated per row; want at most 1408", bytesPerRow)
+	if perRow := allocs / rows; perRow > maxAllocs {
+		t.Errorf("%.0f allocations per sweep, %.1f per row; want at most %.0f per row", allocs, perRow, maxAllocs)
+	}
+	if bytesPerRow > maxBytes {
+		t.Errorf("%.0f B allocated per row; want at most %.0f", bytesPerRow, maxBytes)
 	}
 }

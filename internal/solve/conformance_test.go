@@ -84,12 +84,16 @@ func TestSolverConformance(t *testing.T) {
 				t.Errorf("step 1 channels %d exceed the ATE's %d", res.Step1.Channels(), cfg.ATE.Channels)
 			}
 			for n := 1; n <= res.MaxSites; n++ {
-				arch := res.Arches[n-1]
+				arch := res.ArchAt(n)
 				if err := arch.Validate(); err != nil {
 					t.Errorf("n=%d architecture invalid: %v", n, err)
 				}
 				if arch.TestCycles() > cfg.ATE.Depth {
 					t.Errorf("n=%d fill %d exceeds depth %d", n, arch.TestCycles(), cfg.ATE.Depth)
+				}
+				if e := res.Curve[n-1]; e.Channels != arch.Channels() || e.TestCycles != arch.TestCycles() {
+					t.Errorf("n=%d scored at %d channels and %d cycles, architecture has %d and %d",
+						n, e.Channels, e.TestCycles, arch.Channels(), arch.TestCycles())
 				}
 			}
 			if res.BestArch == nil || res.Best.Sites < 1 {

@@ -171,6 +171,19 @@ func (a *Architecture) Clone() *Architecture {
 	return out
 }
 
+// WithWidths returns a copy of a whose group i is widths[i] wires wide,
+// its member times and fill refitted at that width. Widening (WidenOnce)
+// changes only widths, so this rebuilds any architecture widening a
+// leads to from its widths alone.
+func (a *Architecture) WithWidths(widths []int) *Architecture {
+	out := a.Clone()
+	for i, g := range out.Groups {
+		g.Width = widths[i]
+		out.refit(g)
+	}
+	return out
+}
+
 // Validate checks the architecture: every testable module assigned exactly
 // once, group fills consistent and within depth.
 func (a *Architecture) Validate() error {
@@ -588,6 +601,20 @@ type placeOption struct {
 	free  int64
 }
 
+// noWiresError is place's failure: module mi fits no group, and no
+// option to place it fits within maxWires. The squeeze discards every
+// such failure and the portfolio keeps only its first, so the message is
+// formatted only when read.
+type noWiresError struct {
+	soc          *soc.SOC
+	mi, maxWires int
+}
+
+func (e *noWiresError) Error() string {
+	return fmt.Sprintf("soc %s cannot be tested on the target ATE: module %d needs more than the %d available wires",
+		e.soc.Name, e.soc.Modules[e.mi].ID, e.maxWires)
+}
+
 // place assigns module mi to a, implementing the per-module step of
 // Step 1.
 func (c *chip) place(a *Architecture, mi, maxWires int, rule OptionRule, choice placeChoice) error {
@@ -665,8 +692,7 @@ func (c *chip) place(a *Architecture, mi, maxWires int, rule OptionRule, choice 
 	}
 	c.options = candidates
 	if len(candidates) == 0 {
-		return fmt.Errorf("soc %s cannot be tested on the target ATE: module %d needs more than the %d available wires",
-			a.SOC.Name, a.SOC.Modules[mi].ID, maxWires)
+		return &noWiresError{soc: a.SOC, mi: mi, maxWires: maxWires}
 	}
 
 	chosen := candidates[0]
