@@ -18,6 +18,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 
 	"multisite/internal/ate"
@@ -317,41 +319,75 @@ func (r *Result) ReEvaluate(cfg Config) ([]SiteEval, SiteEval) {
 // per site count (site counts share Step 2 snapshots, each of which
 // carries them), and a site count whose Step 2 architecture is Step1
 // itself is scored once for both curves. No architecture is built.
+//
+// With both curves nil only the maxima and finiteness are read, so an
+// evaluation is skipped where its throughput ceiling (archModel.ceiling)
+// proves that it can raise neither the best nor either throughput
+// maximum, and that it is finite: most site counts need no power. A
+// snapshot is not even read while a ceiling that needs none of its
+// fields rules it out. Calls that fill a curve score every site count.
 func (r *Result) Rescore(cfg Config, curve, step1Curve []SiteEval) (best SiteEval, gain float64, finite bool) {
 	cfg = cfg.normalized()
 	var s1 archModel
 	s1.read(r.Step1.Channels(), r.Step1.TestCycles(), &cfg)
+	// prune holds where the ceilings are proven (archModel.bounded).
+	prune := curve == nil && step1Curve == nil && s1.bounded(&cfg)
+	// unread bounds a snapshot not read yet: its touchdown takes at least
+	// ti + tc, and its unique throughput is at most its throughput.
+	unread := archModel{floor: (cfg.Probe.IndexTime + cfg.Probe.ContactTime) * floorMargin}
 	s2, read := s1, -1 // read is the snapshot s2 holds
 	best1, best2 := 0.0, 0.0
 	nonFinite := 0.0 // the sum of every evaluation's zeroOrNaN
-	for n := r.MaxSites; n >= 1; n-- {
-		e1 := s1.at(n)
-		e2 := e1
-		if i := r.step2.at[n-1]; i >= 0 {
-			if i != read {
-				s2.read(r.step2.scores[i].channels, r.step2.scores[i].cycles, &cfg)
-				read = i
-			}
-			e2 = s2.at(n)
-			nonFinite += e2.zeroOrNaN()
-		}
-		nonFinite += e1.zeroOrNaN()
+	// keep takes the Step 1+2 evaluation at n: the first, at MaxSites, is
+	// the best so far; later ones only where they beat it.
+	keep := func(n int, e SiteEval) {
 		if curve != nil {
-			curve[n-1] = e2
+			curve[n-1] = e
 		}
-		if step1Curve != nil {
-			step1Curve[n-1] = e1
-		}
-		if n == r.MaxSites || e2.score(cfg.Retest) > best.score(cfg.Retest) {
-			best = e2
+		if n == r.MaxSites || e.score(cfg.Retest) > best.score(cfg.Retest) {
+			best = e
 		}
 		// CurveGain's running maxima: a NaN throughput never wins.
-		if e1.Throughput > best1 {
-			best1 = e1.Throughput
+		if e.Throughput > best2 {
+			best2 = e.Throughput
 		}
-		if e2.Throughput > best2 {
-			best2 = e2.Throughput
+	}
+	for n := r.MaxSites; n >= 1; n-- {
+		i := r.step2.at[n-1]
+		pruning := prune && n < r.MaxSites
+		bestScore := best.score(cfg.Retest)
+		// Step 1's architecture at n feeds best1 and, where Step 2 keeps
+		// it (i < 0), the Step 1+2 maxima as well.
+		if !pruning || s1.ceiling(n) > best1 ||
+			i < 0 && (s1.ceiling(n) > best2 || s1.scoreCeiling(n, cfg.Retest) > bestScore) {
+			e1 := s1.at(n)
+			nonFinite += e1.zeroOrNaN()
+			if step1Curve != nil {
+				step1Curve[n-1] = e1
+			}
+			if e1.Throughput > best1 {
+				best1 = e1.Throughput
+			}
+			if i < 0 {
+				keep(n, e1)
+			}
 		}
+		if i < 0 {
+			continue
+		}
+		if pruning && i != read && unread.ceiling(n) <= min(best2, bestScore) {
+			continue
+		}
+		if i != read {
+			s2.read(r.step2.scores[i].channels, r.step2.scores[i].cycles, &cfg)
+			read = i
+		}
+		if pruning && s2.ceiling(n) <= best2 && s2.scoreCeiling(n, cfg.Retest) <= bestScore {
+			continue
+		}
+		e2 := s2.at(n)
+		nonFinite += e2.zeroOrNaN()
+		keep(n, e2)
 	}
 	gain = gainOf(best1, best2)
 	return best, gain, nonFinite+gain*0 == 0
@@ -375,12 +411,14 @@ func (e SiteEval) zeroOrNaN() float64 {
 
 // archModel is what scoring an architecture at any site count reads of
 // it under one normalized cost model: its channels and test length, the
-// throughput model's inputs, and pc^x for its contacted pins.
+// throughput model's inputs, pc^x for its contacted pins, and a lower
+// bound on its touchdown time for the ceiling.
 type archModel struct {
 	channels int
 	cycles   int64
 	p        multisite.Params // Sites is set by each score
 	pd       float64          // multisite.DeviceContactYield(p.ContactYield, p.Pins)
+	floor    float64          // at most ti + t at every site count, once bounded holds
 }
 
 // read points m at an architecture of k channels and a test length of
@@ -403,6 +441,63 @@ func (m *archModel) read(k int, cycles int64, cfg *Config) {
 		AbortOnFail:  cfg.AbortOnFail,
 		Retest:       cfg.Retest,
 	}
+	// P'c and P'm are anyOf(q, n) = 1 − Pow(1 − q, n), which at n = 1 is
+	// 1 − (1 − q): Pow(x, 1) is x.
+	lo := 1 - (1 - m.pd)
+	if cfg.AbortOnFail {
+		lo *= 1 - (1 - cfg.Yield)
+	}
+	m.floor = (m.p.IndexTime + (m.p.ContactTime + lo*m.p.TestTime)) * floorMargin
+}
+
+// floorMargin scales every touchdown floor down by far more than the few
+// roundings by which two evaluations of one expression can differ where
+// Go fuses a multiply and an add into one FMA (arm64, ppc64, s390x).
+const floorMargin = 1 - 0x1p-40
+
+// bounded reports whether ceiling's argument holds for the Step 1
+// architecture m under cfg: yields in [0, 1] (NaN fails), and index,
+// contact and test times finite and non-negative. Step 2's test lengths
+// are at most Step 1's, so its snapshots' test times are too.
+//
+// The argument. The model's touchdown time is ti + (tc + P'c·P'm·tm),
+// P'm only under abort-on-fail, and floor is the same expression with
+// P'c and P'm at n = 1. For x = 1 − q in [0, 1] and an integer n ≥ 1,
+// Go's portable math.Pow multiplies repeated squares of x, each at most
+// x, so Pow(x, n) ≤ x and the computed P'(n) = 1 − Pow(x, n) is at least
+// the computed P'(1). Correctly rounded +, × and ÷ are monotone in each
+// operand, every operand here is non-negative, and a smaller P' can only
+// shrink the computed touchdown time: floor is at most the computed one
+// at every n, so 3600·n/floor is at least the computed throughput. The
+// unique throughput divides that by 1 + (1 − pc^x), at least 1. With
+// these inputs a finite ceiling also proves the evaluation finite: its
+// throughputs lie in [0, ceiling] and its test time is finite. s390x
+// runs an assembly math.Pow, so nothing is pruned there.
+func (m *archModel) bounded(cfg *Config) bool {
+	unit := func(q float64) bool { return q >= 0 && q <= 1 }
+	seconds := func(t float64) bool { return t >= 0 && t <= math.MaxFloat64 }
+	return runtime.GOARCH != "s390x" && unit(cfg.ContactYield) && unit(cfg.Yield) &&
+		seconds(m.p.IndexTime) && seconds(m.p.ContactTime) && seconds(m.p.TestTime)
+}
+
+// ceiling is an upper bound on the throughput m scores at n sites, once
+// bounded holds: 3600·n over the touchdown floor, +Inf where the floor
+// is not positive.
+func (m *archModel) ceiling(n int) float64 {
+	if m.floor > 0 {
+		return 3600 * float64(n) / m.floor
+	}
+	return math.Inf(1)
+}
+
+// scoreCeiling bounds the Step 2 objective m scores at n sites: the
+// unique throughput under re-test divides the throughput by the same
+// 1 + (1 − pc^x) the model does.
+func (m *archModel) scoreCeiling(n int, retest bool) float64 {
+	if retest {
+		return m.ceiling(n) / (1 + (1 - m.pd))
+	}
+	return m.ceiling(n)
 }
 
 // at scores the architecture at n sites: the throughput model of

@@ -9,6 +9,7 @@ import (
 
 	"multisite/internal/ate"
 	"multisite/internal/benchdata"
+	"multisite/internal/multisite"
 	"multisite/internal/tam"
 )
 
@@ -144,17 +145,67 @@ func checkRescore(t *testing.T, name string, res *Result, arches []*tam.Architec
 	}
 }
 
+// cornerCostModels are fixed cost models for base's design at the edges
+// of the argument that lets a curve-less Rescore skip evaluations
+// (archModel.bounded):
+//   - zero index and contact times, where the touchdown is all test time;
+//   - abort-on-fail with a yield of 1e-300, whose computed P'm is 0;
+//   - NaN, negative and above-1 contact yields and yields, and a
+//     negative index time, which must turn the skipping off;
+//   - where site counts 2 and 1 use two Step 2 snapshots, a contact
+//     yield whose pc^x is about 2⁻⁵³ at n = 2's pins, and more at Step
+//     1's, but below 2⁻⁵⁴ at n = 1's, so that P'c = 1 − (1 − pc^x)^n computes to 0
+//     at n = 1 although pc^x does not. The index time is tuned so that n
+//     = 1 is the best, by a hair; a ceiling that took P'c ≥ pc^x there
+//     would skip it. The second result reports whether the design has
+//     this case.
+func cornerCostModels(res *Result, base Config) ([]Config, bool) {
+	var cfgs []Config
+	add := func(f func(*Config)) {
+		cfg := base
+		f(&cfg)
+		cfgs = append(cfgs, cfg)
+	}
+	for _, retest := range []bool{false, true} {
+		add(func(c *Config) { c.Probe, c.ContactYield, c.Retest = ate.ProbeStation{}, 0.999, retest })
+		add(func(c *Config) { c.AbortOnFail, c.Yield, c.Retest = true, 1e-300, retest })
+		add(func(c *Config) { c.Probe, c.AbortOnFail, c.Yield, c.Retest = ate.ProbeStation{}, true, 1e-300, retest })
+	}
+	for _, bad := range []float64{math.NaN(), -0.5, 1.5} {
+		add(func(c *Config) { c.ContactYield = bad })
+		add(func(c *Config) { c.AbortOnFail, c.Yield = true, bad })
+	}
+	add(func(c *Config) { c.Probe.IndexTime = -1 })
+
+	cfg := base.normalized()
+	if res.MaxSites < 2 || res.step2.at[1] < 0 || res.step2.at[0] == res.step2.at[1] {
+		return cfgs, false
+	}
+	wide, narrow := res.step2.scores[res.step2.at[0]], res.step2.scores[res.step2.at[1]]
+	pins1, pins2 := wide.channels+cfg.ControlPins, narrow.channels+cfg.ControlPins
+	pc := math.Pow(2, -53/float64(pins2))
+	if multisite.PContactAny(pc, pins1, 1) != 0 || multisite.PContactAny(pc, pins2, 2) == 0 {
+		return cfgs, false
+	}
+	tm := cfg.ATE.SecondsFor(narrow.cycles)
+	add(func(c *Config) {
+		c.ContactYield = pc
+		c.Probe = ate.ProbeStation{IndexTime: multisite.PContactAny(pc, pins2, 2) * tm * (1 - 0x1p-10)}
+	})
+	return cfgs, true
+}
+
 // TestRescoreMatchesReference pins the one-pass kernel bit for bit to the
 // per-site-count loops it replaced, and the Step 2 snapshots to the
 // clone-per-budget curve they replaced (reference_test.go): every built-in
 // chip at 128, 256 and 512 channels, five depths, broadcast off and on,
-// each design re-scored under its own cost model and eight seeded ones,
-// the degenerate corners included — yields whose pc^x underflows, zero
-// and perfect yields, and a clock at which every test time is +Inf and
-// throughputs turn 0 or NaN.
+// each design re-scored under its own cost model, eight seeded ones and
+// the fixed corners of cornerCostModels, the degenerate corners included
+// — yields whose pc^x underflows, zero and perfect yields, and a clock at
+// which every test time is +Inf and throughputs turn 0 or NaN.
 func TestRescoreMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	designs, pairs := 0, 0
+	designs, pairs, tuned := 0, 0, 0
 	for _, chip := range benchdata.Names() {
 		s := benchdata.Shared(chip)
 		designed := 0
@@ -176,7 +227,14 @@ func TestRescoreMatchesReference(t *testing.T) {
 					for range 8 {
 						checkRescore(t, name, res, arches, seededCostModel(rng, base))
 					}
-					pairs += 9
+					corners, ok := cornerCostModels(res, base)
+					for _, cfg := range corners {
+						checkRescore(t, name, res, arches, cfg)
+					}
+					if ok {
+						tuned++
+					}
+					pairs += 9 + len(corners)
 				}
 			}
 		}
@@ -185,7 +243,10 @@ func TestRescoreMatchesReference(t *testing.T) {
 		}
 		designs += designed
 	}
-	t.Logf("%d designs, %d (design, cost model) pairs bit-identical", designs, pairs)
+	if tuned == 0 {
+		t.Error("no design has two Step 2 snapshots at n = 1 and 2 whose pc^x straddle 2⁻⁵⁴")
+	}
+	t.Logf("%d designs, %d (design, cost model) pairs bit-identical, %d with a tuned 2⁻⁵³ contact yield", designs, pairs, tuned)
 }
 
 // FuzzRescoreMatchesReference is TestRescoreMatchesReference over fuzzed
@@ -198,6 +259,18 @@ func FuzzRescoreMatchesReference(f *testing.F) {
 	f.Add(int64(7), uint8(12), uint8(3), uint16(512), uint16(128), true, 0.5, 1.0, true, true, int8(0), 0.0, 0.0, false)
 	f.Add(int64(42), uint8(4), uint8(0), uint16(128), uint16(64), false, 1e-300, 1e-300, true, false, int8(40), 0.2, 0.3, true)
 	f.Add(int64(3), uint8(10), uint8(1), uint16(384), uint16(512), true, 0.95, 0.5, false, false, int8(10), 1.0, 0.05, true)
+	// cornerCostModels' corners: zero index and contact times; a contact
+	// yield whose pc^x is about 2⁻⁵³ at n = 2 but computes P'c = 0 at
+	// n = 1, with the index time it tunes for this chip; abort-on-fail at
+	// a yield of 1e-300; NaN, negative and above-1 yields.
+	f.Add(int64(1), uint8(8), uint8(2), uint16(256), uint16(256), false, 0.999, 0.95, false, true, int8(-1), 0.0, 0.0, false)
+	f.Add(int64(1), uint8(8), uint8(2), uint16(128), uint16(256), false, 0.5632608093041209, 1.0, false, false, int8(0), 2.679191373963774e-18, 0.0, false)
+	f.Add(int64(1), uint8(8), uint8(2), uint16(256), uint16(256), false, 0.999, 1e-300, true, true, int8(-1), 0.0, 0.0, false)
+	f.Add(int64(1), uint8(8), uint8(2), uint16(256), uint16(256), false, 0.999, 1e-300, true, false, int8(-1), 0.65, 0.1, false)
+	for _, bad := range []float64{math.NaN(), -0.5, 1.5} {
+		f.Add(int64(1), uint8(8), uint8(2), uint16(256), uint16(256), false, bad, 0.95, false, true, int8(-1), 0.65, 0.1, false)
+		f.Add(int64(1), uint8(8), uint8(2), uint16(256), uint16(256), false, 0.999, bad, true, false, int8(-1), 0.65, 0.1, false)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, logic, memory uint8, channels, depthK uint16, broadcast bool,
 		contactYield, yield float64, abort, retest bool, controlPins int8, indexTime, contactTime float64, slowClock bool) {
 		spec := benchdata.GenSpec{
@@ -232,4 +305,48 @@ func FuzzRescoreMatchesReference(f *testing.F) {
 		}
 		checkRescore(t, name, res, arches, cfg)
 	})
+}
+
+// BenchmarkRescoreRow times the re-score behind one served sweep row:
+// Rescore with nil curves, as every sweep and compare row calls it, over
+// sweep-stream's four chips at 256 channels (three depths each, within
+// the workload's ranges) and its contact yields below 1, re-test off and
+// on. Each iteration re-scores the next (design, cost model) pair.
+func BenchmarkRescoreRow(b *testing.B) {
+	chips := []struct {
+		name   string
+		depths []int64
+	}{
+		{"d695", []int64{64 << 10, 256 << 10, 1 << 20}},
+		{"p22810", []int64{1 << 20, 4 << 20, 12 << 20}},
+		{"p34392", []int64{2 << 20, 6 << 20, 12 << 20}},
+		{"p93791", []int64{2 << 20, 6 << 20, 12 << 20}},
+	}
+	var designs []*Result
+	for _, c := range chips {
+		for _, depth := range c.depths {
+			res, err := Optimize(benchdata.Shared(c.name), Config{
+				ATE:   ate.ATE{Channels: 256, Depth: depth, ClockHz: 5e6},
+				Probe: ate.DefaultProbeStation(),
+			})
+			if err != nil {
+				b.Fatalf("%s at %d: %v", c.name, depth, err)
+			}
+			designs = append(designs, res)
+		}
+	}
+	var cfgs []Config
+	for _, pc := range []float64{0.9995, 0.999, 0.998, 0.995, 0.99, 0.98, 0.95} {
+		for _, retest := range []bool{false, true} {
+			cfg := designs[0].Config
+			cfg.ContactYield, cfg.Retest = pc, retest
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		designs[i%len(designs)].Rescore(cfgs[i/len(designs)%len(cfgs)], nil, nil)
+		i++
+	}
 }

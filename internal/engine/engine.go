@@ -147,7 +147,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]JobResult, error) {
 	}
 	err := Ordered(ctx, len(jobs), opts.Workers, func(ctx context.Context, i int) (JobResult, error) {
 		return runJob(ctx, i, jobs[i], memo), nil
-	}, func(i int, r JobResult, err error) error {
+	}, func(i int, r JobResult, err error, _ bool) error {
 		if err != nil { // runJob panicked
 			r = JobResult{Index: i, Job: jobs[i], Err: err}
 		}
@@ -200,7 +200,7 @@ func runJob(ctx context.Context, i int, j Job, memo *Memo) (r JobResult) {
 func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	var first error
-	err := Ordered(ctx, n, workers, fn, func(i int, v T, err error) error {
+	err := Ordered(ctx, n, workers, fn, func(i int, v T, err error, _ bool) error {
 		out[i] = v
 		if first == nil {
 			first = err
@@ -217,12 +217,18 @@ func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context
 // hands each outcome to emit in index order, as soon as every lower index
 // has been emitted — the gap-closing delivery a streamed sweep needs,
 // whichever worker finishes first. emit runs one call at a time, on a
-// worker goroutine; a panicking fn reaches it as an error. The first
-// error emit returns stops further emits, cancels the indices not yet
-// started, and is returned. A cancelled context stops the pool from
-// starting indices: started ones are still emitted, the unstarted suffix
-// never is, and Ordered returns the context's error.
-func Ordered[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error), emit func(i int, v T, err error) error) error {
+// worker goroutine; a panicking fn reaches it as an error. Its ready
+// argument reports whether index i+1 was already done when emit was
+// called, so that, unless emit fails, the next call follows at once; it
+// is false for the last index and whenever i+1 is still computing. A
+// stream writer flushes only where ready is false: a burst of finished
+// indices then leaves in one write, and no emitted index waits on one
+// that is not done. The first error emit returns stops further emits,
+// cancels the indices not yet started, and is returned. A cancelled
+// context stops the pool from starting indices: started ones are still
+// emitted, the unstarted suffix never is, and Ordered returns the
+// context's error.
+func Ordered[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error), emit func(i int, v T, err error, ready bool) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -263,8 +269,9 @@ func Ordered[T any](ctx context.Context, n, workers int, fn func(ctx context.Con
 			var zero T
 			vals[j] = zero // emitted: let the value go
 			next++
+			ready := next < n && done[next]
 			mu.Unlock()
-			err = emit(j, v, err)
+			err = emit(j, v, err, ready)
 			mu.Lock()
 			if err != nil {
 				emitErr = err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -356,7 +357,7 @@ func TestOrderedEmitOrder(t *testing.T) {
 		err := Ordered(context.Background(), n, workers, func(_ context.Context, i int) (int, error) {
 			time.Sleep(delays[i])
 			return i * i, nil
-		}, func(i, v int, err error) error {
+		}, func(i, v int, err error, _ bool) error {
 			if err != nil || v != i*i {
 				t.Errorf("workers=%d: emit(%d, %d, %v)", workers, i, v, err)
 			}
@@ -397,7 +398,7 @@ func TestOrderedEmitErrorStops(t *testing.T) {
 			t.Errorf("index %d was never cancelled", i)
 			return i, nil
 		}
-	}, func(i, _ int, _ error) error {
+	}, func(i, _ int, _ error, _ bool) error {
 		emitted = append(emitted, i)
 		if i == stop {
 			return fmt.Errorf("emit %d: %w", i, boom)
@@ -424,7 +425,7 @@ func TestOrderedPanicReachesEmit(t *testing.T) {
 			panic("kaboom")
 		}
 		return i, nil
-	}, func(i, _ int, err error) error {
+	}, func(i, _ int, err error, _ bool) error {
 		errs = append(errs, err)
 		return nil
 	})
@@ -464,7 +465,7 @@ func TestOrderedCancelledContext(t *testing.T) {
 				<-ctx.Done()
 			}
 			return i, nil
-		}, func(i, _ int, _ error) error {
+		}, func(i, _ int, _ error, _ bool) error {
 			emitted = append(emitted, i)
 			if i == cancelAt {
 				cancel()
@@ -490,11 +491,71 @@ func TestOrderedCancelledContext(t *testing.T) {
 	err := Ordered(ctx, n, 4, func(_ context.Context, i int) (int, error) {
 		t.Errorf("index %d started under a cancelled context", i)
 		return i, nil
-	}, func(int, int, error) error {
+	}, func(int, int, error, bool) error {
 		calls++
 		return nil
 	})
 	if !errors.Is(err, context.Canceled) || calls != 0 {
 		t.Errorf("pre-cancelled: err = %v, %d emits; want context.Canceled and none", err, calls)
+	}
+}
+
+// TestOrderedReadyFlag: emit's ready flag is true exactly when the next
+// index is already done. Index 0 waits until 1 and 2 are done and 3 and 4
+// have started, then 3 finishes before 4: the emits see 1 and 2 done, 3
+// computing, 4 computing, and no index after 4. With one worker no index
+// starts before the one before it is emitted, so ready is never true.
+func TestOrderedReadyFlag(t *testing.T) {
+	const n = 5
+	var (
+		release   [n]chan struct{}
+		started34 sync.WaitGroup
+	)
+	for _, i := range []int{0, 3, 4} {
+		release[i] = make(chan struct{})
+	}
+	started34.Add(2)
+	var got []bool
+	done := make(chan error)
+	go func() {
+		done <- Ordered(context.Background(), n, 3, func(_ context.Context, i int) (int, error) {
+			if i >= 3 {
+				started34.Done()
+			}
+			if release[i] != nil {
+				<-release[i]
+			}
+			return i, nil
+		}, func(i, _ int, _ error, ready bool) error {
+			got = append(got, ready)
+			if i == 2 {
+				close(release[3]) // 4 is still computing
+			}
+			if i == 3 {
+				close(release[4])
+			}
+			return nil
+		})
+	}()
+	// A worker takes 3 or 4 only after delivering the index it held, and
+	// 0 holds the third worker: once both started, 1 and 2 are done.
+	started34.Wait()
+	close(release[0])
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if want := []bool{true, true, false, false, false}; !slices.Equal(got, want) {
+		t.Errorf("ready flags %v, want %v", got, want)
+	}
+
+	got = nil
+	err := Ordered(context.Background(), n, 1, func(_ context.Context, i int) (int, error) {
+		return i, nil
+	}, func(_, _ int, _ error, ready bool) error {
+		got = append(got, ready)
+		return nil
+	})
+	if err != nil || slices.Contains(got, true) || len(got) != n {
+		t.Errorf("one worker: ready flags %v, %v; want %d false", got, err, n)
 	}
 }

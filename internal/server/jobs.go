@@ -281,7 +281,7 @@ func (s *Server) runJob(ctx context.Context, spec jobs.Spec, sink jobs.Sink) err
 	switch o.typ {
 	case jobs.TypeSweep:
 		sink.SetTotal(len(o.points))
-		return s.sweep(ctx, o, true, sink.Emit)
+		return s.sweep(ctx, o, true, func(row []byte, _ bool) error { return sink.Emit(row) })
 	case jobs.TypeCompare:
 		sink.SetTotal(1)
 		resp, err := s.compare(ctx, o, true)

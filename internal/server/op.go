@@ -283,11 +283,13 @@ func (s *Server) outcome(ctx context.Context, memo *engine.Memo, o *op, solver s
 }
 
 // sweep computes o's grid rows on the engine pool and emits their NDJSON
-// bytes in grid order, whichever row finishes first. Under the durable
-// policy the first fatal row (see outcome) or emit error stops it and is
-// returned; the synchronous policy never stops early, and a panicking row
-// becomes an error row, never a hole in the stream.
-func (s *Server) sweep(ctx context.Context, o *op, durable bool, emit func(row []byte) error) error {
+// bytes in grid order, whichever row finishes first, each with
+// engine.Ordered's ready flag: whether the next row is already done.
+// Under the durable policy the first fatal row (see outcome) or emit
+// error stops it and is returned; the synchronous policy never stops
+// early, and a panicking row becomes an error row, never a hole in the
+// stream.
+func (s *Server) sweep(ctx context.Context, o *op, durable bool, emit func(row []byte, ready bool) error) error {
 	memo, solver := s.memoFor(o), o.solvers[0]
 	return engine.Ordered(ctx, len(o.points), s.opts.Workers, func(ctx context.Context, i int) ([]byte, error) {
 		p := o.points[i]
@@ -302,14 +304,14 @@ func (s *Server) sweep(ctx context.Context, o *op, durable bool, emit func(row [
 			row = rowFromSnapshot(i, p.Name, &view)
 		}
 		return json.Marshal(row)
-	}, func(i int, row []byte, err error) error {
+	}, func(i int, row []byte, err error, ready bool) error {
 		if err != nil && !durable {
 			row, err = json.Marshal(SweepRow{Index: i, Name: o.points[i].Name, Error: err.Error()})
 		}
 		if err != nil {
 			return err
 		}
-		return emit(row)
+		return emit(row, ready)
 	})
 }
 
@@ -333,7 +335,7 @@ func (s *Server) compare(ctx context.Context, o *op, durable bool) (*CompareResp
 			fillCompareRow(&row, &view)
 		}
 		return row, nil
-	}, func(i int, row CompareRow, err error) error {
+	}, func(i int, row CompareRow, err error, _ bool) error {
 		if err != nil && !durable {
 			row, err = CompareRow{Solver: o.solvers[i], Error: err.Error()}, nil
 		}

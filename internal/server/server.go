@@ -48,7 +48,9 @@
 // engine.Ordered, the one ordered-delivery primitive, under a failure
 // policy the caller picks: the synchronous endpoints embed failures as
 // error rows, the job runner aborts the attempt on anything a retry could
-// improve.
+// improve. A sweep's NDJSON stream is flushed after a row only when the
+// next row is not done yet, so a burst of finished rows leaves in one
+// write and no row waits in the buffer on one still computing.
 //
 // Compute is bounded by a server-wide concurrency budget (Options.
 // Concurrency) layered under the per-sweep engine worker pool, and every
@@ -533,6 +535,12 @@ func (s *Server) handleOptimizeAnytime(ctx context.Context, w http.ResponseWrite
 	})
 }
 
+// handleSweep streams a sweep's rows as NDJSON in grid order. It flushes
+// after a row only when the next row is not done yet (engine.Ordered's
+// ready flag): a burst of rows that are already done — re-scores of a
+// design the memo holds — leaves in one write, and a row never waits in
+// the buffer on a row that is still computing, such as the first row of
+// a design another worker is computing.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	o := s.admit(w, r, "/v1/sweep")
 	if o == nil {
@@ -547,10 +555,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Rows arrive one at a time (ResponseWriter is not concurrency-safe),
 	// in grid order. A cancelled context (client gone, timeout) simply
 	// truncates the stream; rows already delivered are valid NDJSON.
-	s.sweep(ctx, o, false, func(row []byte) error {
+	s.sweep(ctx, o, false, func(row []byte, ready bool) error {
 		w.Write(row)
 		w.Write([]byte("\n"))
-		if flusher != nil {
+		if !ready && flusher != nil {
 			flusher.Flush()
 		}
 		s.sweepRows.Add(1)

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"multisite/internal/ate"
 	"multisite/internal/benchdata"
@@ -151,6 +153,74 @@ func TestSweepE2EGolden(t *testing.T) {
 	}
 	if i != 4 {
 		t.Errorf("got %d rows, want 4", i)
+	}
+}
+
+// gatedSolver is a backend whose designs at one depth wait until release
+// is closed.
+type gatedSolver struct {
+	solve.Solver
+	depth   int64
+	release <-chan struct{}
+}
+
+func (g gatedSolver) Solve(ctx context.Context, s *soc.SOC, cfg core.Config) (*core.Result, error) {
+	if cfg.ATE.Depth == g.depth {
+		select {
+		case <-g.release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	return g.Solver.Solve(ctx, s, cfg)
+}
+
+// TestSweepStreamsReadyRows: a sweep's rows reach the client while a
+// later row still waits on its design, not only when the sweep ends. The
+// heuristic's design for the second depth waits until the client has
+// read rows 0–7, the first depth's; the client must read them under a
+// deadline before it releases that design. A handler that flushed only
+// at the end would keep them in its buffer, and the read would time out.
+func TestSweepStreamsReadyRows(t *testing.T) {
+	const (
+		rows, first = 16, 8
+		body        = `{"soc":"d695","channels":256,"depths":"64K,128K",` +
+			`"contact_yields":[1,0.999,0.99,0.98],"retest_both":true}`
+	)
+	release := make(chan struct{})
+	_, ts := newTestServer(t, Options{Workers: 2, WrapSolver: func(name string, sv solve.Solver) solve.Solver {
+		if name != solve.DefaultName {
+			return sv
+		}
+		return gatedSolver{Solver: sv, depth: 128 << 10, release: release}
+	}})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/sweep", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	r := bufio.NewReader(resp.Body)
+	for i := 0; i < rows; i++ {
+		if i == first {
+			close(release)
+		}
+		line, err := r.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("row %d (second depth released: %v): %v", i, i >= first, err)
+		}
+		var row SweepRow
+		if err := json.Unmarshal(line, &row); err != nil || row.Index != i || row.Error != "" {
+			t.Fatalf("row %d: %v: %s", i, err, line)
+		}
+	}
+	if rest, err := io.ReadAll(r); err != nil || len(rest) != 0 {
+		t.Errorf("after %d rows: %v, %q", rows, err, rest)
 	}
 }
 

@@ -175,7 +175,7 @@ func TestSweepAllocsPerRow(t *testing.T) {
 	}
 	var failed []byte
 	run := func(o *op) {
-		s.sweep(context.Background(), o, false, func(row []byte) error {
+		s.sweep(context.Background(), o, false, func(row []byte, _ bool) error {
 			if failed == nil && bytes.Contains(row, []byte(`"error"`)) {
 				failed = row
 			}

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 )
 
 // Hash returns the canonical content hash of the SOC as a hex string: a
@@ -20,45 +19,52 @@ import (
 // round trip preserves: the architecture design itself is order-sensitive
 // (Step 1 tie-breaks on module position), so two reorderings of the same
 // module set are genuinely different design inputs.
+//
+// The fields are laid out in one buffer, sized up front, and hashed in
+// one call: a handful of allocations whatever the chip's size.
 func (s *SOC) Hash() string {
-	h := sha256.New()
-	hashString(h, s.Name)
-	hashInt(h, len(s.Modules))
+	n := 16 + len(s.Name)
 	for i := range s.Modules {
 		m := &s.Modules[i]
-		hashInt(h, m.ID)
-		hashString(h, m.Name)
-		hashInt(h, m.Level)
-		hashInt(h, m.Inputs)
-		hashInt(h, m.Outputs)
-		hashInt(h, m.Bidirs)
-		hashInt(h, m.Patterns)
-		hashBool(h, m.IsMemory)
-		hashInt(h, len(m.ScanChains))
+		n += 8*8 + len(m.Name) + 1 + 8*len(m.ScanChains)
+	}
+	buf := make([]byte, 0, n)
+	buf = appendString(buf, s.Name)
+	buf = appendInt(buf, len(s.Modules))
+	for i := range s.Modules {
+		m := &s.Modules[i]
+		buf = appendInt(buf, m.ID)
+		buf = appendString(buf, m.Name)
+		buf = appendInt(buf, m.Level)
+		buf = appendInt(buf, m.Inputs)
+		buf = appendInt(buf, m.Outputs)
+		buf = appendInt(buf, m.Bidirs)
+		buf = appendInt(buf, m.Patterns)
+		buf = appendBool(buf, m.IsMemory)
+		buf = appendInt(buf, len(m.ScanChains))
 		for _, c := range m.ScanChains {
-			hashInt(h, c.Length)
+			buf = appendInt(buf, c.Length)
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
-// hashString writes a length-prefixed string, so field boundaries are
+// appendString appends a length-prefixed string, so field boundaries are
 // unambiguous ("ab"+"c" never collides with "a"+"bc").
-func hashString(h hash.Hash, s string) {
-	hashInt(h, len(s))
-	h.Write([]byte(s))
+func appendString(buf []byte, s string) []byte {
+	return append(appendInt(buf, len(s)), s...)
 }
 
-func hashInt(h hash.Hash, v int) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
-	h.Write(buf[:])
+// appendInt appends v as 8 little-endian bytes.
+func appendInt(buf []byte, v int) []byte {
+	return binary.LittleEndian.AppendUint64(buf, uint64(int64(v)))
 }
 
-func hashBool(h hash.Hash, v bool) {
+// appendBool appends v as one byte, 1 or 0.
+func appendBool(buf []byte, v bool) []byte {
 	if v {
-		h.Write([]byte{1})
-	} else {
-		h.Write([]byte{0})
+		return append(buf, 1)
 	}
+	return append(buf, 0)
 }

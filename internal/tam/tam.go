@@ -351,6 +351,45 @@ type chip struct {
 	// the Architecture, so no design the caches keep pins them.
 	tables  [][]int64
 	options []placeOption
+	// run is the greedy run in progress and best the pass's best run so
+	// far; a run that beats best trades places with it, and a pass
+	// returns a Clone of best. Runs build them in place, so every run
+	// after the first few reuses their groups' member and time slices.
+	run, best *scratch
+}
+
+// scratch is an architecture a greedy run builds in place, with the
+// groups it can open: at most one per testable module, since each new
+// group takes one. reset keeps every group's member and time slices, so
+// the next run appends into them.
+type scratch struct {
+	Architecture
+	pool []Group
+	used int // pool[:used] are this run's groups
+}
+
+// newScratch returns an empty scratch architecture for c.
+func (c *chip) newScratch() *scratch {
+	return &scratch{
+		Architecture: Architecture{SOC: c.soc, Designer: c.d, Depth: c.target.Depth},
+		pool:         make([]Group, len(c.modules)),
+	}
+}
+
+// reset empties the architecture for a new run.
+func (a *scratch) reset() {
+	a.Groups = a.Groups[:0]
+	a.used = 0
+}
+
+// openGroup appends a new group of the given width holding module mi,
+// whose test time there is t, to the architecture.
+func (a *scratch) openGroup(width, mi int, t int64) {
+	g := &a.pool[a.used]
+	a.used++
+	g.Width, g.Members, g.Times, g.Fill = width, g.Members[:0], g.Times[:0], 0
+	g.addMember(mi, t)
+	a.Groups = append(a.Groups, g)
 }
 
 // prepare validates the inputs and builds the shared set-up.
@@ -374,6 +413,7 @@ func prepare(s *soc.SOC, target ate.ATE) (*chip, error) {
 	}
 	c.byWidth = sortedBy(c, c.wmin)
 	c.byTime = sortedBy(c, c.tmin)
+	c.run, c.best = c.newScratch(), c.newScratch()
 	return c, nil
 }
 
@@ -419,12 +459,12 @@ func (c *chip) byArea(maxWires int) []int {
 }
 
 // portfolio runs the greedy under one or several (order, choice)
-// strategies and keeps the architecture with the fewest wires (ties:
-// smallest test length, then the earlier strategy). The orders are
-// byWidth, byArea and byTime, each run with both choices; SinglePass
-// runs the paper's byWidth with the smallest added depth only. A cap
-// that some module's minimum width exceeds fails every strategy alike,
-// so it fails the pass up front.
+// strategies and returns a copy of the architecture with the fewest
+// wires (ties: smallest test length, then the earlier strategy). The
+// orders are byWidth, byArea and byTime, each run with both choices;
+// SinglePass runs the paper's byWidth with the smallest added depth
+// only. A cap that some module's minimum width exceeds fails every
+// strategy alike, so it fails the pass up front.
 func (c *chip) portfolio(opts Options) (*Architecture, error) {
 	maxWires := opts.MaxWires
 	if maxWires <= 0 {
@@ -438,42 +478,47 @@ func (c *chip) portfolio(opts Options) (*Architecture, error) {
 		}
 	}
 	if opts.SinglePass {
-		return c.designOnce(c.byWidth, maxWires, opts.Rule, smallestAddedDepth)
+		if err := c.designOnce(c.byWidth, maxWires, opts.Rule, smallestAddedDepth); err != nil {
+			return nil, err
+		}
+		return c.run.Clone(), nil
 	}
-	var best *Architecture
+	found := false
 	var firstErr error
 	for _, order := range [...][]int{c.byWidth, c.byArea(maxWires), c.byTime} {
 		for _, choice := range [...]placeChoice{smallestAddedDepth, bestFit} {
-			a, err := c.designOnce(order, maxWires, opts.Rule, choice)
-			if err != nil {
+			if err := c.designOnce(order, maxWires, opts.Rule, choice); err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
 				continue
 			}
-			if best == nil || a.Wires() < best.Wires() ||
+			a, best := c.run, c.best
+			if !found || a.Wires() < best.Wires() ||
 				(a.Wires() == best.Wires() && a.TestCycles() < best.TestCycles()) {
-				best = a
+				c.run, c.best = best, a
+				found = true
 			}
 		}
 	}
-	if best == nil {
+	if !found {
 		return nil, firstErr
 	}
-	return best, nil
+	return c.best.Clone(), nil
 }
 
-// designOnce is one greedy run: place the modules in order, then clean
-// up.
-func (c *chip) designOnce(order []int, maxWires int, rule OptionRule, choice placeChoice) (*Architecture, error) {
-	a := &Architecture{SOC: c.soc, Designer: c.d, Depth: c.target.Depth}
+// designOnce is one greedy run into c.run: place the modules in order,
+// then clean up.
+func (c *chip) designOnce(order []int, maxWires int, rule OptionRule, choice placeChoice) error {
+	a := c.run
+	a.reset()
 	for _, mi := range order {
 		if err := c.place(a, mi, maxWires, rule, choice); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	a.localMinimize()
-	return a, nil
+	return nil
 }
 
 // localMinimize is the post-placement clean-up that serves criterion 1:
@@ -617,7 +662,7 @@ func (e *noWiresError) Error() string {
 
 // place assigns module mi to a, implementing the per-module step of
 // Step 1.
-func (c *chip) place(a *Architecture, mi, maxWires int, rule OptionRule, choice placeChoice) error {
+func (c *chip) place(a *scratch, mi, maxWires int, rule OptionRule, choice placeChoice) error {
 	tt := a.Designer.TimeTable(mi)
 	wmin := c.wmin[mi]
 	// First try existing groups without widening. The paper assigns to
@@ -735,9 +780,7 @@ func (c *chip) place(a *Architecture, mi, maxWires int, rule OptionRule, choice 
 	}
 
 	if chosen.group == -1 {
-		g := &Group{Width: wmin}
-		g.addMember(mi, atWidth(tt, wmin))
-		a.Groups = append(a.Groups, g)
+		a.openGroup(wmin, mi, atWidth(tt, wmin))
 		return nil
 	}
 	g := a.Groups[chosen.group]

@@ -383,10 +383,13 @@ func BenchmarkLocalMinimize(b *testing.B) {
 // with warm wrapper tables: the validation, minimum widths and module
 // orders are set up once per call and shared by the restart portfolio's
 // runs and every squeeze pass, width searches sum member times instead
-// of building per-group fill tables, and place's member tables and
-// options are scratch every run reuses, so the allocations left are the
-// runs' groups and their member lists. p22810 at 256 channels and 1M
-// depth takes two portfolio passes, twelve greedy runs.
+// of building per-group fill tables, place's member tables and options
+// are scratch every run reuses, and every run builds its architecture in
+// one of two pooled scratch ones, so the allocations left are the pools'
+// first growth, the area orders and one copy of each pass's winner.
+// p22810 at 256 channels and 1M depth takes two portfolio passes, twelve
+// greedy runs: 126 allocations and 12.3 KB a design in a plain run, up
+// to 12.8 KB under -race.
 func TestStep1Allocs(t *testing.T) {
 	s := benchdata.Shared("p22810")
 	target := ate.ATE{Channels: 256, Depth: 1 << 20, ClockHz: 5e6}
@@ -405,10 +408,54 @@ func TestStep1Allocs(t *testing.T) {
 	// AllocsPerRun calls the function once more as a warm-up.
 	kb := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) / 1024
 	t.Logf("%.0f allocations, %.1f KB per design", allocs, kb)
-	if allocs > 640 {
-		t.Errorf("%.0f allocations per Step 1 design; want at most 640", allocs)
+	maxAllocs, maxKB := 130.0, 13.0
+	if raceEnabled {
+		maxKB = 14
 	}
-	if kb > 28 {
-		t.Errorf("%.1f KB allocated per Step 1 design; want at most 28", kb)
+	if allocs > maxAllocs {
+		t.Errorf("%.0f allocations per Step 1 design; want at most %.0f", allocs, maxAllocs)
+	}
+	if kb > maxKB {
+		t.Errorf("%.1f KB allocated per Step 1 design; want at most %.0f", kb, maxKB)
+	}
+}
+
+// TestStep1ResultsKeepTheirSlices: an architecture DesignStep1With
+// returned is the same after later designs of the same chip at other
+// depths and caps — its text, every group's member times and fill, and
+// its validity — under every option set that changes how a pass picks
+// its winner. Every run builds in pooled scratch architectures, so this
+// shows that no pooled slice reaches a returned design, or a memoized
+// one, which is a returned design.
+func TestStep1ResultsKeepTheirSlices(t *testing.T) {
+	s := benchdata.Shared("p22810")
+	for _, o := range []Options{{}, {SinglePass: true}, {NoSqueeze: true}} {
+		a, err := DesignStep1With(s, target(1<<20), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := a.WriteString()
+		var times [][]int64
+		var fills []int64
+		for _, g := range a.Groups {
+			times = append(times, slices.Clone(g.Times))
+			fills = append(fills, g.Fill)
+		}
+		for _, depth := range []int64{256 << 10, 1 << 20, 4 << 20} {
+			for _, maxWires := range []int{0, a.Wires(), a.Wires() + 8} {
+				DesignStep1With(s, target(depth), Options{MaxWires: maxWires}) // a failure is fine
+			}
+		}
+		if got := a.WriteString(); got != text {
+			t.Fatalf("%+v: architecture changed after later designs:\n%s\nwas\n%s", o, got, text)
+		}
+		for gi, g := range a.Groups {
+			if !slices.Equal(g.Times, times[gi]) || g.Fill != fills[gi] {
+				t.Fatalf("%+v: group %d times %v fill %d, were %v fill %d", o, gi, g.Times, g.Fill, times[gi], fills[gi])
+			}
+		}
+		if err := a.Validate(); err != nil {
+			t.Fatalf("%+v: %v", o, err)
+		}
 	}
 }
