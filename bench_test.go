@@ -47,7 +47,7 @@ func benchFigure(b *testing.B, name string, f func() *report.Figure) {
 	for i := 0; i < b.N; i++ {
 		fig = f()
 	}
-	printOnce(name, experiments.Render(fig))
+	printOnce(name, fig.String())
 }
 
 func benchTable(b *testing.B, name string, f func() *report.Table) {
@@ -458,8 +458,11 @@ func TestEngineFamilySweepDeterministic(t *testing.T) {
 				t.Fatalf("job %s: %v", r.Job.Name, r.Err)
 			}
 			b = fmt.Appendf(b, "%s nmax=%d best=%+v\n", r.Job.Name, r.Design.MaxSites, r.Best)
-			for i := range r.Curve {
-				b = fmt.Appendf(b, " %+v %+v\n", r.Curve[i], r.Step1Curve[i])
+			curve := make([]core.SiteEval, r.Design.MaxSites)
+			step1Curve := make([]core.SiteEval, r.Design.MaxSites)
+			r.Design.Rescore(r.Job.Config, curve, step1Curve)
+			for i := range curve {
+				b = fmt.Appendf(b, " %+v %+v\n", curve[i], step1Curve[i])
 			}
 		}
 		return string(b)

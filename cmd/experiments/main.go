@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"multisite/internal/cli"
 	"multisite/internal/engine"
@@ -37,24 +36,7 @@ type experiment struct {
 }
 
 func table(f func() *report.Figure) func() *report.Table {
-	return func() *report.Table {
-		fig := f()
-		t := fig.Table()
-		t.Notes = append(t.Notes, notesOf(fig)...)
-		return t
-	}
-}
-
-// notesOf extracts the experiment notes through the package's renderer.
-func notesOf(fig *report.Figure) []string {
-	rendered := experiments.Render(fig)
-	var notes []string
-	for _, line := range strings.Split(rendered, "\n") {
-		if strings.HasPrefix(line, "note: ") {
-			notes = append(notes, strings.TrimPrefix(line, "note: "))
-		}
-	}
-	return notes
+	return func() *report.Table { return f().Table() }
 }
 
 func main() {

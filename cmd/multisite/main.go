@@ -157,14 +157,17 @@ func main() {
 		Title:  "Step 2: throughput per site count",
 		Header: []string{"n", "k/site", "test (s)", "Dth (dev/h)", "Du (dev/h)", "Step1-only Dth"},
 	}
+	curve := make([]core.SiteEval, res.Design.MaxSites)
+	step1Curve := make([]core.SiteEval, res.Design.MaxSites)
+	res.Design.Rescore(cfg, curve, step1Curve)
 	for n := 1; n <= res.Design.MaxSites; n++ {
-		e := res.Curve[n-1]
+		e := curve[n-1]
 		mark := ""
 		if n == res.Best.Sites {
 			mark = " *"
 		}
 		tbl.AddRow(fmt.Sprintf("%d%s", n, mark), e.Channels, e.TestTimeSec,
-			e.Throughput, e.UniqueThroughput, res.Step1Curve[n-1].Throughput)
+			e.Throughput, e.UniqueThroughput, step1Curve[n-1].Throughput)
 	}
 	tbl.Notes = append(tbl.Notes, "* optimal multi-site")
 	tbl.Write(os.Stdout)

@@ -12,9 +12,10 @@ func TestGainOverStep1CapBeyondMaxSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncapped := CurveGain(res.Step1Curve, res.Curve, res.MaxSites)
+	curve, step1Curve := scored(res)
+	uncapped := CurveGain(step1Curve, curve, res.MaxSites)
 	for _, capN := range []int{res.MaxSites + 1, res.MaxSites * 10, math.MaxInt32} {
-		if g := CurveGain(res.Step1Curve, res.Curve, capN); g != uncapped {
+		if g := CurveGain(step1Curve, curve, capN); g != uncapped {
 			t.Errorf("CurveGain cap %d = %g, want %g", capN, g, uncapped)
 		}
 	}
@@ -23,22 +24,17 @@ func TestGainOverStep1CapBeyondMaxSites(t *testing.T) {
 // TestGainOverStep1ZeroThroughput: a degenerate base curve with no
 // positive throughput reports zero gain, not NaN or Inf.
 func TestGainOverStep1ZeroThroughput(t *testing.T) {
-	res := &Result{
-		MaxSites:   3,
-		Curve:      make([]SiteEval, 3),
-		Step1Curve: make([]SiteEval, 3),
-	}
-	if g := CurveGain(res.Step1Curve, res.Curve, 3); g != 0 {
+	base, curve := make([]SiteEval, 3), make([]SiteEval, 3)
+	if g := CurveGain(base, curve, 3); g != 0 {
 		t.Errorf("zero curves: gain = %g, want 0", g)
 	}
 	// Zero base but positive Step 1+2 curve still guards the division.
-	res.Curve[1].Throughput = 1000
-	if g := CurveGain(res.Step1Curve, res.Curve, 3); g != 0 || math.IsNaN(g) || math.IsInf(g, 0) {
+	curve[1].Throughput = 1000
+	if g := CurveGain(base, curve, 3); g != 0 || math.IsNaN(g) || math.IsInf(g, 0) {
 		t.Errorf("zero base curve: gain = %g, want 0", g)
 	}
 	// Empty curves (no feasible site count) behave the same way.
-	empty := &Result{}
-	if g := CurveGain(empty.Step1Curve, empty.Curve, 5); g != 0 {
+	if g := CurveGain(nil, nil, 5); g != 0 {
 		t.Errorf("empty curves: gain = %g, want 0", g)
 	}
 }
@@ -50,8 +46,9 @@ func TestGainOverStep1NonPositiveCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	curve, step1Curve := scored(res)
 	for _, capN := range []int{0, -1} {
-		if g := CurveGain(res.Step1Curve, res.Curve, capN); g != 0 {
+		if g := CurveGain(step1Curve, curve, capN); g != 0 {
 			t.Errorf("CurveGain cap %d = %g, want 0", capN, g)
 		}
 	}
@@ -89,8 +86,8 @@ func TestReEvaluateRetestVsPlainScoring(t *testing.T) {
 }
 
 // TestReEvaluateIdempotentWithSameConfig: re-scoring under the original
-// configuration reproduces the Optimize curve and best bit for bit — the
-// invariant the sweep engine's memo relies on.
+// configuration reproduces Optimize's best, and the curve Rescore fills,
+// bit for bit — the invariant the sweep engine's memo relies on.
 func TestReEvaluateIdempotentWithSameConfig(t *testing.T) {
 	for _, broadcast := range []bool{false, true} {
 		res, err := Optimize(testSOC(), testConfig(64, 100_000, broadcast))
@@ -101,9 +98,10 @@ func TestReEvaluateIdempotentWithSameConfig(t *testing.T) {
 		if best != res.Best {
 			t.Errorf("broadcast=%v: ReEvaluate best %+v != Optimize best %+v", broadcast, best, res.Best)
 		}
+		want, _ := scored(res)
 		for i := range curve {
-			if curve[i] != res.Curve[i] {
-				t.Errorf("broadcast=%v n=%d: ReEvaluate %+v != Optimize %+v", broadcast, i+1, curve[i], res.Curve[i])
+			if curve[i] != want[i] {
+				t.Errorf("broadcast=%v n=%d: ReEvaluate %+v != Rescore %+v", broadcast, i+1, curve[i], want[i])
 			}
 		}
 	}
@@ -122,9 +120,10 @@ func TestReEvaluateDifferentProbe(t *testing.T) {
 	if best.Throughput >= res.Best.Throughput {
 		t.Errorf("10x index time: best Dth %g not below %g", best.Throughput, res.Best.Throughput)
 	}
+	fast, _ := scored(res)
 	for i := range curve {
-		if curve[i].Throughput >= res.Curve[i].Throughput {
-			t.Errorf("n=%d: slow-probe Dth %g not below %g", i+1, curve[i].Throughput, res.Curve[i].Throughput)
+		if curve[i].Throughput >= fast[i].Throughput {
+			t.Errorf("n=%d: slow-probe Dth %g not below %g", i+1, curve[i].Throughput, fast[i].Throughput)
 		}
 	}
 }

@@ -90,12 +90,13 @@ type SiteEval struct {
 	UniqueThroughput float64 `json:"unique_throughput"`
 }
 
-// Result is the outcome of the two-step optimization. Step 2 hands the
-// channels freed at each site count to Step 1's groups and never
-// regroups modules, so a result keeps each distinct Step 2 architecture
-// as the widths of Step 1's groups plus the channel count and test
-// length scoring reads: Rescore scores the site counts without building
-// an architecture, and ArchAt builds the one at a site count on demand.
+// Result is the outcome of the two-step optimization: its architectures
+// and its best site count, but no curve, since Rescore scores any cost
+// model's curves from the architectures. Step 2 hands the channels freed
+// at each site count to Step 1's groups and never regroups modules, so a
+// result keeps each distinct Step 2 architecture as the widths of Step
+// 1's groups plus the channel count and test length scoring reads; ArchAt
+// builds the architecture at a site count on demand.
 type Result struct {
 	// SOC is the chip optimized for.
 	SOC *soc.SOC
@@ -105,19 +106,10 @@ type Result struct {
 	Step1 *tam.Architecture
 	// MaxSites is nmax implied by Step 1's channel count.
 	MaxSites int
-	// Curve[i] is the Step 1+2 evaluation at n = i+1 sites (channels
-	// redistributed per site count), under Config.
-	Curve []SiteEval
-	// Step1Curve[i] evaluates n = i+1 sites with the Step 1
-	// architecture unchanged (the paper's dashed line in Fig. 5), under
-	// Config. Both curves are nil in a design engine.Memo returns:
-	// callers re-score it under their own cost model.
-	Step1Curve []SiteEval
-	// Best is the optimal evaluation: maximum throughput (unique
-	// throughput when re-testing).
+	// Best is the optimal evaluation under Config: maximum throughput
+	// (unique throughput when re-testing), as Rescore(Config, nil, nil)
+	// returns it. ArchAt(Best.Sites) is its architecture.
 	Best SiteEval
-	// BestArch is the redistributed architecture at Best.Sites.
-	BestArch *tam.Architecture
 	// step2 is the Step 2 architecture at every site count, in compact
 	// form; ArchAt builds one.
 	step2 step2Curve
@@ -143,7 +135,7 @@ func Optimize(s *soc.SOC, cfg Config) (*Result, error) {
 // serving layer's per-request timeout, a cancelled sweep) can abandon an
 // optimization between its phases. Cancellation is checked before the
 // Step 1 design, before the Step 2 widening sequence, and once per site
-// count of the curve build; a cancelled run returns the context's error
+// count of that sequence; a cancelled run returns the context's error
 // and no partial result.
 func OptimizeCtx(ctx context.Context, s *soc.SOC, cfg Config) (*Result, error) {
 	cfg = cfg.normalized()
@@ -161,11 +153,11 @@ func OptimizeCtx(ctx context.Context, s *soc.SOC, cfg Config) (*Result, error) {
 }
 
 // BuildResult runs the shared downstream of the two-step algorithm — the
-// nmax bound, the Step 2 widening sequence, and the per-site-count
-// throughput curves — on an externally designed Step 1 architecture. It is
-// the seam the pluggable solver backends (internal/solve) attach to: the
-// exact branch-and-bound and the rectangle-packing baseline each produce
-// their own channel-group architecture and feed it through here, so every
+// nmax bound, the Step 2 widening sequence, and the best site count — on
+// an externally designed Step 1 architecture. It is the seam the
+// pluggable solver backends (internal/solve) attach to: the exact
+// branch-and-bound and the rectangle-packing baseline each produce their
+// own channel-group architecture and feed it through here, so every
 // backend's Result is shaped (and scored) identically to the heuristic's.
 // The architecture must belong to s and fit cfg.ATE's depth; cfg is
 // normalized and its probe validated, exactly as OptimizeCtx does.
@@ -195,10 +187,7 @@ func buildResult(ctx context.Context, s *soc.SOC, cfg Config, step1 *tam.Archite
 		return nil, err
 	}
 	res := &Result{SOC: s, Config: cfg, Step1: step1, MaxSites: nmax, step2: step2}
-	res.Curve = make([]SiteEval, nmax)
-	res.Step1Curve = make([]SiteEval, nmax)
-	res.Best, _, _ = res.Rescore(cfg, res.Curve, res.Step1Curve)
-	res.BestArch = res.ArchAt(res.Best.Sites)
+	res.Best, _, _ = res.Rescore(cfg, nil, nil)
 	return res, nil
 }
 

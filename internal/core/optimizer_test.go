@@ -29,6 +29,14 @@ func testConfig(channels int, depth int64, broadcast bool) Config {
 	}
 }
 
+// scored fills both of r's curves under its own configuration.
+func scored(r *Result) (curve, step1Curve []SiteEval) {
+	curve = make([]SiteEval, r.MaxSites)
+	step1Curve = make([]SiteEval, r.MaxSites)
+	r.Rescore(r.Config, curve, step1Curve)
+	return curve, step1Curve
+}
+
 func TestOptimizeBasics(t *testing.T) {
 	res, err := Optimize(testSOC(), testConfig(64, 100_000, false))
 	if err != nil {
@@ -37,13 +45,10 @@ func TestOptimizeBasics(t *testing.T) {
 	if res.MaxSites < 1 {
 		t.Fatalf("MaxSites = %d", res.MaxSites)
 	}
-	if len(res.Curve) != res.MaxSites || len(res.Step1Curve) != res.MaxSites {
-		t.Fatalf("curve lengths %d/%d, want %d", len(res.Curve), len(res.Step1Curve), res.MaxSites)
+	if res.Best.Sites < 1 || res.Best.Sites > res.MaxSites {
+		t.Fatalf("Best.Sites = %d, want 1..%d", res.Best.Sites, res.MaxSites)
 	}
-	if res.BestArch == nil {
-		t.Fatal("no best architecture")
-	}
-	if err := res.BestArch.Validate(); err != nil {
+	if err := res.ArchAt(res.Best.Sites).Validate(); err != nil {
 		t.Errorf("best architecture invalid: %v", err)
 	}
 	if err := res.Step1.Validate(); err != nil {
@@ -56,7 +61,8 @@ func TestOptimizeBestIsCurveMaximum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range res.Curve {
+	curve, _ := scored(res)
+	for _, e := range curve {
 		if e.Throughput > res.Best.Throughput+1e-9 {
 			t.Errorf("n=%d throughput %g exceeds Best %g", e.Sites, e.Throughput, res.Best.Throughput)
 		}
@@ -69,10 +75,11 @@ func TestStep2NeverWorseThanStep1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		curve, step1Curve := scored(res)
 		for n := 1; n <= res.MaxSites; n++ {
-			if res.Curve[n-1].Throughput+1e-9 < res.Step1Curve[n-1].Throughput {
+			if curve[n-1].Throughput+1e-9 < step1Curve[n-1].Throughput {
 				t.Errorf("broadcast=%v n=%d: Step1+2 %g below Step1-only %g",
-					bc, n, res.Curve[n-1].Throughput, res.Step1Curve[n-1].Throughput)
+					bc, n, curve[n-1].Throughput, step1Curve[n-1].Throughput)
 			}
 		}
 	}
@@ -85,8 +92,9 @@ func TestStep2ChannelsWithinBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		curve, _ := scored(res)
 		for n := 1; n <= res.MaxSites; n++ {
-			e := res.Curve[n-1]
+			e := curve[n-1]
 			if maxK := 2 * cfg.ATE.MaxWiresPerSite(n); e.Channels > maxK {
 				t.Errorf("broadcast=%v n=%d: k=%d exceeds budget %d", bc, n, e.Channels, maxK)
 			}
@@ -147,7 +155,8 @@ func TestEvaluateThroughputFormula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := res.Curve[0] // n = 1
+	curve, _ := scored(res)
+	e := curve[0] // n = 1
 	tm := float64(e.TestCycles) / 5e6
 	want := 3600 / (0.5 + 0.1 + tm)
 	if math.Abs(e.Throughput-want) > 1e-6 {
@@ -165,10 +174,11 @@ func TestReEvaluateMatchesOptimize(t *testing.T) {
 	if len(curve) != res.MaxSites {
 		t.Fatalf("curve length %d", len(curve))
 	}
+	want, _ := scored(res)
 	for i := range curve {
-		if math.Abs(curve[i].Throughput-res.Curve[i].Throughput) > 1e-9 {
+		if math.Abs(curve[i].Throughput-want[i].Throughput) > 1e-9 {
 			t.Errorf("n=%d: re-eval %g != original %g",
-				i+1, curve[i].Throughput, res.Curve[i].Throughput)
+				i+1, curve[i].Throughput, want[i].Throughput)
 		}
 	}
 	if math.Abs(best.Throughput-res.Best.Throughput) > 1e-9 {
@@ -210,8 +220,9 @@ func TestGainOverStep1NonNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	curve, step1Curve := scored(res)
 	for capN := 1; capN <= res.MaxSites; capN++ {
-		if g := CurveGain(res.Step1Curve, res.Curve, capN); g < -1e-9 {
+		if g := CurveGain(step1Curve, curve, capN); g < -1e-9 {
 			t.Errorf("cap %d: negative gain %g", capN, g)
 		}
 	}
@@ -258,7 +269,9 @@ func BenchmarkStep2Curve(b *testing.B) {
 // and then to their used length, for the snapshots' scores and their
 // widths, however many snapshots the curve keeps. BenchmarkStep2Curve's
 // pnx8550 design is widened for testers of 512 to 4,096 channels, whose
-// curves keep different numbers of snapshots.
+// curves keep different numbers of snapshots. BuildResult on the same
+// Step 1 adds one block, the Result: its best is scored without a curve
+// and no architecture is built.
 func TestStep2Allocs(t *testing.T) {
 	const blocks = 10
 	s := benchdata.Shared("pnx8550")
@@ -280,9 +293,16 @@ func TestStep2Allocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(20, func() {
 			step2Arches(context.Background(), target, step1, nmax)
 		})
-		t.Logf("%d channels: %d sites, %d snapshots, %.0f allocations", channels, nmax, len(step2.scores), allocs)
+		builds := testing.AllocsPerRun(20, func() {
+			BuildResult(context.Background(), s, Config{ATE: target}, step1)
+		})
+		t.Logf("%d channels: %d sites, %d snapshots, %.0f allocations, %.0f to build the result",
+			channels, nmax, len(step2.scores), allocs, builds)
 		if allocs != blocks {
 			t.Errorf("%d channels: %.0f allocations for %d snapshots; want %d", channels, allocs, len(step2.scores), blocks)
+		}
+		if builds != blocks+1 {
+			t.Errorf("%d channels: BuildResult made %.0f allocations; want %d", channels, builds, blocks+1)
 		}
 	}
 	if len(snapshots) < 2 {

@@ -77,7 +77,8 @@ func checkArch(t *testing.T, name string, got, want *tam.Architecture) {
 }
 
 // checkBuild pins a design's Step 2 architectures to the clone-per-budget
-// curve, and its own curves and best to buildResult's loop. It returns
+// curve, and its best, its best architecture and the curves Rescore
+// fills under its own configuration to buildResult's loop. It returns
 // the reference curve for checkRescore.
 func checkBuild(t *testing.T, name string, res *Result) []*tam.Architecture {
 	t.Helper()
@@ -90,12 +91,13 @@ func checkBuild(t *testing.T, name string, res *Result) []*tam.Architecture {
 		checkArch(t, fmt.Sprintf("%s: ArchAt(%d)", name, n), got, arches[n-1])
 	}
 	curve, step1Curve, best, bestArch := res.referenceBuild(arches)
-	checkCurve(t, name, "Curve", res.Curve, curve)
-	checkCurve(t, name, "Step1Curve", res.Step1Curve, step1Curve)
+	gotCurve, gotStep1 := scored(res)
+	checkCurve(t, name, "curve", gotCurve, curve)
+	checkCurve(t, name, "step1 curve", gotStep1, step1Curve)
 	if !sameEval(res.Best, best) {
 		t.Fatalf("%s: Best %+v, reference %+v", name, res.Best, best)
 	}
-	checkArch(t, name+": BestArch", res.BestArch, bestArch)
+	checkArch(t, name+": ArchAt(Best.Sites)", res.ArchAt(res.Best.Sites), bestArch)
 	return arches
 }
 

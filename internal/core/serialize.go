@@ -12,9 +12,9 @@ package core
 import "encoding/json"
 
 // Snapshot is a serializable capture of an optimization outcome under one
-// cost model. Build it with Result.Snapshot (design-time cost model) or
-// Result.SnapshotUnder (a re-scored cost model, as the sweep engine and
-// serving layer produce).
+// cost model. Build it with Result.Snapshot (the design-time cost model)
+// or Result.SnapshotUnder (curves a caller re-scored under its own cost
+// model, as the serving layer does).
 type Snapshot struct {
 	// SOC is the chip name; SOCHash is its canonical content hash
 	// (soc.SOC.Hash), the identity cache keys are derived from.
@@ -46,15 +46,19 @@ type Snapshot struct {
 	Optimal  bool `json:"optimal,omitempty"`
 }
 
-// Snapshot captures the result under its design-time cost model.
+// Snapshot captures the result under its design-time cost model, its
+// curves re-scored afresh.
 func (r *Result) Snapshot() *Snapshot {
-	return r.SnapshotUnder(r.Config, r.Curve, r.Step1Curve, r.Best)
+	curve := make([]SiteEval, r.MaxSites)
+	step1Curve := make([]SiteEval, r.MaxSites)
+	best, _, _ := r.Rescore(r.Config, curve, step1Curve)
+	return r.SnapshotUnder(r.Config, curve, step1Curve, best)
 }
 
-// SnapshotUnder captures the result's architectures together with
-// evaluations re-scored under a different cost model (the curves and best
-// a Result.ReEvaluate / engine job produced for cfg). The best
-// architecture is built at best.Sites (ArchAt).
+// SnapshotUnder captures the result's architectures together with the
+// curves and best that Rescore filled in for cfg, which may be another
+// cost model than the design's. The best architecture is built at
+// best.Sites (ArchAt).
 func (r *Result) SnapshotUnder(cfg Config, curve, step1Curve []SiteEval, best SiteEval) *Snapshot {
 	s := &Snapshot{
 		SOC:        r.SOC.Name,

@@ -57,24 +57,18 @@ type Job struct {
 }
 
 // JobResult is the outcome of one job. Exactly one of Err or the result
-// fields is meaningful.
+// fields is meaningful. It holds no curve: re-score Design under
+// Job.Config to draw one.
 type JobResult struct {
 	// Index is the job's position in the submitted slice.
 	Index int
 	// Job echoes the job.
 	Job Job
-	// Design is the architecture portfolio for the job's design key
-	// (SOC, ATE, TAM), as the Memo keeps it: shared across jobs, and
-	// carrying no design-time curves (its Curve and Step1Curve are nil)
-	// and a Best under the design-time cost model. Use the JobResult
-	// fields below, which are always scored under Job.Config.
+	// Design is the design for the job's design key (SOC, ATE, TAM), as
+	// the backend returned it and the Memo keeps it: shared across jobs
+	// and read-only. Its Best is scored under the design-time cost model,
+	// not Job.Config's; use the Best below.
 	Design *core.Result
-	// Curve[i] evaluates n = i+1 sites with channels redistributed per
-	// site count, under Job.Config.
-	Curve []core.SiteEval
-	// Step1Curve[i] evaluates n = i+1 sites with the Step 1 architecture
-	// unchanged, under Job.Config.
-	Step1Curve []core.SiteEval
 	// Best is the optimal evaluation under Job.Config's objective.
 	Best core.SiteEval
 	// Err is the job's failure, a context error if the sweep was
@@ -90,12 +84,6 @@ func (r *JobResult) BestArch() *tam.Architecture {
 		return nil
 	}
 	return r.Design.ArchAt(r.Best.Sites)
-}
-
-// GainOverStep1 returns the job's Step 1+2 throughput gain over Step 1
-// alone with the site count capped at maxN, scored under Job.Config.
-func (r *JobResult) GainOverStep1(maxN int) float64 {
-	return core.CurveGain(r.Step1Curve, r.Curve, maxN)
 }
 
 // Progress reports one completed job. Callbacks are invoked in job order
@@ -185,9 +173,7 @@ func runJob(ctx context.Context, i int, j Job, memo *Memo) (r JobResult) {
 		return r
 	}
 	r.Design = design
-	r.Curve = make([]core.SiteEval, design.MaxSites)
-	r.Step1Curve = make([]core.SiteEval, design.MaxSites)
-	r.Best, _, _ = design.Rescore(j.Config, r.Curve, r.Step1Curve)
+	r.Best, _, _ = design.Rescore(j.Config, nil, nil)
 	return r
 }
 

@@ -44,12 +44,21 @@ func render(results []JobResult) string {
 			continue
 		}
 		fmt.Fprintf(&b, " nmax=%d best=%+v\n", r.Design.MaxSites, r.Best)
-		for i, e := range r.Curve {
+		curve, step1Curve := rescored(r.Design, r.Job.Config)
+		for i, e := range curve {
 			fmt.Fprintf(&b, "  n=%d dth=%v du=%v s1=%v\n",
-				i+1, e.Throughput, e.UniqueThroughput, r.Step1Curve[i].Throughput)
+				i+1, e.Throughput, e.UniqueThroughput, step1Curve[i].Throughput)
 		}
 	}
 	return b.String()
+}
+
+// rescored fills both of design's curves under cfg.
+func rescored(design *core.Result, cfg core.Config) (curve, step1Curve []core.SiteEval) {
+	curve = make([]core.SiteEval, design.MaxSites)
+	step1Curve = make([]core.SiteEval, design.MaxSites)
+	design.Rescore(cfg, curve, step1Curve)
+	return curve, step1Curve
 }
 
 // TestRunDeterministicAcrossWorkers is the engine's core contract: the
@@ -76,7 +85,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunMatchesSerialOptimize pins the memoized ReEvaluate path to the
+// TestRunMatchesSerialOptimize pins the memoized re-score path to the
 // plain core.Optimize path: same curves, same best, bit for bit.
 func TestRunMatchesSerialOptimize(t *testing.T) {
 	jobs := testGrid().Jobs()
@@ -92,15 +101,17 @@ func TestRunMatchesSerialOptimize(t *testing.T) {
 		if err != nil {
 			t.Fatalf("serial %s: %v", r.Job.Name, err)
 		}
-		if len(r.Curve) != len(res.Curve) {
-			t.Fatalf("job %s: curve length %d, serial %d", r.Job.Name, len(r.Curve), len(res.Curve))
+		curve, step1Curve := rescored(r.Design, r.Job.Config)
+		wantCurve, wantStep1 := rescored(res, res.Config)
+		if len(curve) != len(wantCurve) {
+			t.Fatalf("job %s: curve length %d, serial %d", r.Job.Name, len(curve), len(wantCurve))
 		}
-		for i := range r.Curve {
-			if r.Curve[i] != res.Curve[i] {
-				t.Errorf("job %s n=%d: engine %+v, serial %+v", r.Job.Name, i+1, r.Curve[i], res.Curve[i])
+		for i := range curve {
+			if curve[i] != wantCurve[i] {
+				t.Errorf("job %s n=%d: engine %+v, serial %+v", r.Job.Name, i+1, curve[i], wantCurve[i])
 			}
-			if r.Step1Curve[i] != res.Step1Curve[i] {
-				t.Errorf("job %s n=%d: engine step1 %+v, serial %+v", r.Job.Name, i+1, r.Step1Curve[i], res.Step1Curve[i])
+			if step1Curve[i] != wantStep1[i] {
+				t.Errorf("job %s n=%d: engine step1 %+v, serial %+v", r.Job.Name, i+1, step1Curve[i], wantStep1[i])
 			}
 		}
 		if r.Best != res.Best {

@@ -112,14 +112,14 @@ func designConfig(cfg core.Config) core.Config {
 // canonical name, so two backends' designs for one (SOC, ATE, TAM) never
 // alias. An unknown solver name errors immediately and is never cached.
 //
-// The returned Result is shared across jobs: callers must treat it as
-// read-only and re-score it via Rescore (its Best reflects the canonical
-// design-time cost model, not any particular job's). It is a copy of the
-// backend's result without the design-time curves, Curve and Step1Curve,
-// which no caller reads: what the memo keeps of a design is its Step 1
+// The returned Result is the backend's, as returned, and shared across
+// jobs: callers must treat it as read-only and re-score it via Rescore
+// (its Best reflects the canonical design-time cost model, not any
+// particular job's). A design holds no curve: it is its Step 1
 // architecture, its Step 2 snapshots (the widths of Step 1's groups per
-// distinct widening budget) and its best architecture. Rescore reads the
-// snapshots without building an architecture; Result.ArchAt builds one.
+// distinct widening budget), its best point and its flags. Rescore reads
+// the snapshots without building an architecture; Result.ArchAt builds
+// one.
 //
 // A deterministic design error is memoized like a design. A cancellation
 // (it reflects the request's deadline), a transient backend failure (an
@@ -145,9 +145,7 @@ func (m *Memo) DesignSolverCtx(ctx context.Context, solver string, s *soc.SOC, c
 		case err != nil:
 			return outcome{err: err}, true, nil // deterministic: memoized
 		}
-		kept := *res
-		kept.Curve, kept.Step1Curve = nil, nil
-		return outcome{res: &kept}, !res.Degraded, nil
+		return outcome{res: res}, !res.Degraded, nil
 	})
 	if err != nil {
 		return nil, err

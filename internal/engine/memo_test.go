@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -55,11 +56,12 @@ func TestMemoSingleflight(t *testing.T) {
 	}
 }
 
-// TestMemoKeepsNoCurves checks what the memo keeps of a design: no
-// design-time curves, yet re-scoring the kept design under a config
-// fills curves, a best and a best architecture equal to a fresh
-// core.Optimize under that config.
-func TestMemoKeepsNoCurves(t *testing.T) {
+// TestMemoizedDesignMatchesFresh checks that the memo returns a design
+// as its backend returned it: its snapshot encodes the same bytes as a
+// fresh core.Optimize's under the design config, and re-scored under a
+// job's cost model it fills curves, a best and a best architecture equal
+// to a fresh core.Optimize's under that cost model.
+func TestMemoizedDesignMatchesFresh(t *testing.T) {
 	memo := NewMemo()
 	for _, chip := range []string{"d695", "p22810"} {
 		s := benchdata.Shared(chip)
@@ -70,24 +72,37 @@ func TestMemoKeepsNoCurves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if design.Curve != nil || design.Step1Curve != nil {
-			t.Fatalf("%s: memoized design keeps curves of %d and %d entries", chip, len(design.Curve), len(design.Step1Curve))
-		}
-		fresh, err := core.Optimize(s, cfg)
+		fresh, err := core.Optimize(s, designConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		curve := make([]core.SiteEval, design.MaxSites)
-		step1Curve := make([]core.SiteEval, design.MaxSites)
-		best, _, _ := design.Rescore(cfg, curve, step1Curve)
-		if !slices.Equal(curve, fresh.Curve) || !slices.Equal(step1Curve, fresh.Step1Curve) {
+		got, err := design.Snapshot().MarshalBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Snapshot().MarshalBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: memoized design's snapshot\n%s\ncore.Optimize's\n%s", chip, got, want)
+		}
+
+		scored, err := core.Optimize(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		curve, step1Curve := rescored(design, cfg)
+		wantCurve, wantStep1 := rescored(scored, scored.Config)
+		if !slices.Equal(curve, wantCurve) || !slices.Equal(step1Curve, wantStep1) {
 			t.Errorf("%s: re-scored curves differ from core.Optimize's:\n%+v\n%+v\nwant\n%+v\n%+v",
-				chip, curve, step1Curve, fresh.Curve, fresh.Step1Curve)
+				chip, curve, step1Curve, wantCurve, wantStep1)
 		}
-		if best != fresh.Best {
-			t.Errorf("%s: re-scored best %+v, core.Optimize's %+v", chip, best, fresh.Best)
+		best, _, _ := design.Rescore(cfg, nil, nil)
+		if best != scored.Best {
+			t.Errorf("%s: re-scored best %+v, core.Optimize's %+v", chip, best, scored.Best)
 		}
-		if got, want := design.ArchAt(best.Sites).WriteString(), fresh.BestArch.WriteString(); got != want {
+		if got, want := design.ArchAt(best.Sites).WriteString(), scored.ArchAt(scored.Best.Sites).WriteString(); got != want {
 			t.Errorf("%s: best architecture\n%s\ncore.Optimize's\n%s", chip, got, want)
 		}
 	}

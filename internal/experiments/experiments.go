@@ -147,39 +147,31 @@ func Fig5() *report.Figure {
 	})
 	noBC, bc := &res[0], &res[1]
 
+	noBCCurve, _ := noBC.Design.ReEvaluate(noBC.Job.Config)
 	s1 := &report.Series{Name: "Step1+2, no broadcast"}
 	for n := 1; n <= noBC.Design.MaxSites; n++ {
-		s1.Add(float64(n), noBC.Curve[n-1].Throughput)
+		s1.Add(float64(n), noBCCurve[n-1].Throughput)
 	}
+	curve := make([]core.SiteEval, bc.Design.MaxSites)
+	step1Curve := make([]core.SiteEval, bc.Design.MaxSites)
+	bc.Design.Rescore(bc.Job.Config, curve, step1Curve)
 	s2 := &report.Series{Name: "Step1+2, broadcast"}
 	s3 := &report.Series{Name: "Step1 only, broadcast"}
 	for n := 1; n <= bc.Design.MaxSites; n++ {
-		s2.Add(float64(n), bc.Curve[n-1].Throughput)
-		s3.Add(float64(n), bc.Step1Curve[n-1].Throughput)
+		s2.Add(float64(n), curve[n-1].Throughput)
+		s3.Add(float64(n), step1Curve[n-1].Throughput)
 	}
 	fig.Series = []*report.Series{s1, s2, s3}
 
 	capN := 8
-	gain := bc.GainOverStep1(capN)
-	figNote(fig, fmt.Sprintf("no broadcast: nmax=%d nopt=%d Dth=%.0f; broadcast: nmax=%d nopt=%d Dth=%.0f",
-		noBC.Design.MaxSites, noBC.Best.Sites, noBC.Best.Throughput,
-		bc.Design.MaxSites, bc.Best.Sites, bc.Best.Throughput))
-	figNote(fig, fmt.Sprintf("Step1+2 gain over Step1-only with multi-site capped at n=%d: %.0f%% (paper: 34%%)",
-		capN, 100*gain))
+	gain := core.CurveGain(step1Curve, curve, capN)
+	fig.Notes = append(fig.Notes,
+		fmt.Sprintf("no broadcast: nmax=%d nopt=%d Dth=%.0f; broadcast: nmax=%d nopt=%d Dth=%.0f",
+			noBC.Design.MaxSites, noBC.Best.Sites, noBC.Best.Throughput,
+			bc.Design.MaxSites, bc.Best.Sites, bc.Best.Throughput),
+		fmt.Sprintf("Step1+2 gain over Step1-only with multi-site capped at n=%d: %.0f%% (paper: 34%%)",
+			capN, 100*gain))
 	return fig
-}
-
-// figNotes carries per-figure notes; report.Figure has no note field, so
-// experiments attach them to the rendered table via a side map.
-var figNotes = map[*report.Figure][]string{}
-
-func figNote(f *report.Figure, note string) { figNotes[f] = append(figNotes[f], note) }
-
-// Render renders a figure with its attached notes.
-func Render(f *report.Figure) string {
-	t := f.Table()
-	t.Notes = append(t.Notes, figNotes[f]...)
-	return t.String()
 }
 
 // Fig6a reproduces Figure 6(a): throughput versus ATE channel count
@@ -206,7 +198,7 @@ func Fig6a() *report.Figure {
 	}
 	fig.Series = []*report.Series{s}
 	first, last := s.Y[0], s.Y[len(s.Y)-1]
-	figNote(fig, fmt.Sprintf("N 512→1024: Dth %.0f→%.0f (x%.2f; paper: doubling channels doubles throughput)",
+	fig.Notes = append(fig.Notes, fmt.Sprintf("N 512→1024: Dth %.0f→%.0f (x%.2f; paper: doubling channels doubles throughput)",
 		first, last, last/first))
 	return fig
 }
@@ -243,7 +235,7 @@ func Fig6b() *report.Figure {
 			d14 = s.Y[i]
 		}
 	}
-	figNote(fig, fmt.Sprintf("D 7M→14M: Dth %.0f→%.0f (+%.0f%%; paper: +27%%, sub-linear)",
+	fig.Notes = append(fig.Notes, fmt.Sprintf("D 7M→14M: Dth %.0f→%.0f (+%.0f%%; paper: +27%%, sub-linear)",
 		d7, d14, 100*(d14/d7-1)))
 	return fig
 }
@@ -313,7 +305,7 @@ func Fig7a() *report.Figure {
 		series[i%len(yields)].Add(float64(r.Job.Config.ATE.Depth/benchdata.Mi), r.Best.UniqueThroughput)
 	}
 	fig.Series = series
-	figNote(fig, "paper: the penalty of low contact yield shrinks as memory deepens (fewer contacted pins)")
+	fig.Notes = append(fig.Notes, "paper: the penalty of low contact yield shrinks as memory deepens (fewer contacted pins)")
 	return fig
 }
 
@@ -343,7 +335,7 @@ func Fig7b() *report.Figure {
 		}
 		fig.Series = append(fig.Series, s)
 	}
-	figNote(fig, "paper: abort-on-fail benefit becomes invisible beyond n≈4 even at 70% yield")
+	fig.Notes = append(fig.Notes, "paper: abort-on-fail benefit becomes invisible beyond n≈4 even at 70% yield")
 	return fig
 }
 

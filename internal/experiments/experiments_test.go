@@ -63,7 +63,7 @@ func TestFig5Shape(t *testing.T) {
 	if monotone {
 		t.Error("broadcast Step1+2 curve is monotone; expected the paper's dip-and-recover")
 	}
-	out := Render(fig)
+	out := fig.String()
 	if !strings.Contains(out, "gain over Step1-only") {
 		t.Errorf("missing gain note:\n%s", out)
 	}

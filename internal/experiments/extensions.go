@@ -37,9 +37,10 @@ func ExtCostPerDevice() *report.Table {
 		Title:  "Extension: test cost per device vs multi-site (pnx8550)",
 		Header: []string{"n", "Dth (dev/h)", "USD/device", "vs n=1"},
 	}
-	base := cell.CostPerDevice(res.Curve[0].Throughput)
+	curve, _ := res.Design.ReEvaluate(cfg)
+	base := cell.CostPerDevice(curve[0].Throughput)
 	for n := 1; n <= res.Design.MaxSites; n++ {
-		d := res.Curve[n-1].Throughput
+		d := curve[n-1].Throughput
 		c := cell.CostPerDevice(d)
 		t.AddRow(n, d, fmt.Sprintf("%.4f", c), fmt.Sprintf("x%.2f", c/base))
 	}

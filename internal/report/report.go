@@ -6,6 +6,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -146,12 +147,15 @@ type Figure struct {
 	Title, XLabel, YLabel string
 	// Series are the plotted lines.
 	Series []*Series
+	// Notes are printed below the figure's table, one per line.
+	Notes []string
 }
 
 // Table renders the figure as a table with one x column and one column
-// per series, suitable for terminal output and regression capture.
+// per series, and the figure's notes, suitable for terminal output and
+// regression capture.
 func (f *Figure) Table() *Table {
-	t := &Table{Title: f.Title}
+	t := &Table{Title: f.Title, Notes: slices.Clone(f.Notes)}
 	t.Header = append(t.Header, f.XLabel)
 	for _, s := range f.Series {
 		name := s.Name

@@ -383,8 +383,8 @@ func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *s
 		if err != nil {
 			return cachedResult{}, false, err
 		}
-		// The view needs no curve, so none is kept: a render re-scores
-		// into fresh ones.
+		// A design holds no curve and the view needs none; a render
+		// re-scores into fresh ones.
 		best, gain, finite := design.Rescore(cfg, nil, nil)
 		view := snapshotView{
 			Channels: design.Step1.Channels(),

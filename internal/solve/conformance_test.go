@@ -83,6 +83,7 @@ func TestSolverConformance(t *testing.T) {
 			if res.Step1.Channels() > cfg.ATE.Channels {
 				t.Errorf("step 1 channels %d exceed the ATE's %d", res.Step1.Channels(), cfg.ATE.Channels)
 			}
+			curve, _ := res.ReEvaluate(res.Config)
 			for n := 1; n <= res.MaxSites; n++ {
 				arch := res.ArchAt(n)
 				if err := arch.Validate(); err != nil {
@@ -91,12 +92,12 @@ func TestSolverConformance(t *testing.T) {
 				if arch.TestCycles() > cfg.ATE.Depth {
 					t.Errorf("n=%d fill %d exceeds depth %d", n, arch.TestCycles(), cfg.ATE.Depth)
 				}
-				if e := res.Curve[n-1]; e.Channels != arch.Channels() || e.TestCycles != arch.TestCycles() {
+				if e := curve[n-1]; e.Channels != arch.Channels() || e.TestCycles != arch.TestCycles() {
 					t.Errorf("n=%d scored at %d channels and %d cycles, architecture has %d and %d",
 						n, e.Channels, e.TestCycles, arch.Channels(), arch.TestCycles())
 				}
 			}
-			if res.BestArch == nil || res.Best.Sites < 1 {
+			if res.Best.Sites < 1 || res.Best.Sites > res.MaxSites {
 				t.Errorf("no best operating point: %+v", res.Best)
 			}
 		})
