@@ -207,33 +207,36 @@ func TestMemoSolverDimension(t *testing.T) {
 	}
 }
 
+// depthVariant is memoConfig with its depth raised by i Ki: a distinct
+// design key for each i.
+func depthVariant(i int) core.Config {
+	cfg := memoConfig()
+	cfg.ATE.Depth += int64(i) * benchdata.Ki
+	return cfg
+}
+
 // TestMemoBoundedEvicts checks the memo caps its live designs at its
 // LRU bound, and an evicted design recomputes identical to the original.
 func TestMemoBoundedEvicts(t *testing.T) {
 	memo := NewMemo()
 	s := benchdata.Shared("d695")
-	variant := func(i int) core.Config {
-		cfg := memoConfig()
-		cfg.ATE.Depth += int64(i) * benchdata.Ki // distinct design keys
-		return cfg
-	}
 	const designs = memoCapacity + 16
 	results := make([]*core.Result, designs)
 	for i := range results {
-		res, err := memo.DesignSolverCtx(context.Background(), "", s, variant(i))
+		res, err := memo.DesignSolverCtx(context.Background(), "", s, depthVariant(i))
 		if err != nil {
 			t.Fatalf("depth variant %d: %v", i, err)
 		}
 		results[i] = res
 	}
-	if n := memo.Len(); n > memoCapacity {
-		t.Fatalf("%d live designs, bound is %d", n, memoCapacity)
+	if n := memo.Len(); n != memoCapacity {
+		t.Fatalf("%d live designs, want exactly the bound, %d", n, memoCapacity)
 	}
 	// At least 16 designs were evicted; re-request from the oldest until
 	// one recomputes, and check it matches the original.
 	for i, want := range results {
 		_, before := memo.Stats()
-		res, err := memo.DesignSolverCtx(context.Background(), "", s, variant(i))
+		res, err := memo.DesignSolverCtx(context.Background(), "", s, depthVariant(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,6 +252,28 @@ func TestMemoBoundedEvicts(t *testing.T) {
 		return
 	}
 	t.Fatal("no evicted design recomputed")
+}
+
+// TestMemoHoldsItsBound checks the memo's bound holds for the whole
+// memo: 240 distinct design keys, fewer than the bound, all stay live in
+// a fresh memo, so asking for each again designs nothing.
+func TestMemoHoldsItsBound(t *testing.T) {
+	memo := NewMemo()
+	s := benchdata.Shared("d695")
+	const designs = 240
+	for round := 0; round < 2; round++ {
+		for i := 0; i < designs; i++ {
+			if _, err := memo.DesignSolverCtx(context.Background(), "", s, depthVariant(i)); err != nil {
+				t.Fatalf("depth variant %d: %v", i, err)
+			}
+		}
+	}
+	if _, misses := memo.Stats(); misses != designs {
+		t.Errorf("%d designs for %d keys asked for twice; every key must stay live", misses, designs)
+	}
+	if n := memo.Len(); n != designs {
+		t.Errorf("%d live designs, want %d", n, designs)
+	}
 }
 
 // panicSolver is a backend whose every design panics.

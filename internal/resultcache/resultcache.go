@@ -1,23 +1,25 @@
 // Package resultcache is the repository's one singleflight cache: a
-// sharded, size-bounded LRU that computes each key at most once across
-// concurrent callers. It backs both cache tiers of the serving layer:
+// size-bounded LRU that computes each key at most once across concurrent
+// callers. It backs both cache tiers of the serving layer:
 //
 //   - engine.Memo stores live Step 1+2 architecture designs in a Store
 //     keyed on (solver, SOC pointer, ATE, TAM options), so a sweep's
 //     cost-model variants re-score one design instead of designing again.
-//   - The server stores finished results in a Store keyed on request
+//   - The server stores finished optimizes in a Store keyed on request
 //     content (canonical SOC hash + ATE + TAM options + cost model), so
-//     repeated identical requests — including inline SOCs a client
+//     repeated identical point queries — including inline SOCs a client
 //     uploads — are served without touching the optimizer, and two
 //     textually different requests describing the same chip share one
-//     entry.
+//     entry. Sweep and compare rows store nothing here: they re-score
+//     the memo's designs.
 //
 // Concurrent requests for one key are deduplicated singleflight-style:
 // the first computes, the rest wait on the entry and receive the same
 // value, so a thundering herd of identical requests costs exactly one
 // compute. A compute that errors or panics is never cached, and its
-// waiters are released. Each shard is an LRU bounded by entry count;
-// eviction only considers completed entries, never in-flight ones.
+// waiters are released. A Store is one map and one LRU list under one
+// mutex, bounded by entry count; eviction only considers completed
+// entries, never in-flight ones.
 //
 // Store[K, V] holds values of any type under any comparable key; Cache,
 // the instantiation New returns, holds serialized responses under string
@@ -29,7 +31,6 @@ import (
 	"container/list"
 	"context"
 	"errors"
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -38,27 +39,24 @@ import (
 // the panic itself propagates on the computing goroutine.
 var errPanicked = errors.New("resultcache: compute panicked")
 
-const shardCount = 16
-
-// DefaultCapacity bounds the whole cache to this many entries when
+// DefaultCapacity bounds a Store to this many entries when
 // Options.Capacity is zero.
 const DefaultCapacity = 4096
 
 // Options tunes a Store.
 type Options struct {
-	// Capacity is the target maximum number of completed entries across
-	// all shards; 0 means DefaultCapacity. The bound is enforced per
-	// shard as max(1, Capacity/16), so capacities below the shard count
-	// (including negative values) round up to one entry per shard — the
-	// effective minimum is 16 entries.
+	// Capacity is the exact maximum number of completed entries; 0 means
+	// DefaultCapacity, and a negative value means 1.
 	Capacity int
 }
 
-// Store is a sharded singleflight LRU of values of type V under keys of
-// type K. The zero value is not usable; use NewOf.
+// Store is a singleflight LRU of values of type V under keys of type K.
+// The zero value is not usable; use NewOf.
 type Store[K comparable, V any] struct {
-	seed   maphash.Seed
-	shards [shardCount]shard[K, V]
+	mu      sync.Mutex
+	entries map[K]*entry[K, V]
+	lru     list.List // completed entries, front = most recent
+	cap     int
 
 	hits      atomic.Int64 // completed entry found
 	misses    atomic.Int64 // this request ran the compute function
@@ -74,13 +72,6 @@ type Store[K comparable, V any] struct {
 // Cache is the Store of serialized responses.
 type Cache = Store[string, []byte]
 
-type shard[K comparable, V any] struct {
-	mu      sync.Mutex
-	entries map[K]*entry[K, V] // made on first insert
-	lru     list.List          // completed entries, front = most recent
-	cap     int
-}
-
 type entry[K comparable, V any] struct {
 	key  K
 	done chan struct{}
@@ -95,23 +86,13 @@ func New(opts Options) *Cache { return NewOf[string, []byte](opts) }
 // NewOf returns an empty store of values of type V under keys of type K.
 func NewOf[K comparable, V any](opts Options) *Store[K, V] {
 	capacity := opts.Capacity
-	if capacity == 0 {
+	switch {
+	case capacity == 0:
 		capacity = DefaultCapacity
+	case capacity < 0:
+		capacity = 1
 	}
-	perShard := capacity / shardCount
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &Store[K, V]{seed: maphash.MakeSeed()}
-	for i := range c.shards {
-		c.shards[i].cap = perShard
-	}
-	return c
-}
-
-// shardFor maps a key to its shard.
-func (c *Store[K, V]) shardFor(key K) *shard[K, V] {
-	return &c.shards[maphash.Comparable(c.seed, key)%shardCount]
+	return &Store[K, V]{entries: make(map[K]*entry[K, V]), cap: capacity}
 }
 
 // DoCond returns the cached value for key, computing it at most once
@@ -136,17 +117,16 @@ func (c *Store[K, V]) shardFor(key K) *shard[K, V] {
 // error before the panic propagates, so the key is never left wedged.
 func (c *Store[K, V]) DoCond(ctx context.Context, key K, compute func(ctx context.Context) (V, bool, error)) (val V, hit bool, err error) {
 	var zero V
-	sh := c.shardFor(key)
 	for {
-		sh.mu.Lock()
-		if e, ok := sh.entries[key]; ok {
+		c.mu.Lock()
+		if e, ok := c.entries[key]; ok {
 			if e.elem != nil { // completed
-				sh.lru.MoveToFront(e.elem)
-				sh.mu.Unlock()
+				c.lru.MoveToFront(e.elem)
+				c.mu.Unlock()
 				c.hits.Add(1)
 				return e.val, true, nil
 			}
-			sh.mu.Unlock()
+			c.mu.Unlock()
 			c.dedups.Add(1)
 			select {
 			case <-e.done:
@@ -169,11 +149,8 @@ func (c *Store[K, V]) DoCond(ctx context.Context, key K, compute func(ctx contex
 			return e.val, true, nil
 		}
 		e := &entry[K, V]{key: key, done: make(chan struct{})}
-		if sh.entries == nil {
-			sh.entries = make(map[K]*entry[K, V])
-		}
-		sh.entries[key] = e
-		sh.mu.Unlock()
+		c.entries[key] = e
+		c.mu.Unlock()
 		c.misses.Add(1)
 
 		finished := false
@@ -185,9 +162,9 @@ func (c *Store[K, V]) DoCond(ctx context.Context, key K, compute func(ctx contex
 			// with an error before the panic propagates, so they retry
 			// rather than deadlock on done.
 			e.err = errPanicked
-			sh.mu.Lock()
-			delete(sh.entries, key)
-			sh.mu.Unlock()
+			c.mu.Lock()
+			delete(c.entries, key)
+			c.mu.Unlock()
 			c.failures.Add(1)
 			close(e.done)
 		}()
@@ -195,27 +172,27 @@ func (c *Store[K, V]) DoCond(ctx context.Context, key K, compute func(ctx contex
 		e.val, store, e.err = compute(ctx)
 		finished = true
 
-		sh.mu.Lock()
+		c.mu.Lock()
 		if e.err != nil {
-			delete(sh.entries, key)
+			delete(c.entries, key)
 			c.failures.Add(1)
 		} else if !store {
 			// The compute disowned its own value (degraded result):
 			// deliver it to this caller and the joined waiters, but unlink
 			// the entry so the next request recomputes.
-			delete(sh.entries, key)
+			delete(c.entries, key)
 			c.uncacheable.Add(1)
 		} else {
-			e.elem = sh.lru.PushFront(e)
-			for sh.lru.Len() > sh.cap {
-				oldest := sh.lru.Back()
+			e.elem = c.lru.PushFront(e)
+			for c.lru.Len() > c.cap {
+				oldest := c.lru.Back()
 				old := oldest.Value.(*entry[K, V])
-				sh.lru.Remove(oldest)
-				delete(sh.entries, old.key)
+				c.lru.Remove(oldest)
+				delete(c.entries, old.key)
 				c.evictions.Add(1)
 			}
 		}
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		close(e.done)
 		return e.val, false, e.err
 	}
@@ -223,14 +200,9 @@ func (c *Store[K, V]) DoCond(ctx context.Context, key K, compute func(ctx contex
 
 // Len returns the number of completed entries.
 func (c *Store[K, V]) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len()
 }
 
 // Stats is a point-in-time counter snapshot.

@@ -56,32 +56,52 @@ func TestErrorsNotCached(t *testing.T) {
 	}
 }
 
+// TestLRUBound: Capacity is an exact entry bound, enforced least
+// recently used first. Ten keys into a store of three leave three entries
+// after seven evictions, and a key read just before the first overflow
+// survives it, though it was inserted first. A negative capacity means
+// one entry, and zero means DefaultCapacity.
 func TestLRUBound(t *testing.T) {
-	// Capacity negative -> 1 entry per shard; filling one shard with
-	// many keys must evict down to its bound.
-	c := New(Options{Capacity: -1})
-	sh := c.shardFor("target")
-	inserted := 0
-	for i := 0; i < 1000 && inserted < 3; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if c.shardFor(key) != sh {
-			continue
-		}
-		inserted++
+	c := New(Options{Capacity: 3})
+	put := func(key string) {
+		t.Helper()
 		if _, _, err := c.DoCond(bg(), key, func(context.Context) ([]byte, bool, error) {
 			return []byte(key), true, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if inserted < 3 {
-		t.Fatal("could not find 3 keys in one shard")
+	live := func(key string) bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		_, ok := c.entries[key]
+		return ok
 	}
-	if sh.lru.Len() != 1 {
-		t.Errorf("shard holds %d entries, want 1", sh.lru.Len())
+	put("k0")
+	put("k1")
+	put("k2")
+	put("k0") // a hit: k0 is now the most recently used
+	put("k3") // the first overflow evicts k1, not k0
+	if !live("k0") || live("k1") {
+		t.Errorf("after the first overflow: k0 live %v, k1 live %v; want k0 kept and k1 evicted", live("k0"), live("k1"))
 	}
-	if st := c.Stats(); st.Evictions != int64(inserted-1) {
-		t.Errorf("evictions = %d, want %d", st.Evictions, inserted-1)
+	for i := 4; i < 10; i++ {
+		put(fmt.Sprintf("k%d", i))
+	}
+	if st := c.Stats(); st.Entries != 3 || st.Evictions != 7 || st.Misses != 10 || st.Hits != 1 {
+		t.Errorf("stats %+v, want 3 entries, 7 evictions, 10 misses and 1 hit", st)
+	}
+	for _, key := range []string{"k7", "k8", "k9"} {
+		if !live(key) {
+			t.Errorf("%s evicted; the three most recent keys must stay", key)
+		}
+	}
+
+	if c := New(Options{Capacity: -1}); c.cap != 1 {
+		t.Errorf("Capacity -1 bounds a store at %d entries, want 1", c.cap)
+	}
+	if c := New(Options{}); c.cap != DefaultCapacity {
+		t.Errorf("Capacity 0 bounds a store at %d entries, want %d", c.cap, DefaultCapacity)
 	}
 }
 

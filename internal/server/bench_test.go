@@ -11,9 +11,9 @@ import (
 
 // BenchmarkSweepRepeat answers the same 48-row p22810 sweep (6 depths ×
 // 4 contact yields × retest both) from a warm server over HTTP, again and
-// again, and reports rows/s. After the first pass every row is a hit on
-// its row entry in the result cache; without row entries, each would be a
-// memo hit and a full re-score. This is what the row entries buy.
+// again, and reports rows/s. After the first pass every row re-scores a
+// design the memo holds: this is what any cache of rows would have to
+// beat.
 func BenchmarkSweepRepeat(b *testing.B) {
 	const (
 		rows = 6 * 4 * 2
@@ -34,7 +34,7 @@ func BenchmarkSweepRepeat(b *testing.B) {
 			b.Fatalf("sweep: status %d, %v: %s", resp.StatusCode, err, data)
 		}
 	}
-	sweep() // designs the six depths and stores every row entry
+	sweep() // designs the six depths
 	b.ReportAllocs()
 	for b.Loop() {
 		sweep()

@@ -30,16 +30,17 @@
 // benchmarks; inline SOCs get a per-request memo, counted in /metrics
 // like the shared one, so one upload's sweep still shares designs without
 // growing process state. The result cache (content-addressed) stores
-// finished results keyed on (canonical SOC hash, ATE, TAM options, cost
-// model), deduplicating concurrent identical requests singleflight-style:
-// a thundering herd of equal /v1/optimize calls runs exactly one
-// core.Optimize. Each entry holds the few fields rows and headers read,
-// so no hit decodes JSON. An optimize's entry (or an optimize job's) also
-// holds the snapshot's response bytes, rendered when it is computed. A
-// sweep or compare row's entry holds only those fields, under a key of
-// its own, and a row renders only for the disk tier's Put or to fail a
-// score JSON cannot encode. So a sweep warms the point-query path only
-// through the memo's designs and the disk tier, and vice versa.
+// finished optimizes, synchronous or job, keyed on (canonical SOC hash,
+// ATE, TAM options, cost model), deduplicating concurrent identical
+// requests singleflight-style: a thundering herd of equal /v1/optimize
+// calls runs exactly one core.Optimize. Each entry holds the snapshot's
+// response bytes, rendered when it is computed, and the few fields the
+// headers read, so no hit decodes JSON. A sweep or compare row never
+// reaches the result cache: it reads the disk tier if the server has
+// one, else re-scores the memo's design under its cost model, and it
+// renders only for the disk tier's Put or to fail a score JSON cannot
+// encode. So a sweep warms the point-query path only through the memo's
+// designs and the disk tier, and vice versa.
 //
 // Each operation is defined once (op.go). Every compute body — a
 // synchronous request, a job submission or replay (jobs.go), a body the
@@ -154,7 +155,7 @@ type Options struct {
 type Server struct {
 	opts  Options
 	memo  *engine.Memo
-	cache *resultcache.Store[entryKey, cachedResult]
+	cache *resultcache.Store[string, cachedResult]
 	sem   chan struct{}
 
 	// disk is the persistent L2 behind the in-memory result cache, and
@@ -199,7 +200,7 @@ func New(opts Options) *Server {
 		opts:      opts,
 		fleet:     fl,
 		memo:      engine.NewMemo(),
-		cache:     resultcache.NewOf[entryKey, cachedResult](resultcache.Options{Capacity: opts.CacheCapacity}),
+		cache:     resultcache.NewOf[string, cachedResult](resultcache.Options{Capacity: opts.CacheCapacity}),
 		sem:       make(chan struct{}, opts.Concurrency),
 		requests:  make(map[string]*atomic.Int64),
 		durations: make(map[string]*histogram),
@@ -320,29 +321,23 @@ func (s *Server) requestCtx(r *http.Request, timeoutMS int) (context.Context, co
 	return context.WithCancel(r.Context())
 }
 
-// entryKey is a result-cache key: a scenario's cachekey.Scenario, and
-// whether the entry holds the snapshot's bytes. An optimize stores its
-// view and its bytes; a sweep or compare row stores only its view, under
-// its own key, so no row entry keeps bytes no request reads.
-type entryKey struct {
-	scenario string
-	bytes    bool
-}
-
-// cachedResult is one result-cache entry: the view rows and headers read
-// and, under a bytes key, the snapshot's response bytes. It holds no
-// design, config or closure.
+// cachedResult is one result-cache entry, or a row's result: the view
+// rows and headers read and, for an optimize, the snapshot's response
+// bytes. It holds no design, config or closure.
 type cachedResult struct {
 	view snapshotView
 	data []byte
 }
 
 // computeSnapshot produces the optimization snapshot for one scenario of
-// chip under the named backend (a canonical solver name), through both
-// cache tiers: resultcache entries first, then memo's design re-scored
-// under the scenario's cost model. key is the scenario's
-// cachekey.Scenario, which the caller derives once; row says the caller
-// reads only the view. A miss holds a compute slot for the design, its
+// chip under the named backend (a canonical solver name): the disk tier's
+// bytes if it has them, else memo's design re-scored under the scenario's
+// cost model. key is the scenario's cachekey.Scenario, which the caller
+// derives once. An optimize (row false) goes through the result cache,
+// which stores its view and its bytes. A sweep or compare row (row true)
+// reads only the view and never touches the result cache: it re-scores
+// the memo's design directly, so key addresses only the disk entry and is
+// unused without a disk tier. A compute holds a slot for the design, its
 // re-score and any render, including while DesignSolverCtx waits on a
 // design another request is computing. No slot is held while waiting on
 // a result-cache entry another request is computing.
@@ -354,10 +349,10 @@ func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *s
 	if err := cfg.Probe.Validate(); err != nil {
 		return cachedResult{}, false, err
 	}
-	return s.cache.DoCond(ctx, entryKey{key, !row}, func(ctx context.Context) (cachedResult, bool, error) {
-		// The disk tier is consulted inside the singleflight compute, so
-		// a thundering herd on a cold in-memory cache still reads the
-		// persisted bytes, and decodes their view, exactly once. Every
+	compute := func(ctx context.Context) (cachedResult, bool, error) {
+		// An optimize consults the disk tier inside the singleflight
+		// compute, so a thundering herd on a cold in-memory cache still
+		// reads the persisted bytes, and decodes their view, once. Every
 		// read is checksum-verified; a corrupt entry is quarantined and
 		// reported as a miss, never served (diskcache.Get). Bytes that
 		// pass the checksum but do not decode are recomputed, and the
@@ -403,7 +398,7 @@ func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *s
 		// A row renders in two cases only. The disk tier's Put takes the
 		// bytes. And a NaN or ±Inf, which client input can produce (a
 		// vanishing clock_hz makes every test time +Inf), fails encoding:
-		// rendering fails the compute with the encoder's error, uncached.
+		// rendering fails the compute with the encoder's error.
 		if row && finite && !spill {
 			return cachedResult{view: view}, store, nil
 		}
@@ -413,14 +408,19 @@ func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *s
 		}
 		if spill {
 			// Best-effort spill: a failed Put is counted and logged by
-			// the disk tier; the in-memory entry still serves.
+			// the disk tier; the result still serves.
 			s.disk.Put(key, data)
 		}
 		if row {
 			data = nil
 		}
 		return cachedResult{view: view, data: data}, store, nil
-	})
+	}
+	if row {
+		res, _, err := compute(ctx)
+		return res, false, err
+	}
+	return s.cache.DoCond(ctx, key, compute)
 }
 
 // renderSnapshot re-scores design under cfg into fresh curves and
@@ -584,11 +584,12 @@ func (s *Server) handleSolvers(w http.ResponseWriter, r *http.Request) {
 // handleCompare runs one scenario through N optimizer backends and
 // returns a side-by-side delta table — the paper's Table 3-style
 // heuristic-vs-exact-vs-baseline comparison as a single API call. Each
-// backend's row goes through the same two cache tiers as /v1/optimize
-// (the solver is a cache-key dimension), under a row entry of its own
-// that holds no snapshot bytes (see computeSnapshot); backends run
-// concurrently on the engine pool, and one infeasible backend (the exact
-// solver on a too-large SOC) becomes an error row, not a failed request.
+// backend's row re-scores that backend's design from the memo (the
+// solver is a memo-key dimension), or reads the disk tier if the server
+// has one, and stores no result-cache entry (see computeSnapshot);
+// backends run concurrently on the engine pool, and one infeasible
+// backend (the exact solver on a too-large SOC) becomes an error row,
+// not a failed request.
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	o := s.admit(w, r, "/v1/compare")
 	if o == nil {

@@ -19,6 +19,7 @@ import (
 	"multisite/internal/benchdata"
 	"multisite/internal/cachekey"
 	"multisite/internal/core"
+	"multisite/internal/resultcache"
 	"multisite/internal/soc"
 	"multisite/internal/solve"
 )
@@ -225,7 +226,7 @@ func TestSweepStreamsReadyRows(t *testing.T) {
 }
 
 // TestSweepMatchesOptimize checks a sweep row agrees with the point query
-// for the same scenario. A row's entry holds no snapshot bytes, so the
+// for the same scenario. A row stores no result-cache entry, so the
 // optimize after the sweep misses the result cache, but it designs
 // nothing: it re-scores the design the sweep left in the memo.
 func TestSweepMatchesOptimize(t *testing.T) {
@@ -423,9 +424,13 @@ func TestCompareE2EGolden(t *testing.T) {
 	if exactWires > 0 && direct.Step1.Wires() < exactWires {
 		t.Errorf("heuristic wires %d beat the exact optimum %d", direct.Step1.Wires(), exactWires)
 	}
-	// Each backend computed exactly once, through the shared result cache.
-	if st := srv.cache.Stats(); st.Misses != int64(len(out.Rows)) {
-		t.Errorf("computes = %d, want %d (one per backend)", st.Misses, len(out.Rows))
+	// Each backend designed exactly once, through the memo, and no row
+	// touched the result cache.
+	if _, designed := srv.memo.Stats(); designed != int64(len(out.Rows)) {
+		t.Errorf("designs = %d, want %d (one per backend)", designed, len(out.Rows))
+	}
+	if st := srv.cache.Stats(); st != (resultcache.Stats{}) {
+		t.Errorf("result cache %+v, want it untouched by compare rows", st)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"multisite/internal/resultcache"
 )
 
 // TestConcurrentIdenticalOptimizeComputesOnce is the issue's acceptance
@@ -125,14 +127,15 @@ func TestSweep96Deterministic(t *testing.T) {
 
 // TestConcurrentMixedSweeps hammers the sweep path from many clients —
 // half identical, half distinct — and checks every response is byte-wise
-// reproducible and the cache computed each distinct scenario exactly once.
+// reproducible, the memo designed each distinct depth exactly once, and
+// no row touched the result cache.
 func TestConcurrentMixedSweeps(t *testing.T) {
 	srv, ts := newTestServer(t, Options{})
 	const clients = 32
 	bodyFor := func(i int) string {
 		// Two request shapes; within each, every client sends the same
-		// body, so distinct scenarios = 2 sweeps x 4 rows, sharing the
-		// 64K depth point between them (7 distinct keys).
+		// body, so distinct designs = one per depth, the two shapes
+		// sharing the 64K depth (3 distinct design keys).
 		if i%2 == 0 {
 			return `{"soc":"d695","channels":256,"clock_hz":5e6,"depths":"48K,64K","yields":[1,0.9]}`
 		}
@@ -160,7 +163,10 @@ func TestConcurrentMixedSweeps(t *testing.T) {
 	if bytes.Equal(responses[0], responses[1]) {
 		t.Error("distinct sweeps returned identical bytes")
 	}
-	if st := srv.cache.Stats(); st.Misses != 7 {
-		t.Errorf("computes = %d, want 7 (one per distinct scenario)", st.Misses)
+	if _, designed := srv.memo.Stats(); designed != 3 {
+		t.Errorf("designs = %d, want 3 (one per distinct depth)", designed)
+	}
+	if st := srv.cache.Stats(); st != (resultcache.Stats{}) {
+		t.Errorf("result cache %+v, want it untouched by sweep rows", st)
 	}
 }

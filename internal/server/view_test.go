@@ -100,8 +100,9 @@ func TestCachedViewMatchesDecode(t *testing.T) {
 // render can have shows on each endpoint. A clock so slow that every test
 // time is +Inf cannot be encoded as JSON: the optimize is a 422 carrying
 // json.Marshal's error, the sweep row and each compare row carry that
-// error, and nothing enters the cache. A row keeps only its view, so it
-// renders here only to fail with the encoder's error.
+// error, and nothing enters the cache. The optimize's compute fails in
+// the result cache; a row never reaches it, and renders here only to
+// fail with the encoder's error.
 func TestUnencodableResultFailsUncached(t *testing.T) {
 	const d695Hash = "12ddb13162c9e47a08b0e2ef8f01048d1035cde1f9a1c92f0395276902351f02"
 	for _, tc := range []struct {
@@ -113,11 +114,11 @@ func TestUnencodableResultFailsUncached(t *testing.T) {
 		{"/v1/optimize", `{"soc":"d695","clock_hz":1e-320}`, http.StatusUnprocessableEntity,
 			`{"error":"json: unsupported value: +Inf"}`, 1},
 		{"/v1/sweep", `{"soc":"d695","clock_hz":1e-320}`, http.StatusOK,
-			`{"index":0,"name":"d695","error":"json: unsupported value: +Inf"}`, 1},
+			`{"index":0,"name":"d695","error":"json: unsupported value: +Inf"}`, 0},
 		{"/v1/compare", `{"soc":"d695","clock_hz":1e-320,"solvers":["heuristic","baseline"]}`, http.StatusOK,
 			`{"soc":"d695","soc_hash":"` + d695Hash + `","rows":[` +
 				`{"solver":"heuristic","error":"json: unsupported value: +Inf"},` +
-				`{"solver":"baseline","error":"json: unsupported value: +Inf"}]}`, 2},
+				`{"solver":"baseline","error":"json: unsupported value: +Inf"}]}`, 0},
 	} {
 		t.Run(strings.TrimPrefix(tc.path, "/v1/"), func(t *testing.T) {
 			srv, ts := newTestServer(t, Options{})
@@ -134,15 +135,15 @@ func TestUnencodableResultFailsUncached(t *testing.T) {
 }
 
 // TestSweepAllocsPerRow pins the allocation cost of the sweep-stream row
-// path, in allocations and in bytes: every row misses the result cache and
-// re-scores a design the memo holds, and since a row entry keeps only its
-// view, none renders a snapshot. A row that renders one (the snapshot, its
-// chip's hash, the architecture texts and the encode) takes about 140
-// allocations. A row that stores only its view takes about 8.6 and 0.97
-// KB; under -race, up to 11.2 and 1.28 KB. One that also scores and keeps
-// both curves takes about 13 and 6.8 KB. The race detector's own
-// allocations get bounds of their own, so a plain run's bounds stay
-// tight.
+// path, in allocations and in bytes: every row re-scores a design the memo
+// holds, and none touches the result cache or renders a snapshot. A row
+// takes about 2.4 allocations and 390 B; under -race, up to 4.7 and 650 B.
+// One that renders a snapshot (the snapshot, its chip's hash, the
+// architecture texts and the encode) takes about 140 allocations, one that
+// also stores its view in the result cache about 8.6 and 0.97 KB, and one
+// that also scores and keeps both curves about 13 and 6.8 KB. The race
+// detector's own allocations get bounds of their own, so a plain run's
+// bounds stay tight.
 func TestSweepAllocsPerRow(t *testing.T) {
 	const (
 		runs = 10
@@ -151,7 +152,7 @@ func TestSweepAllocsPerRow(t *testing.T) {
 	s := New(Options{Workers: 1})
 	// sweepOp builds a sweep over six fixed depths (so the six designs are
 	// shared by every sweep) and four contact yields new to the i-th sweep
-	// (so every row is a new result-cache key).
+	// (so no row repeats an earlier row's scenario).
 	sweepOp := func(i int) *op {
 		t.Helper()
 		cys := make([]float64, 4)
@@ -204,9 +205,9 @@ func TestSweepAllocsPerRow(t *testing.T) {
 		t.Fatalf("memo designed %d times while timed; every row must hit it", after-designed)
 	}
 	t.Logf("%.0f allocs per sweep, %.1f and %.0f B per row", allocs, allocs/rows, bytesPerRow)
-	maxAllocs, maxBytes := 9.0, 1000.0
+	maxAllocs, maxBytes := 3.0, 480.0
 	if raceEnabled {
-		maxAllocs, maxBytes = 12, 1408
+		maxAllocs, maxBytes = 6, 800
 	}
 	if perRow := allocs / rows; perRow > maxAllocs {
 		t.Errorf("%.0f allocations per sweep, %.1f per row; want at most %.0f per row", allocs, perRow, maxAllocs)
