@@ -55,10 +55,9 @@ type memoCounts struct {
 // per site count. A grid sweep over y yield variants of the same tester
 // therefore pays for one design, not y.
 //
-// The designs live in a resultcache.Store of exactly 256 entries, evicted
-// least recently used, so a design can be evicted and recomputed; a
-// recomputed design is identical to the evicted one. SOC identity is
-// pointer identity: use the memoized
+// The designs live in a resultcache.Store of exactly 256 entries, so a
+// design can be evicted and recomputed; a recomputed design is identical
+// to the evicted one. SOC identity is pointer identity: use the memoized
 // benchdata.Shared chips (or any stable *soc.SOC) for sweeps. A Memo is
 // safe for concurrent use and may be shared across Runs to memoize a
 // whole session — the serving layer keeps one per process.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -213,6 +214,34 @@ func depthVariant(i int) core.Config {
 	cfg := memoConfig()
 	cfg.ATE.Depth += int64(i) * benchdata.Ki
 	return cfg
+}
+
+// BenchmarkMemoHitParallel asks a warm memo for 64 d695 design keys
+// from every P at once. Each call is a hit taken under the store's one
+// lock, so `-cpu 1,2,4,8` shows what that lock costs as callers are
+// added.
+func BenchmarkMemoHitParallel(b *testing.B) {
+	memo := NewMemo()
+	s := benchdata.Shared("d695")
+	cfgs := make([]core.Config, 64)
+	for i := range cfgs {
+		cfgs[i] = depthVariant(i)
+		if _, err := memo.DesignSolverCtx(context.Background(), "", s, cfgs[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(next.Add(1))
+		for pb.Next() {
+			if _, err := memo.DesignSolverCtx(context.Background(), "", s, cfgs[i%len(cfgs)]); err != nil {
+				b.Error(err)
+				return
+			}
+			i++
+		}
+	})
 }
 
 // TestMemoBoundedEvicts checks the memo caps its live designs at its

@@ -10,16 +10,15 @@
 //     repeated identical point queries — including inline SOCs a client
 //     uploads — are served without touching the optimizer, and two
 //     textually different requests describing the same chip share one
-//     entry. Sweep and compare rows store nothing here: they re-score
-//     the memo's designs.
+//     entry. Rows are stored only by a disk-backed server, as views in
+//     a Store of their own.
 //
 // Concurrent requests for one key are deduplicated singleflight-style:
 // the first computes, the rest wait on the entry and receive the same
 // value, so a thundering herd of identical requests costs exactly one
 // compute. A compute that errors or panics is never cached, and its
-// waiters are released. A Store is one map and one LRU list under one
-// mutex, bounded by entry count; eviction only considers completed
-// entries, never in-flight ones.
+// waiters are released. A Store is one mutex over one map and LRU list,
+// bounded by entry count; eviction never touches an in-flight entry.
 //
 // Store[K, V] holds values of any type under any comparable key; Cache,
 // the instantiation New returns, holds serialized responses under string

@@ -11,6 +11,7 @@ import (
 
 	"multisite/internal/diskcache"
 	"multisite/internal/jobs"
+	"multisite/internal/resultcache"
 	"multisite/internal/solve"
 )
 
@@ -72,6 +73,7 @@ func NewWithData(opts Options) (*Server, error) {
 		return nil, err
 	}
 	s.disk = disk
+	s.rows = resultcache.NewOf[string, snapshotView](resultcache.Options{Capacity: opts.CacheCapacity})
 	mgr, err := jobs.Open(jobs.Options{
 		Dir:         opts.DataDir + "/jobs",
 		IDPrefix:    s.fleet.jobIDPrefix(),

@@ -263,15 +263,13 @@ func (s *Server) memoFor(o *op) *engine.Memo {
 	return s.memo.Scope()
 }
 
-// outcome computes one scenario of o under solver and cfg as a row — the
-// disk tier's entry if the server has one, else the memo's design
-// re-scored, never a result-cache entry — and applies the failure policy.
-// Only the disk tier reads the scenario's cache key, so a server without
-// one derives none. It returns the snapshot's view, or rowErr: a failure
-// the row reports in the view's place. Under the durable policy a
-// transient or cancelled compute, or a degraded design, is fatal instead
-// — it aborts the job attempt, since a durable result must never embed a
-// row a retry could improve.
+// outcome computes one scenario of o under solver and cfg as a row (see
+// computeSnapshot; a server without a disk tier derives no cache key for
+// it) and applies the failure policy. It returns the snapshot's view, or
+// rowErr: a failure the row reports in the view's place. Under the
+// durable policy a transient or cancelled compute, or a degraded design,
+// is fatal instead — it aborts the job attempt, since a durable result
+// must never embed a row a retry could improve.
 func (s *Server) outcome(ctx context.Context, memo *engine.Memo, o *op, solver string, cfg core.Config, durable bool) (view snapshotView, rowErr, fatal error) {
 	var key string
 	if s.disk != nil {

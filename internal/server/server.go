@@ -35,12 +35,12 @@
 // requests singleflight-style: a thundering herd of equal /v1/optimize
 // calls runs exactly one core.Optimize. Each entry holds the snapshot's
 // response bytes, rendered when it is computed, and the few fields the
-// headers read, so no hit decodes JSON. A sweep or compare row never
-// reaches the result cache: it reads the disk tier if the server has
-// one, else re-scores the memo's design under its cost model, and it
-// renders only for the disk tier's Put or to fail a score JSON cannot
-// encode. So a sweep warms the point-query path only through the memo's
-// designs and the disk tier, and vice versa.
+// headers read, so no hit decodes JSON. No sweep or compare row reaches
+// the result cache: without a disk tier a row re-scores the memo's design
+// and is stored nowhere, and a disk-backed server keeps row views in a
+// store of their own in front of the disk tier (see computeSnapshot). So
+// a sweep warms the point-query path only through the memo's designs and
+// the disk tier, and vice versa.
 //
 // Each operation is defined once (op.go). Every compute body — a
 // synchronous request, a job submission or replay (jobs.go), a body the
@@ -100,8 +100,8 @@ type Options struct {
 	// Concurrency is the server-wide budget of simultaneously running
 	// optimizations across all requests; 0 means 2×GOMAXPROCS.
 	Concurrency int
-	// CacheCapacity is the result cache's entry bound; 0 means
-	// resultcache.DefaultCapacity.
+	// CacheCapacity bounds the result cache's entries, and a disk-backed
+	// server's row views; 0 means resultcache.DefaultCapacity.
 	CacheCapacity int
 	// RequestTimeout caps one request's compute time; 0 means no limit.
 	RequestTimeout time.Duration
@@ -157,6 +157,11 @@ type Server struct {
 	memo  *engine.Memo
 	cache *resultcache.Store[string, cachedResult]
 	sem   chan struct{}
+
+	// rows holds sweep and compare rows' views on a disk-backed server,
+	// sparing a repeated row its disk read; nil without a disk tier (see
+	// computeSnapshot).
+	rows *resultcache.Store[string, snapshotView]
 
 	// disk is the persistent L2 behind the in-memory result cache, and
 	// the CAS job results live in; jobMgr is the durable job subsystem.
@@ -321,9 +326,9 @@ func (s *Server) requestCtx(r *http.Request, timeoutMS int) (context.Context, co
 	return context.WithCancel(r.Context())
 }
 
-// cachedResult is one result-cache entry, or a row's result: the view
-// rows and headers read and, for an optimize, the snapshot's response
-// bytes. It holds no design, config or closure.
+// cachedResult is one result-cache entry, or a row's compute result: the
+// view rows and headers read and the snapshot's response bytes, which
+// only an optimize keeps. It holds no design, config or closure.
 type cachedResult struct {
 	view snapshotView
 	data []byte
@@ -333,14 +338,11 @@ type cachedResult struct {
 // chip under the named backend (a canonical solver name): the disk tier's
 // bytes if it has them, else memo's design re-scored under the scenario's
 // cost model. key is the scenario's cachekey.Scenario, which the caller
-// derives once. An optimize (row false) goes through the result cache,
-// which stores its view and its bytes. A sweep or compare row (row true)
-// reads only the view and never touches the result cache: it re-scores
-// the memo's design directly, so key addresses only the disk entry and is
-// unused without a disk tier. A compute holds a slot for the design, its
-// re-score and any render, including while DesignSolverCtx waits on a
-// design another request is computing. No slot is held while waiting on
-// a result-cache entry another request is computing.
+// derives once. An optimize goes through the result cache; a row, whose
+// caller reads only the view, through s.rows if the server has a disk
+// tier and through no cache (key unused) if not. A compute holds a slot
+// for the design, its re-score and any render, even while DesignSolverCtx
+// waits on another request's design, but none while waiting on an entry.
 func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *soc.SOC, solver, key string, scenario core.Config, row bool) (cachedResult, bool, error) {
 	cfg := scenario.Normalized()
 	if err := cfg.ATE.Validate(); err != nil {
@@ -350,9 +352,9 @@ func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *s
 		return cachedResult{}, false, err
 	}
 	compute := func(ctx context.Context) (cachedResult, bool, error) {
-		// An optimize consults the disk tier inside the singleflight
-		// compute, so a thundering herd on a cold in-memory cache still
-		// reads the persisted bytes, and decodes their view, once. Every
+		// The disk tier is consulted inside the singleflight compute, so
+		// a thundering herd on a cold in-memory cache still reads the
+		// persisted bytes, and decodes their view, exactly once. Every
 		// read is checksum-verified; a corrupt entry is quarantined and
 		// reported as a miss, never served (diskcache.Get). Bytes that
 		// pass the checksum but do not decode are recomputed, and the
@@ -362,9 +364,6 @@ func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *s
 				var view snapshotView
 				err := json.Unmarshal(data, &view)
 				if err == nil {
-					if row {
-						data = nil
-					}
 					return cachedResult{view: view, data: data}, true, nil
 				}
 				s.logf("disk cache entry %s is not a snapshot, recomputing: %v", key, err)
@@ -398,7 +397,7 @@ func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *s
 		// A row renders in two cases only. The disk tier's Put takes the
 		// bytes. And a NaN or ±Inf, which client input can produce (a
 		// vanishing clock_hz makes every test time +Inf), fails encoding:
-		// rendering fails the compute with the encoder's error.
+		// rendering fails the compute with the encoder's error, uncached.
 		if row && finite && !spill {
 			return cachedResult{view: view}, store, nil
 		}
@@ -408,19 +407,23 @@ func (s *Server) computeSnapshot(ctx context.Context, memo *engine.Memo, chip *s
 		}
 		if spill {
 			// Best-effort spill: a failed Put is counted and logged by
-			// the disk tier; the result still serves.
+			// the disk tier; the in-memory entry still serves.
 			s.disk.Put(key, data)
-		}
-		if row {
-			data = nil
 		}
 		return cachedResult{view: view, data: data}, store, nil
 	}
-	if row {
-		res, _, err := compute(ctx)
-		return res, false, err
+	switch {
+	case !row:
+		return s.cache.DoCond(ctx, key, compute)
+	case s.rows != nil:
+		view, hit, err := s.rows.DoCond(ctx, key, func(ctx context.Context) (snapshotView, bool, error) {
+			res, store, err := compute(ctx)
+			return res.view, store, err
+		})
+		return cachedResult{view: view}, hit, err
 	}
-	return s.cache.DoCond(ctx, key, compute)
+	res, _, err := compute(ctx)
+	return res, false, err
 }
 
 // renderSnapshot re-scores design under cfg into fresh curves and
@@ -584,12 +587,10 @@ func (s *Server) handleSolvers(w http.ResponseWriter, r *http.Request) {
 // handleCompare runs one scenario through N optimizer backends and
 // returns a side-by-side delta table — the paper's Table 3-style
 // heuristic-vs-exact-vs-baseline comparison as a single API call. Each
-// backend's row re-scores that backend's design from the memo (the
-// solver is a memo-key dimension), or reads the disk tier if the server
-// has one, and stores no result-cache entry (see computeSnapshot);
-// backends run concurrently on the engine pool, and one infeasible
-// backend (the exact solver on a too-large SOC) becomes an error row,
-// not a failed request.
+// backend's row is computed like a sweep row (see computeSnapshot; the
+// solver is a key dimension of every tier); backends run concurrently
+// on the engine pool, and one infeasible backend (the exact solver on a
+// too-large SOC) becomes an error row, not a failed request.
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	o := s.admit(w, r, "/v1/compare")
 	if o == nil {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"multisite/internal/diskcache"
 	"multisite/internal/resultcache"
 )
 
@@ -165,6 +166,58 @@ func TestConcurrentMixedSweeps(t *testing.T) {
 	}
 	if _, designed := srv.memo.Stats(); designed != 3 {
 		t.Errorf("designs = %d, want 3 (one per distinct depth)", designed)
+	}
+	if st := srv.cache.Stats(); st != (resultcache.Stats{}) {
+		t.Errorf("result cache %+v, want it untouched by sweep rows", st)
+	}
+}
+
+// TestConcurrentIdenticalSweepsSpillOnce: on a disk-backed server a herd
+// of identical sweeps reads, designs, renders and spills each scenario
+// once, and a repeat is answered from the row views without touching the
+// disk. The rows equal a disk-less server's byte for byte.
+func TestConcurrentIdenticalSweepsSpillOnce(t *testing.T) {
+	const (
+		clients   = 16
+		scenarios = 4 // 2 depths × 2 yields
+		body      = `{"soc":"d695","channels":256,"clock_hz":5e6,"depths":"48K,64K","yields":[1,0.9]}`
+	)
+	_, ref := newTestServer(t, Options{})
+	want := runSweep(t, ref, body)
+	srv, ts := newDurableServer(t, t.TempDir(), Options{})
+	responses := make([][]byte, clients)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			responses[i] = runSweep(t, ts, body)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, got := range responses {
+		if !bytes.Equal(got, want) {
+			t.Errorf("client %d's rows differ from a disk-less server's", i)
+		}
+	}
+	spilled := diskcache.Stats{Misses: scenarios, Puts: scenarios, Entries: scenarios}
+	if st := srv.disk.Stats(); st != spilled {
+		t.Errorf("disk tier after the herd %+v, want %+v: one read and one put per scenario", st, spilled)
+	}
+	if _, designed := srv.memo.Stats(); designed != 2 {
+		t.Errorf("designs = %d, want 2 (one per depth)", designed)
+	}
+	if got := runSweep(t, ts, body); !bytes.Equal(got, want) {
+		t.Error("repeated sweep differs")
+	}
+	if st := srv.disk.Stats(); st != spilled {
+		t.Errorf("disk tier after a repeat %+v, want %+v: a repeated row reads no disk", st, spilled)
+	}
+	if st := srv.rows.Stats(); st.Misses != scenarios || st.Entries != scenarios {
+		t.Errorf("row views %+v, want %d computes and entries", st, scenarios)
 	}
 	if st := srv.cache.Stats(); st != (resultcache.Stats{}) {
 		t.Errorf("result cache %+v, want it untouched by sweep rows", st)

@@ -191,13 +191,12 @@ type SweepRow struct {
 }
 
 // snapshotView is the slice of a core.Snapshot that sweep rows, compare
-// rows and the provenance headers read. Each result-cache entry and each
-// row's result keeps one (cachedResult): a compute builds it from the
-// design's re-score, before and without rendering the snapshot, and a
-// disk-tier hit decodes it once from the bytes, skipping the curves and
-// architecture texts that dominate a snapshot's size. Either way it holds
-// the values decoding the rendered bytes would give. The JSON tags are
-// what that decode reads.
+// rows and the provenance headers read; each cachedResult holds one. A
+// compute builds it from the design's re-score, before and without
+// rendering the snapshot, and a disk-tier hit decodes it once from the
+// bytes, skipping the curves and architecture texts that dominate a
+// snapshot's size. Either way it holds the values decoding the rendered
+// bytes would give. The JSON tags are what that decode reads.
 type snapshotView struct {
 	// Channels is the Step 1 architecture's channel count (2·wires),
 	// which the compare rows report alongside the best operating point.
