@@ -79,7 +79,6 @@ import (
 	"syscall"
 	"time"
 
-	"multisite/internal/diskcache"
 	"multisite/internal/faultinject"
 	"multisite/internal/server"
 	"multisite/internal/solve"
@@ -147,25 +146,7 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Fprintf(os.Stderr, "serve: CHAOS durable tier wrapped with disk fault plan %s\n", diskPlan)
-		// Each physical operation draws one schedule step; a step whose
-		// fault cannot apply to that operation passes harmlessly.
-		opts.DiskInject = func(op diskcache.Op) diskcache.Fault {
-			switch diskPlan.Draw() {
-			case faultinject.DiskShortWrite:
-				if op == diskcache.OpWrite {
-					return diskcache.FaultShortWrite
-				}
-			case faultinject.DiskReadErr:
-				if op == diskcache.OpRead {
-					return diskcache.FaultReadErr
-				}
-			case faultinject.DiskTornRename:
-				if op == diskcache.OpRename {
-					return diskcache.FaultTornRename
-				}
-			}
-			return diskcache.FaultNone
-		}
+		opts.DiskInject = diskPlan.Inject
 	}
 	if len(plans) > 0 {
 		opts.WrapSolver = func(name string, sv solve.Solver) solve.Solver {

@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-
-	"multisite/internal/faultinject"
 )
 
 func keyOf(s string) string {
@@ -126,15 +124,10 @@ func TestTruncationQuarantined(t *testing.T) {
 }
 
 func TestInjectedShortWrite(t *testing.T) {
-	plan, err := faultinject.ParseDiskPlan("shortwrite")
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := true
 	c := openT(t, Options{Inject: func(op Op) Fault {
-		if op != OpWrite {
-			return FaultNone
-		}
-		if plan.Draw() == faultinject.DiskShortWrite {
+		if op == OpWrite && first {
+			first = false
 			return FaultShortWrite
 		}
 		return FaultNone
@@ -151,7 +144,7 @@ func TestInjectedShortWrite(t *testing.T) {
 	if st := c.Stats(); st.Quarantined != 1 {
 		t.Errorf("Quarantined = %d, want 1", st.Quarantined)
 	}
-	// The plan is exhausted: the next Put commits cleanly.
+	// The fault is spent: the next Put commits cleanly.
 	if err := c.Put(key, []byte("healthy")); err != nil {
 		t.Fatal(err)
 	}

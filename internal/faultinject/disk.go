@@ -2,137 +2,55 @@ package faultinject
 
 import (
 	"fmt"
-	"strings"
-	"sync/atomic"
+
+	"multisite/internal/diskcache"
 )
 
-// Disk faults mirror the backend fault plans for the durable state path:
-// a DiskPlan is a finite schedule of I/O misbehaviors consumed one step
-// per physical cache/journal operation, so the recovery code in
+// DiskPlan is a deterministic schedule of disk faults, consumed one step
+// per physical cache or journal operation, so the recovery code in
 // internal/diskcache and internal/jobs can be driven through its torn-
-// write, failed-read, and torn-rename branches deterministically — same
-// plan syntax, same atomic-cursor draw, same repeat semantics as the
-// solver plans.
+// write, failed-read and torn-rename branches. A nil *DiskPlan passes
+// everything. Safe for concurrent use.
 //
 // A step that does not apply to the operation drawing it (an eio step
-// drawn by a write, a shortwrite step drawn by a read) passes: plans are
-// written against one operation kind at a time ("shortwrite,pass,repeat"
-// against writes, "eio,repeat" against reads), which keeps schedules
-// readable and the consumed-step accounting obvious.
+// drawn by a write, a shortwrite step drawn by a read) passes, because
+// each operation acts only on its own fault: plans are written against
+// one operation kind at a time ("shortwrite,pass,repeat" against writes,
+// "eio,repeat" against reads), which keeps schedules readable and the
+// consumed-step accounting obvious.
+type DiskPlan schedule[diskcache.Fault]
 
-// DiskMode is one disk step's behavior.
-type DiskMode int
-
-const (
-	// DiskPass performs the operation untouched.
-	DiskPass DiskMode = iota
-	// DiskShortWrite truncates a write partway: the operation reports
-	// success, but the bytes on disk are a prefix — the shape of a crash
-	// between write and flush. Applies to writes.
-	DiskShortWrite
-	// DiskReadErr fails a read with an injected I/O error (EIO shape)
-	// without touching the file. Applies to reads.
-	DiskReadErr
-	// DiskTornRename makes a rename land a truncated destination — the
-	// shape of a crash where the rename's metadata survived but the data
-	// blocks did not. Applies to renames.
-	DiskTornRename
-)
-
-func (m DiskMode) String() string {
-	switch m {
-	case DiskPass:
-		return "pass"
-	case DiskShortWrite:
-		return "shortwrite"
-	case DiskReadErr:
-		return "eio"
-	case DiskTornRename:
-		return "torn"
-	default:
-		return fmt.Sprintf("DiskMode(%d)", int(m))
-	}
-}
-
-// DiskPlan is a deterministic disk-fault schedule; the zero of the
-// pointer (nil) passes everything. Safe for concurrent use.
-type DiskPlan struct {
-	steps  []DiskMode
-	repeat bool
-	next   atomic.Int64
-}
-
-// NewDiskPlan builds a plan from explicit steps. With repeat the
-// schedule cycles; otherwise operations past the last step pass.
-func NewDiskPlan(steps []DiskMode, repeat bool) *DiskPlan {
-	return &DiskPlan{steps: append([]DiskMode(nil), steps...), repeat: repeat}
+// diskFaults names each disk fault in ParseDiskPlan syntax.
+var diskFaults = [...]string{
+	diskcache.FaultNone:       "pass",
+	diskcache.FaultShortWrite: "shortwrite",
+	diskcache.FaultReadErr:    "eio",
+	diskcache.FaultTornRename: "torn",
 }
 
 // ParseDiskPlan parses a comma-separated schedule of "pass",
 // "shortwrite", "eio", or "torn"; a trailing "repeat" element makes the
 // schedule cycle. Example: "shortwrite,pass,eio,repeat".
 func ParseDiskPlan(s string) (*DiskPlan, error) {
-	var steps []DiskMode
-	repeat := false
-	parts := strings.Split(s, ",")
-	for i, part := range parts {
-		part = strings.TrimSpace(part)
-		if part == "repeat" {
-			if i != len(parts)-1 {
-				return nil, fmt.Errorf("faultinject: %q: repeat must be the last element", s)
+	sc, err := parseSchedule(s, func(word string) (diskcache.Fault, error) {
+		for f, name := range diskFaults {
+			if word == name {
+				return diskcache.Fault(f), nil
 			}
-			repeat = true
-			continue
 		}
-		switch part {
-		case "pass":
-			steps = append(steps, DiskPass)
-		case "shortwrite":
-			steps = append(steps, DiskShortWrite)
-		case "eio":
-			steps = append(steps, DiskReadErr)
-		case "torn":
-			steps = append(steps, DiskTornRename)
-		default:
-			return nil, fmt.Errorf("faultinject: unknown disk step %q (want pass, shortwrite, eio, torn, repeat)", part)
-		}
-	}
-	if len(steps) == 0 {
-		return nil, fmt.Errorf("faultinject: empty disk plan %q", s)
-	}
-	return NewDiskPlan(steps, repeat), nil
+		return 0, fmt.Errorf("faultinject: unknown disk step %q (want pass, shortwrite, eio, torn, repeat)", word)
+	})
+	return (*DiskPlan)(sc), err
 }
 
-// Draw consumes and returns the next step. Past a non-repeating
-// schedule (or on a nil plan) it passes.
-func (p *DiskPlan) Draw() DiskMode {
-	if p == nil || len(p.steps) == 0 {
-		return DiskPass
-	}
-	i := p.next.Add(1) - 1
-	if int(i) >= len(p.steps) {
-		if !p.repeat {
-			return DiskPass
-		}
-		i %= int64(len(p.steps))
-	}
-	return p.steps[i]
+// Inject consumes the next step as the fault for one physical
+// operation; it is the hook diskcache.Options.Inject and
+// jobs.Options.Inject take.
+func (p *DiskPlan) Inject(diskcache.Op) diskcache.Fault {
+	return (*schedule[diskcache.Fault])(p).draw()
 }
 
 // String renders the schedule in ParseDiskPlan syntax.
 func (p *DiskPlan) String() string {
-	if p == nil {
-		return "pass"
-	}
-	var b strings.Builder
-	for i, m := range p.steps {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(m.String())
-	}
-	if p.repeat {
-		b.WriteString(",repeat")
-	}
-	return b.String()
+	return (*schedule[diskcache.Fault])(p).format(func(f diskcache.Fault) string { return diskFaults[f] })
 }

@@ -1,26 +1,29 @@
-// Package faultinject wraps a solver backend with a deterministic fault
-// schedule, so the failure paths the resilience layer exists for —
-// slowdowns, transient errors, panics, outright hangs — can be driven on
-// purpose, in tests and in a chaos-mode server, instead of waited for.
+// Package faultinject drives failure paths on purpose with deterministic
+// fault schedules, in tests and in a chaos-mode server, instead of
+// waiting for them. A Plan wraps a solver backend with slowdowns,
+// transient errors, panics and outright hangs, which the resilience
+// layer exists for; a DiskPlan is the disk cache's and job journal's
+// fault hook, with short writes, read errors and torn renames, which
+// their recovery code exists for.
 //
-// A Plan is a finite sequence of steps consumed one per Solve call
+// Both are one schedule: a fixed list of steps consumed one per call
 // (atomically, so concurrent calls each draw their own step). Past the
-// end the plan passes calls through untouched, unless built to repeat.
-// Plans come from two constructors: NewPlan for tests that want exact
-// control, and ParsePlan for the CLI's -inject flag
-// ("delay:50ms,error,pass" with an optional trailing "repeat"). A plan is
-// a fixed schedule, which is what makes a chaos failure reproducible.
+// end a schedule passes calls through untouched, unless it repeats.
+// ParsePlan reads the CLI's -inject syntax ("delay:50ms,error,pass") and
+// ParseDiskPlan its -inject-disk syntax ("shortwrite,pass,eio,torn"),
+// each with an optional trailing "repeat". A plan is a fixed schedule,
+// which is what makes a chaos failure reproducible.
 //
-// Injected errors match solve.ErrTransient, so the caching tiers refuse
-// to store anything an injected fault touched, and the circuit breakers
-// count it against the backend like any organic transient failure.
+// Injected solver errors match solve.ErrTransient, so the caching tiers
+// refuse to store anything an injected fault touched, and the circuit
+// breakers count it against the backend like any organic transient
+// failure.
 package faultinject
 
 import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"multisite/internal/core"
@@ -52,21 +55,15 @@ const (
 	Hang
 )
 
+// modeNames names each mode in ParsePlan syntax, where a delay step
+// also carries its duration ("delay:50ms").
+var modeNames = [...]string{Pass: "pass", Delay: "delay", Error: "error", Panic: "panic", Hang: "hang"}
+
 func (m Mode) String() string {
-	switch m {
-	case Pass:
-		return "pass"
-	case Delay:
-		return "delay"
-	case Error:
-		return "error"
-	case Panic:
-		return "panic"
-	case Hang:
-		return "hang"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
+	if m >= 0 && int(m) < len(modeNames) {
+		return modeNames[m]
 	}
+	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
 // Step is one scheduled fault.
@@ -76,112 +73,55 @@ type Step struct {
 	Delay time.Duration
 }
 
-// Plan is a deterministic fault schedule. Calls draw steps in order via
-// an atomic cursor; a nil *Plan passes everything through. Safe for
-// concurrent use.
-type Plan struct {
-	steps  []Step
-	repeat bool
-	next   atomic.Int64
-}
-
-// NewPlan builds a plan from explicit steps. With repeat the schedule
-// cycles; otherwise calls past the last step pass through.
-func NewPlan(steps []Step, repeat bool) *Plan {
-	return &Plan{steps: append([]Step(nil), steps...), repeat: repeat}
-}
+// Plan is a deterministic schedule of solver faults; a nil *Plan passes
+// everything through. Safe for concurrent use.
+type Plan schedule[Step]
 
 // ParsePlan parses a comma-separated schedule: "pass", "error", "panic",
 // "hang", or "delay:<duration>"; a trailing "repeat" element makes the
 // schedule cycle. Example: "delay:50ms,error,pass,repeat".
 func ParsePlan(s string) (*Plan, error) {
-	var steps []Step
-	repeat := false
-	parts := strings.Split(s, ",")
-	for i, part := range parts {
-		part = strings.TrimSpace(part)
-		if part == "repeat" {
-			if i != len(parts)-1 {
-				return nil, fmt.Errorf("faultinject: %q: repeat must be the last element", s)
-			}
-			repeat = true
-			continue
-		}
-		switch {
-		case part == "pass":
-			steps = append(steps, Step{Mode: Pass})
-		case part == "error":
-			steps = append(steps, Step{Mode: Error})
-		case part == "panic":
-			steps = append(steps, Step{Mode: Panic})
-		case part == "hang":
-			steps = append(steps, Step{Mode: Hang})
-		case strings.HasPrefix(part, "delay:"):
-			d, err := time.ParseDuration(strings.TrimPrefix(part, "delay:"))
+	sc, err := parseSchedule(s, func(word string) (Step, error) {
+		if dur, ok := strings.CutPrefix(word, "delay:"); ok {
+			d, err := time.ParseDuration(dur)
 			if err != nil {
-				return nil, fmt.Errorf("faultinject: bad delay in %q: %w", part, err)
+				return Step{}, fmt.Errorf("faultinject: bad delay in %q: %w", word, err)
 			}
 			if d < 0 {
-				return nil, fmt.Errorf("faultinject: negative delay in %q", part)
+				return Step{}, fmt.Errorf("faultinject: negative delay in %q", word)
 			}
-			steps = append(steps, Step{Mode: Delay, Delay: d})
-		default:
-			return nil, fmt.Errorf("faultinject: unknown step %q (want pass, delay:<dur>, error, panic, hang, repeat)", part)
+			return Step{Mode: Delay, Delay: d}, nil
 		}
-	}
-	if len(steps) == 0 {
-		return nil, fmt.Errorf("faultinject: empty plan %q", s)
-	}
-	return NewPlan(steps, repeat), nil
-}
-
-// draw returns the next step. Past a non-repeating schedule it passes.
-func (p *Plan) draw() Step {
-	if p == nil || len(p.steps) == 0 {
-		return Step{Mode: Pass}
-	}
-	i := p.next.Add(1) - 1
-	if int(i) >= len(p.steps) {
-		if !p.repeat {
-			return Step{Mode: Pass}
+		for m, name := range modeNames {
+			if word == name && Mode(m) != Delay {
+				return Step{Mode: Mode(m)}, nil
+			}
 		}
-		i %= int64(len(p.steps))
-	}
-	return p.steps[i]
+		return Step{}, fmt.Errorf("faultinject: unknown step %q (want pass, delay:<dur>, error, panic, hang, repeat)", word)
+	})
+	return (*Plan)(sc), err
 }
 
 // String renders the schedule in ParsePlan syntax.
 func (p *Plan) String() string {
-	if p == nil {
-		return "pass"
-	}
-	var b strings.Builder
-	for i, st := range p.steps {
-		if i > 0 {
-			b.WriteByte(',')
-		}
+	return (*schedule[Step])(p).format(func(st Step) string {
 		if st.Mode == Delay {
-			fmt.Fprintf(&b, "delay:%s", st.Delay)
-		} else {
-			b.WriteString(st.Mode.String())
+			return "delay:" + st.Delay.String()
 		}
-	}
-	if p.repeat {
-		b.WriteString(",repeat")
-	}
-	return b.String()
+		return st.Mode.String()
+	})
 }
 
 // Wrap injects the plan's schedule in front of a solver backend. The
 // wrapper is anytime over any backend: pass and delay steps delegate
 // through solve.SolveAnytimeOf with the incumbent and observer intact.
 func Wrap(sv solve.Solver, p *Plan) solve.AnytimeSolver {
-	return wrapped{sv: sv, plan: p}
+	return wrapped{sv: sv, plan: (*schedule[Step])(p)}
 }
 
 type wrapped struct {
 	sv   solve.Solver
-	plan *Plan
+	plan *schedule[Step]
 }
 
 func (w wrapped) Name() string     { return w.sv.Name() }

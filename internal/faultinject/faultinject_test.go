@@ -38,7 +38,7 @@ func TestParsePlanRoundTrip(t *testing.T) {
 			t.Errorf("ParsePlan(%q).String() = %q", src, got)
 		}
 	}
-	for _, bad := range []string{"", "explode", "delay:", "delay:-1s", "repeat,error", "error,,pass"} {
+	for _, bad := range []string{"", "explode", "delay", "delay:", "delay:-1s", "repeat", "repeat,error", "error,,pass"} {
 		if _, err := faultinject.ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", bad)
 		}

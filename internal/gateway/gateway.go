@@ -67,12 +67,11 @@ type Options struct {
 
 // peerState is the gateway's per-peer bookkeeping.
 type peerState struct {
-	addr       string
-	label      string
-	breaker    *resilience.Breaker
-	routed     atomic.Int64 // requests forwarded (first choice or failover)
-	retried    atomic.Int64 // requests retried AWAY from this peer after it failed
-	redirected atomic.Int64 // 307 answers from this peer (ring disagreement)
+	addr    string
+	label   string
+	breaker *resilience.Breaker
+	routed  atomic.Int64 // requests the peer answered (first choice or failover)
+	retried atomic.Int64 // requests retried AWAY from this peer after it failed
 }
 
 // record feeds one forwarding outcome into the peer's breaker. The
@@ -110,9 +109,9 @@ func New(opts Options) (*Gateway, error) {
 	// No overall timeout: streams are long-lived, and cancellation rides
 	// the inbound request's context.
 	client := &http.Client{
-		// Peers answer 307 only to unrouted requests; the gateway marks
-		// everything routed, so any redirect reaching the client library
-		// is unexpected — surface it, don't follow.
+		// Peers answer 307 only to unrouted requests, and the gateway
+		// marks everything routed, so it follows none: a stray 307
+		// reaches the client as sent.
 		CheckRedirect: func(*http.Request, []*http.Request) error {
 			return http.ErrUseLastResponse
 		},
@@ -184,77 +183,61 @@ func (g *Gateway) handleCompute(w http.ResponseWriter, r *http.Request, endpoint
 		writeError(w, status, err)
 		return
 	}
-	owners := g.ring.Owners(key, 2)
-	g.forward(w, r, owners, body, key)
+	g.forward(w, r, g.ring.Owners(key, 2), body)
 }
 
 // forward tries the candidate peers in order: the first whose breaker
 // admits the call and whose transport succeeds streams its response
-// back. A transport failure records against that peer's breaker and
-// moves on; exhausting the candidates is a 502.
-func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, candidates []string, body []byte, key string) {
+// back. A transport failure moves on to the next candidate, counted as a
+// retry away from the failed peer; an open breaker is skipped silently.
+// Exhausting the candidates is a 502.
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, candidates []string, body []byte) {
 	var lastErr error
 	for i, addr := range candidates {
 		ps := g.peers[addr]
 		if ps == nil {
 			continue
 		}
-		if err := ps.breaker.Allow(); err != nil {
-			// Open breaker: skip without burning a connection attempt.
-			lastErr = err
-			continue
-		}
-		resp, err := g.do(r, ps, body)
-		record(ps, err)
-		if err != nil {
-			lastErr = err
-			if r.Context().Err() != nil {
-				// The client is gone; retrying on its behalf is noise.
-				return
-			}
-			g.logf("gateway: peer %s (%s) failed: %v", ps.addr, ps.label, err)
-			if i+1 < len(candidates) {
-				ps.retried.Add(1)
-			}
-			continue
-		}
-		ps.routed.Add(1)
-		if resp.StatusCode == http.StatusTemporaryRedirect {
-			// The peer disagrees about ownership — a ring-config skew
-			// that must be visible, not silently absorbed. Honor it
-			// once, toward the peer the responder named.
-			resp.Body.Close()
-			ps.redirected.Add(1)
-			owner := fleet.NormalizeAddr(resp.Header.Get("X-Fleet-Owner"))
-			g.logf("gateway: peer %s redirected key %.12s to %s (ring disagreement)", ps.addr, key, owner)
-			target := g.peers[owner]
-			if target == nil {
-				writeError(w, http.StatusBadGateway,
-					fmt.Errorf("peer %s redirected to %q, which is not a fleet member", ps.addr, owner))
-				return
-			}
-			if err := target.breaker.Allow(); err != nil {
-				writeError(w, http.StatusBadGateway, fmt.Errorf("redirect target %s: %v", target.addr, err))
-				return
-			}
-			resp2, err := g.do(r, target, body)
-			record(target, err)
-			if err != nil {
-				writeError(w, http.StatusBadGateway, fmt.Errorf("redirect target %s: %v", target.addr, err))
-				return
-			}
-			target.routed.Add(1)
-			g.stream(w, resp2)
+		resp, err := g.call(r, ps, body)
+		if err == nil {
+			g.stream(w, resp)
 			return
 		}
-		g.stream(w, resp)
-		return
+		lastErr = err
+		if errors.Is(err, resilience.ErrOpen) {
+			continue
+		}
+		if r.Context().Err() != nil {
+			// The client is gone; retrying on its behalf is noise.
+			return
+		}
+		g.logf("gateway: peer %s (%s) failed: %v", ps.addr, ps.label, err)
+		if i+1 < len(candidates) {
+			ps.retried.Add(1)
+		}
 	}
 	g.unrouteable.Add(1)
 	if lastErr == nil {
 		lastErr = errors.New("no candidate peers")
 	}
 	writeError(w, http.StatusBadGateway, fmt.Errorf("no shard could take the request: %v", lastErr))
+}
+
+// call forwards the inbound request to one peer through the peer's
+// breaker. An open breaker refuses without a dial, with an error that
+// matches resilience.ErrOpen; otherwise the outcome is recorded, and an
+// answer of any status counts in the peer's routed total.
+func (g *Gateway) call(r *http.Request, ps *peerState, body []byte) (*http.Response, error) {
+	if err := ps.breaker.Allow(); err != nil {
+		return nil, err
+	}
+	resp, err := g.do(r, ps, body)
+	record(ps, err)
+	if err != nil {
+		return nil, err
+	}
+	ps.routed.Add(1)
+	return resp, nil
 }
 
 // do forwards the inbound request to one peer, marked routed. The body
@@ -320,17 +303,11 @@ func (g *Gateway) handleJobRead(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("job %s names shard %s, which is not in this fleet", id, label))
 		return
 	}
-	if err := ps.breaker.Allow(); err != nil {
-		g.shardDown(w, ps)
-		return
-	}
-	resp, err := g.do(r, ps, nil)
-	record(ps, err)
+	resp, err := g.call(r, ps, nil)
 	if err != nil {
 		g.shardDown(w, ps)
 		return
 	}
-	ps.routed.Add(1)
 	g.stream(w, resp)
 }
 
@@ -349,11 +326,7 @@ func (g *Gateway) shardDown(w http.ResponseWriter, ps *peerState) {
 // first non-404 answer.
 func (g *Gateway) probeJob(w http.ResponseWriter, r *http.Request) {
 	for _, ps := range g.ordered {
-		if ps.breaker.Allow() != nil {
-			continue
-		}
-		resp, err := g.do(r, ps, nil)
-		record(ps, err)
+		resp, err := g.call(r, ps, nil)
 		if err != nil {
 			continue
 		}
@@ -361,7 +334,6 @@ func (g *Gateway) probeJob(w http.ResponseWriter, r *http.Request) {
 			resp.Body.Close()
 			continue
 		}
-		ps.routed.Add(1)
 		g.stream(w, resp)
 		return
 	}
@@ -392,12 +364,7 @@ func (g *Gateway) handleJobList(w http.ResponseWriter, r *http.Request) {
 				missing = append(missing, ps.label)
 				mu.Unlock()
 			}
-			if ps.breaker.Allow() != nil {
-				skip()
-				return
-			}
-			resp, err := g.do(r, ps, nil)
-			record(ps, err)
+			resp, err := g.call(r, ps, nil)
 			if err != nil {
 				skip()
 				return
@@ -408,7 +375,6 @@ func (g *Gateway) handleJobList(w http.ResponseWriter, r *http.Request) {
 				skip()
 				return
 			}
-			ps.routed.Add(1)
 			mu.Lock()
 			merged = append(merged, lr.Jobs...)
 			mu.Unlock()
@@ -442,17 +408,11 @@ func jobID(raw json.RawMessage) string {
 func (g *Gateway) handleAnyPeer(w http.ResponseWriter, r *http.Request) {
 	var lastErr error
 	for _, ps := range g.ordered {
-		if err := ps.breaker.Allow(); err != nil {
-			lastErr = err
-			continue
-		}
-		resp, err := g.do(r, ps, nil)
-		record(ps, err)
+		resp, err := g.call(r, ps, nil)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		ps.routed.Add(1)
 		g.stream(w, resp)
 		return
 	}
@@ -534,17 +494,13 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		fmt.Fprintf(w, "multisite_fleet_peer_healthy{peer=%q,shard=%q} %d\n", ps.addr, ps.label, healthy)
 	}
-	header("multisite_fleet_routed_total", "Requests forwarded to the peer (first choice or failover target).", "counter")
+	header("multisite_fleet_routed_total", "Requests the peer answered, whatever the status (first choice or failover target).", "counter")
 	for _, ps := range g.ordered {
 		fmt.Fprintf(w, "multisite_fleet_routed_total{peer=%q,shard=%q} %d\n", ps.addr, ps.label, ps.routed.Load())
 	}
 	header("multisite_fleet_retried_total", "Requests retried on the ring successor after the peer failed at the transport level.", "counter")
 	for _, ps := range g.ordered {
 		fmt.Fprintf(w, "multisite_fleet_retried_total{peer=%q,shard=%q} %d\n", ps.addr, ps.label, ps.retried.Load())
-	}
-	header("multisite_fleet_redirected_total", "307 answers from the peer (ring disagreement between gateway and peer; should stay 0).", "counter")
-	for _, ps := range g.ordered {
-		fmt.Fprintf(w, "multisite_fleet_redirected_total{peer=%q,shard=%q} %d\n", ps.addr, ps.label, ps.redirected.Load())
 	}
 	header("multisite_fleet_breaker_trips_total", "Circuit-breaker transitions into open, per peer.", "counter")
 	for _, ps := range g.ordered {

@@ -2,11 +2,11 @@ package gateway
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -36,6 +36,7 @@ func fakePeer(label string) http.Handler {
 type testFleet struct {
 	g       *Gateway
 	servers map[string]*httptest.Server // by shard label
+	logs    atomic.Int64                // lines the gateway logged
 }
 
 // newTestFleet builds the gateway with the given breaker options over
@@ -49,11 +50,12 @@ func newTestFleet(t *testing.T, breaker resilience.Options, peer func(label stri
 		unstarted = append(unstarted, ts)
 		addrs = append(addrs, ts.Listener.Addr().String())
 	}
-	g, err := New(Options{Peers: addrs, Breaker: breaker})
+	f := &testFleet{servers: map[string]*httptest.Server{}}
+	g, err := New(Options{Peers: addrs, Breaker: breaker, Logf: func(string, ...any) { f.logs.Add(1) }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &testFleet{g: g, servers: map[string]*httptest.Server{}}
+	f.g = g
 	for i, ts := range unstarted {
 		label := g.peers[addrs[i]].label
 		ts.Config.Handler = peer(label)
@@ -83,12 +85,12 @@ func (f *testFleet) serve(method, path, body string) (int, string) {
 	return rec.Code, rec.Body.String()
 }
 
-// healthy reads the peer's multisite_fleet_peer_healthy sample from the
-// gateway's /metrics.
-func (f *testFleet) healthy(t *testing.T, label string) string {
+// sample reads the peer's sample of one per-peer family, such as
+// multisite_fleet_peer_healthy, from the gateway's /metrics.
+func (f *testFleet) sample(t *testing.T, family, label string) string {
 	t.Helper()
 	_, metrics := f.serve("GET", "/metrics", "")
-	prefix := fmt.Sprintf("multisite_fleet_peer_healthy{peer=%q,shard=%q} ", f.g.byLabel[label].addr, label)
+	prefix := fmt.Sprintf("%s{peer=%q,shard=%q} ", family, f.g.byLabel[label].addr, label)
 	for _, line := range strings.Split(metrics, "\n") {
 		if v, ok := strings.CutPrefix(line, prefix); ok {
 			return v
@@ -160,9 +162,10 @@ func TestGatewayDeadPeer(t *testing.T) {
 
 // TestGatewayBreakerOpensAndCloses walks one peer's breaker through its
 // states. While the ring owner drops every connection, its keys fail
-// over to the successor until the breaker opens; once open, the
-// successor serves them without the owner being dialed; after the
-// cooldown, with the owner back, one half-open probe reaches it and
+// over to the successor until the breaker opens, each failure logged and
+// counted as a retry away from the owner; once open, the successor
+// serves them without the owner being dialed, logged or counted; after
+// the cooldown, with the owner back, one half-open probe reaches it and
 // closes the breaker.
 func TestGatewayBreakerOpensAndCloses(t *testing.T) {
 	const optimize = `{"soc":"d695","channels":256,"depth":"64K"}`
@@ -201,23 +204,46 @@ func TestGatewayBreakerOpensAndCloses(t *testing.T) {
 			t.Fatalf("%s: status %d body %q, want %d %q", step, code, body, http.StatusTeapot, want)
 		}
 	}
+	// counts checks the owner's retried and routed totals, the
+	// successor's routed total and the lines the gateway logged.
+	counts := func(step string, ownerRetried, ownerRouted, successorRouted, logs int) {
+		t.Helper()
+		for _, c := range []struct {
+			family, label string
+			want          int
+		}{
+			{"multisite_fleet_retried_total", owner, ownerRetried},
+			{"multisite_fleet_routed_total", owner, ownerRouted},
+			{"multisite_fleet_routed_total", successor, successorRouted},
+		} {
+			if got := f.sample(t, c.family, c.label); got != strconv.Itoa(c.want) {
+				t.Errorf("%s: %s of %s = %s, want %d", step, c.family, c.label, got, c.want)
+			}
+		}
+		if got := f.logs.Load(); got != int64(logs) {
+			t.Errorf("%s: gateway logged %d lines, want %d", step, got, logs)
+		}
+	}
 
-	if got := f.healthy(t, owner); got != "1" {
+	if got := f.sample(t, "multisite_fleet_peer_healthy", owner); got != "1" {
 		t.Fatalf("owner healthy before any failure = %s, want 1", got)
 	}
+	counts("before any failure", 0, 0, 0, 0)
 	peers[owner].down.Store(true)
-	for i := 0; i < 2; i++ {
+	for i := 1; i <= 2; i++ {
 		expect("failover while closed", fromSuccessor)
+		counts("failover while closed", i, 0, i, i)
 	}
 	if got := peers[owner].hits.Load(); got != 2 {
 		t.Fatalf("owner dialed %d times before its breaker opened, want 2", got)
 	}
-	if got := f.healthy(t, owner); got != "0" {
+	if got := f.sample(t, "multisite_fleet_peer_healthy", owner); got != "0" {
 		t.Fatalf("owner healthy after two transport failures = %s, want 0 (open)", got)
 	}
 
-	for i := 0; i < 3; i++ {
+	for i := 1; i <= 3; i++ {
 		expect("successor while open", fromSuccessor)
+		counts("successor while open", 2, 0, 2+i, 2)
 	}
 	if got := peers[owner].hits.Load(); got != 2 {
 		t.Fatalf("gateway dialed the owner %d times past its open breaker", got-2)
@@ -229,58 +255,11 @@ func TestGatewayBreakerOpensAndCloses(t *testing.T) {
 	if got := peers[owner].hits.Load(); got != 3 {
 		t.Fatalf("owner saw %d requests after the cooldown, want exactly one probe", got-2)
 	}
-	if got := f.healthy(t, owner); got != "1" {
+	if got := f.sample(t, "multisite_fleet_peer_healthy", owner); got != "1" {
 		t.Fatalf("owner healthy after a successful probe = %s, want 1 (closed)", got)
 	}
+	counts("half-open probe", 2, 1, 5, 2)
 	expect("closed again", fromOwner)
-}
-
-// TestGatewayRedirectRespectsOpenBreaker: a 307 toward a peer whose
-// breaker is open is answered 502 without dialing that peer. The
-// follow-up is a call like any other — admitted by the target's breaker
-// first, recorded once after.
-func TestGatewayRedirectRespectsOpenBreaker(t *testing.T) {
-	const optimize = `{"soc":"d695","channels":256,"depth":"64K"}`
-	var redirectTo atomic.Value // the address every peer's 307 names
-	hits := map[string]*atomic.Int64{}
-	f := newTestFleet(t, resilience.Options{}, func(label string) http.Handler {
-		n := &atomic.Int64{}
-		hits[label] = n
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			n.Add(1)
-			w.Header().Set("X-Fleet-Owner", redirectTo.Load().(string))
-			w.WriteHeader(http.StatusTemporaryRedirect)
-		})
-	})
-	owner, successor := f.ownerLabels(t, "/v1/optimize", optimize)
-	var target string
-	for label := range f.servers {
-		if label != owner && label != successor {
-			target = label
-		}
-	}
-	redirectTo.Store(f.g.byLabel[target].addr)
-	b := f.g.byLabel[target].breaker
-	for i := 0; i < 3; i++ { // three deadlines in a row trip the default breaker
-		if err := b.Allow(); err != nil {
-			t.Fatal(err)
-		}
-		b.Record(context.DeadlineExceeded)
-	}
-	if st := b.Snapshot().State; st != resilience.Open {
-		t.Fatalf("target breaker %s, want open", st)
-	}
-
-	code, body := f.serve("POST", "/v1/optimize", optimize)
-	if code != http.StatusBadGateway {
-		t.Errorf("status %d (body %q), want 502", code, body)
-	}
-	if got := hits[owner].Load(); got != 1 {
-		t.Errorf("owner saw %d requests, want 1", got)
-	}
-	if got := hits[target].Load(); got != 0 {
-		t.Errorf("redirect target behind an open breaker saw %d requests, want 0", got)
-	}
 }
 
 // TestGatewayStreamsNDJSON: a sweep's rows reach the client as the peer

@@ -363,6 +363,10 @@ func (m *Manager) replay(recs []*record) {
 			if jb := m.jobs[rec.ID]; jb != nil {
 				jb.state = StateFailed
 				jb.errMsg = rec.Error
+				jb.rowsDone = rec.Rows
+				if rec.Total > 0 {
+					jb.total = rec.Total
+				}
 			}
 		}
 	}
@@ -454,7 +458,8 @@ func (m *Manager) liveRecordsLocked() []*record {
 			recs = append(recs, &record{Seq: jb.seq, Op: "complete", ID: jb.id,
 				CAS: jb.casKey, Rows: jb.rowsDone, Total: jb.total})
 		case StateFailed:
-			recs = append(recs, &record{Seq: jb.seq, Op: "fail", ID: jb.id, Error: jb.errMsg})
+			recs = append(recs, &record{Seq: jb.seq, Op: "fail", ID: jb.id, Error: jb.errMsg,
+				Rows: jb.rowsDone, Total: jb.total})
 		default:
 			recs = append(recs, &record{Seq: jb.seq, Op: "state", ID: jb.id,
 				State: StatePending, Attempt: jb.attempts})
@@ -752,13 +757,18 @@ func (m *Manager) retry(jb *job, attempt int, cause error) {
 	})
 }
 
-// fail journals the terminal failure (fsynced).
+// fail journals the terminal failure (fsynced) with the last attempt's
+// row count, so replay does not fall back on an earlier attempt's
+// progress record.
 func (m *Manager) fail(jb *job, attempt int, cause error, transient bool) {
 	msg := cause.Error()
 	if transient {
 		msg = fmt.Sprintf("retry budget exhausted after %d attempts: %v", attempt, cause)
 	}
-	m.j.append(&record{Op: "fail", ID: jb.id, Error: msg}, true)
+	jb.mu.Lock()
+	rows, total := jb.rowsDone, jb.total
+	jb.mu.Unlock()
+	m.j.append(&record{Op: "fail", ID: jb.id, Error: msg, Rows: rows, Total: total}, true)
 	jb.mu.Lock()
 	jb.state = StateFailed
 	jb.errMsg = msg

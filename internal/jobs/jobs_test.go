@@ -349,6 +349,59 @@ func TestCompletedJobSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestFailedJobRowsSurviveRestart: a failed job's rows_done and
+// rows_total are its last attempt's, before and after a restart and a
+// journal rotation, not a progress record an earlier attempt left.
+func TestFailedJobRowsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	var calls atomic.Int64
+	m1 := openM(t, dir, Options{Runner: func(ctx context.Context, spec Spec, sink Sink) error {
+		// The first attempt passes a progress record, then fails
+		// transiently; the second fails for good after fewer rows.
+		rows, cause := progressEvery+6, fmt.Errorf("backend hiccup: %w", errTransient)
+		if calls.Add(1) > 1 {
+			rows, cause = 10, errors.New("soc_text: parse error")
+		}
+		sink.SetTotal(rows)
+		for i := 0; i < rows; i++ {
+			if err := sink.Emit(fmt.Appendf(nil, `{"row":%d}`, i)); err != nil {
+				return err
+			}
+		}
+		return cause
+	}})
+	<-m1.Ready()
+	snap, err := m1.Enqueue(Spec{Type: TypeSweep, Request: []byte(`{}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := waitState(t, m1, snap.ID, StateFailed)
+	m1.Close(context.Background())
+	if failed.Attempts != 2 || failed.RowsDone != 10 || failed.RowsTotal != 10 {
+		t.Fatalf("failed snapshot = %+v; want 2 attempts, rows 10/10", failed)
+	}
+
+	reopen := func(step string) *Manager {
+		t.Helper()
+		m := openM(t, dir, Options{Runner: rowRunner(1)})
+		<-m.Ready()
+		got, ok := m.Get(snap.ID)
+		if !ok || got.State != StateFailed || got.RowsDone != 10 || got.RowsTotal != 10 {
+			t.Errorf("after %s: snapshot = %+v, %v; want failed, rows 10/10", step, got, ok)
+		}
+		return m
+	}
+	m2 := reopen("a restart")
+	m2.mu.Lock()
+	err = m2.j.rotate(m2.liveRecordsLocked())
+	m2.mu.Unlock()
+	m2.Close(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopen("a rotation and a restart").Close(context.Background())
+}
+
 // TestCorruptResultRequeuedNeverServed: a bit-flipped CAS blob is
 // quarantined at replay and the job recomputed.
 func TestCorruptResultRequeuedNeverServed(t *testing.T) {

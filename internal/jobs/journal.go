@@ -48,7 +48,7 @@ type record struct {
 	// State and Attempt ride on state records.
 	State   State `json:"state,omitempty"`
 	Attempt int   `json:"attempt,omitempty"`
-	// Rows rides on progress and complete records; Total when known.
+	// Rows rides on progress, complete and fail records; Total when known.
 	Rows  int `json:"rows,omitempty"`
 	Total int `json:"total,omitempty"`
 	// CAS is the content hash of the finished result blob (complete).

@@ -11,9 +11,9 @@
 // either K consecutive deadline failures or a failure ratio over the full
 // window. Open rejects immediately with OpenError (which matches
 // solve.ErrTransient, so nothing downstream caches the rejection). After
-// a cooldown the breaker admits a limited number of probe calls
-// (HalfOpen); if they succeed it closes, if any fails it reopens for
-// another cooldown.
+// a cooldown the breaker admits a single probe call (HalfOpen); if it
+// succeeds the breaker closes, if it fails it reopens for another
+// cooldown.
 //
 // Outcome classification is deliberate: a context deadline is the signal
 // the breaker exists for; an injected or transient backend failure
@@ -66,8 +66,8 @@ const (
 	Closed State = iota
 	// Open: calls are rejected with OpenError until the cooldown ends.
 	Open
-	// HalfOpen: a limited number of probe calls pass through; their
-	// outcomes decide between Closed and another Open period.
+	// HalfOpen: a single probe call passes through; its outcome
+	// decides between Closed and another Open period.
 	HalfOpen
 )
 
@@ -98,11 +98,8 @@ type Options struct {
 	// traffic's deadlines. 0 means 3; negative disables.
 	ConsecutiveDeadlines int
 	// Cooldown is how long an open breaker rejects before admitting
-	// half-open probes; 0 means 5s.
+	// its half-open probe; 0 means 5s.
 	Cooldown time.Duration
-	// HalfOpenProbes is how many successful probes close a half-open
-	// breaker (and the concurrency limit on probes); 0 means 1.
-	HalfOpenProbes int
 	// Clock overrides time.Now, for deterministic tests.
 	Clock func() time.Time
 }
@@ -119,9 +116,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Cooldown <= 0 {
 		o.Cooldown = 5 * time.Second
-	}
-	if o.HalfOpenProbes <= 0 {
-		o.HalfOpenProbes = 1
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
@@ -142,8 +136,7 @@ type Breaker struct {
 	wlen      int    // filled length
 	consec    int    // consecutive deadline failures
 	openedAt  time.Time
-	inProbes  int // probes currently in flight (half-open)
-	okProbes  int // successful probes this half-open period
+	probing   bool // the half-open probe is in flight
 	trips     int64
 	rejects   int64
 	deadlines int64
@@ -169,17 +162,16 @@ func (b *Breaker) Allow() error {
 			b.rejects++
 			return &OpenError{Backend: b.name}
 		}
-		// Cooldown over: this caller becomes the first half-open probe.
+		// Cooldown over: this caller becomes the half-open probe.
 		b.state = HalfOpen
-		b.okProbes = 0
-		b.inProbes = 1
+		b.probing = true
 		return nil
 	case HalfOpen:
-		if b.inProbes >= b.opts.HalfOpenProbes {
+		if b.probing {
 			b.rejects++
 			return &OpenError{Backend: b.name}
 		}
-		b.inProbes++
+		b.probing = true
 		return nil
 	}
 	return nil
@@ -192,8 +184,8 @@ func (b *Breaker) Record(err error) {
 		// Client walked away; says nothing about backend health — but a
 		// half-open probe slot must still be released.
 		b.mu.Lock()
-		if b.state == HalfOpen && b.inProbes > 0 {
-			b.inProbes--
+		if b.state == HalfOpen {
+			b.probing = false
 		}
 		b.mu.Unlock()
 		return
@@ -207,17 +199,12 @@ func (b *Breaker) Record(err error) {
 	}
 	switch b.state {
 	case HalfOpen:
-		if b.inProbes > 0 {
-			b.inProbes--
-		}
+		b.probing = false
 		if failure {
 			b.trip()
 			return
 		}
-		b.okProbes++
-		if b.okProbes >= b.opts.HalfOpenProbes {
-			b.reset()
-		}
+		b.reset()
 	case Closed:
 		b.window[b.widx] = failure
 		b.widx = (b.widx + 1) % len(b.window)
@@ -266,7 +253,6 @@ func (b *Breaker) reset() {
 	b.state = Closed
 	b.consec = 0
 	b.wlen, b.widx = 0, 0
-	b.inProbes, b.okProbes = 0, 0
 	for i := range b.window {
 		b.window[i] = false
 	}
