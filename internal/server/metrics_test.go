@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"multisite/internal/jobs"
 )
 
 // normalizeMetrics replaces every sample line's value with "V", keeping
@@ -42,16 +44,45 @@ func TestMetricsGolden(t *testing.T) {
 	checkGolden(t, "metrics.golden", []byte(normalizeMetrics(string(data))))
 }
 
-// TestMetricsPrometheusShape checks the text-format invariants the
-// golden's normalization cannot: every non-comment line is "name[labels]
-// value", every counter family ends in _total, every family has HELP and
-// TYPE, and histogram bucket counts are cumulative with a trailing +Inf
-// equal to _count.
-func TestMetricsPrometheusShape(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	post(t, ts, "/v1/optimize", optimizeD695)
-	_, data := get(t, ts, "/metrics")
+// TestMetricsDurableGolden pins the families only a disk-backed fleet
+// peer exports (multisite_jobs_*, multisite_diskcache_* and
+// multisite_fleet_*), which the in-memory server above never shows.
+func TestMetricsDurableGolden(t *testing.T) {
+	checkGolden(t, "metrics_durable.golden", []byte(normalizeMetrics(string(durableMetrics(t)))))
+}
 
+// durableMetrics scrapes a NewWithData server with a data dir and a
+// one-peer fleet after one optimize and one finished optimize job.
+func durableMetrics(t *testing.T) []byte {
+	t.Helper()
+	_, ts := newDurableServer(t, t.TempDir(), Options{FleetPeers: []string{"127.0.0.1:1"}, FleetSelf: "127.0.0.1:1"})
+	post(t, ts, "/v1/optimize", optimizeD695)
+	waitJob(t, ts, submitJob(t, ts, "optimize", optimizeD695).ID, jobs.StateDone)
+	resp, data := get(t, ts, "/metrics")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	return data
+}
+
+// TestMetricsPrometheusShape checks the text-format invariants the
+// goldens' normalization cannot, on the in-memory server and on the
+// durable fleet peer: every non-comment line is "name[labels] value",
+// every counter family ends in _total, every family has HELP and TYPE,
+// and histogram bucket counts are cumulative with a trailing +Inf equal
+// to _count.
+func TestMetricsPrometheusShape(t *testing.T) {
+	t.Run("in-memory", func(t *testing.T) {
+		_, ts := newTestServer(t, Options{})
+		post(t, ts, "/v1/optimize", optimizeD695)
+		_, data := get(t, ts, "/metrics")
+		checkPrometheusShape(t, data)
+	})
+	t.Run("durable", func(t *testing.T) { checkPrometheusShape(t, durableMetrics(t)) })
+}
+
+func checkPrometheusShape(t *testing.T, data []byte) {
+	t.Helper()
 	typed := map[string]string{} // family -> type
 	helped := map[string]bool{}
 	var family string
