@@ -61,9 +61,9 @@
 //	curl -sL -X POST localhost:8081/v1/optimize -d '{"soc":"d695","channels":256,"depth":"64K"}'
 //
 // SIGINT/SIGTERM drain in-flight requests before exiting (bounded by
-// -drain), then stop the job worker pool cleanly: running jobs get a
-// progress checkpoint and the journal is fsynced before the process
-// exits, so the next boot resumes exactly what was accepted.
+// -drain), then stop the job worker pool cleanly: running attempts stop
+// and the journal is fsynced before the process exits, so the next boot
+// re-runs the interrupted jobs and resumes exactly what was accepted.
 package main
 
 import (
@@ -192,9 +192,9 @@ func main() {
 			os.Exit(1)
 		}
 		// HTTP is drained; now stop the durable job layer under the same
-		// budget — running attempts stop, in-flight progress is
-		// checkpointed, and the journal is fsynced before exit, so the
-		// next boot resumes exactly what was accepted.
+		// budget — running attempts stop and the journal is fsynced
+		// before exit, so the next boot re-runs the interrupted jobs and
+		// resumes exactly what was accepted.
 		if err := s.Close(ctx); err != nil {
 			fmt.Fprintln(os.Stderr, "serve: job layer shutdown:", err)
 			os.Exit(1)

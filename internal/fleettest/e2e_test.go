@@ -61,7 +61,11 @@ func TestFleetByteIdenticalToSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single := httptest.NewServer(server.New(server.Options{}).Handler())
+	srv, err := server.NewWithData(server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := httptest.NewServer(srv.Handler())
 	defer single.Close()
 	f := Start(t, 3, t.TempDir(), server.Options{})
 	ring := fleet.New(f.PeerAddrs)

@@ -3,7 +3,7 @@
 // tier, jobs, fleet mode) on real TCP listeners, fronted by a real
 // gateway. Real sockets rather than httptest keep the hard-kill story
 // honest: Kill closes a peer's listener and connections and abandons
-// its journal without checkpoint or fsync (server.CloseAbrupt), which
+// its journal without a final fsync (server.CloseAbrupt), which
 // is as close to kill -9 as one process gets, and Restart reboots the
 // shard on the same address over the same data directory — exercising
 // journal replay, readiness gating, and the gateway's breaker recovery
@@ -138,7 +138,7 @@ func (f *Fleet) boot(p *Peer) {
 }
 
 // Kill hard-kills peer i: listener and connections close abruptly, and
-// the journal is abandoned mid-flight with no checkpoint or fsync. The
+// the journal is abandoned mid-flight with no final fsync. The
 // data directory survives for Restart.
 func (f *Fleet) Kill(i int) {
 	f.t.Helper()

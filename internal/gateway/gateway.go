@@ -348,9 +348,14 @@ func (g *Gateway) handleJobList(w http.ResponseWriter, r *http.Request) {
 	type listResp struct {
 		Jobs []json.RawMessage `json:"jobs"`
 	}
+	// listed pairs a snapshot with its ID, decoded once for the sort.
+	type listed struct {
+		id  string
+		raw json.RawMessage
+	}
 	var (
 		mu      sync.Mutex
-		merged  []json.RawMessage
+		merged  []listed
 		missing []string
 		wg      sync.WaitGroup
 	)
@@ -375,32 +380,33 @@ func (g *Gateway) handleJobList(w http.ResponseWriter, r *http.Request) {
 				skip()
 				return
 			}
+			jobs := make([]listed, len(lr.Jobs))
+			for i, raw := range lr.Jobs {
+				var v struct {
+					ID string `json:"id"`
+				}
+				json.Unmarshal(raw, &v)
+				jobs[i] = listed{v.ID, raw}
+			}
 			mu.Lock()
-			merged = append(merged, lr.Jobs...)
+			merged = append(merged, jobs...)
 			mu.Unlock()
 		}()
 	}
 	wg.Wait()
 	// Deterministic order: shard-qualified IDs sort by shard then
 	// sequence, so the merged view is stable across gateways.
-	sort.Slice(merged, func(i, j int) bool { return jobID(merged[i]) < jobID(merged[j]) })
+	sort.Slice(merged, func(i, j int) bool { return merged[i].id < merged[j].id })
 	sort.Strings(missing)
 	if len(missing) > 0 {
 		w.Header().Set("X-Fleet-Partial", strings.Join(missing, ","))
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct {
-		Jobs []json.RawMessage `json:"jobs"`
-	}{merged})
-}
-
-// jobID extracts the "id" field of one job snapshot for merge ordering.
-func jobID(raw json.RawMessage) string {
-	var v struct {
-		ID string `json:"id"`
+	var out listResp
+	for _, l := range merged {
+		out.Jobs = append(out.Jobs, l.raw)
 	}
-	json.Unmarshal(raw, &v)
-	return v.ID
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(out)
 }
 
 // handleAnyPeer forwards a shard-agnostic GET (solver and SOC listings

@@ -18,7 +18,8 @@ import (
 
 // fakePeer answers like a shard, naming itself in every body: optimize
 // with an unusual status so a relay that rewrites statuses shows, and
-// the job list with one job stamped with the shard's label.
+// the job list with two jobs stamped with the shard's label, listed in
+// reverse so a merge that skips the sort shows.
 func fakePeer(label string) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/optimize", func(w http.ResponseWriter, r *http.Request) {
@@ -26,7 +27,7 @@ func fakePeer(label string) http.Handler {
 		fmt.Fprintf(w, "{\"peer\":%q,\"routed\":%q}\n", label, r.Header.Get(server.HeaderFleetRouted))
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, "{\"jobs\":[{\"id\":\"%s-j0000000001\"}]}\n", label)
+		fmt.Fprintf(w, "{\"jobs\":[{\"id\":\"%s-j0000000002\"},{\"id\":\"%s-j0000000001\"}]}\n", label, label)
 	})
 	return mux
 }
@@ -132,7 +133,7 @@ func TestGatewayDeadPeer(t *testing.T) {
 		name: "job list merges the live shards", method: "GET", path: "/v1/jobs",
 		down: func(*testing.T, *testFleet) (string, int, map[string]string, string) {
 			return "s1", http.StatusOK, map[string]string{"X-Fleet-Partial": "s1"},
-				`{"jobs":[{"id":"s0-j0000000001"},{"id":"s2-j0000000001"}]}` + "\n"
+				`{"jobs":[{"id":"s0-j0000000001"},{"id":"s0-j0000000002"},{"id":"s2-j0000000001"},{"id":"s2-j0000000002"}]}` + "\n"
 		},
 	}}
 	for _, tc := range cases {

@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -41,6 +42,16 @@ func FuzzJournalReplay(f *testing.F) {
 	mid[len(mid)/2] ^= 0x20
 	lines[1] = string(mid)
 	f.Add([]byte(strings.Join(lines, "\n") + "\n"))
+	// TestParentJournalReplays: the record shapes an older manager wrote.
+	var parent []byte
+	for _, rec := range parentJournal() {
+		data, err := json.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		parent = append(append(parent, data...), '\n')
+	}
+	f.Add(parent)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

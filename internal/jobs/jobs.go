@@ -12,6 +12,12 @@
 // restart reattaches completed jobs to their bytes and re-runs
 // interrupted ones from their spec.
 //
+// A job has one state machine. Every change of its state, attempt
+// count, result key or error is a journal record, folded into the job
+// by one function (applyLocked) both when a live transition appends it
+// and when replay reads it back, so a restarted manager's jobs equal
+// the live manager's by construction.
+//
 // Recovery, on Open: the journal is replayed (torn tails dropped,
 // corrupt lines counted and skipped), terminal jobs reattach — a
 // completed job whose result blob fails verification is quarantined and
@@ -25,9 +31,13 @@
 // Failures are classified: transient errors (open breakers, injected
 // faults, deadlines — Options.Retryable) retry with exponential backoff
 // under a capped attempt budget; anything else is the spec's own fault
-// and fails the job permanently. Close checkpoints in-flight progress
-// and fsyncs the journal, which is what the serve command's SIGTERM
-// path calls before exiting.
+// and fails the job permanently. Close stops the workers and fsyncs the
+// journal, which is what the serve command's SIGTERM path calls before
+// exiting; a job an attempt was running stays running in the journal,
+// and the next boot re-runs it.
+//
+// Lock order: Manager.mu, then a job's mu, then the journal's mu.
+// Nothing takes the journal's lock and then a job's.
 package jobs
 
 import (
@@ -141,9 +151,6 @@ type Options struct {
 	IDPrefix string
 }
 
-// progressEvery is how many rows pass between progress records.
-const progressEvery = 64
-
 // maxBackoff caps the exponential retry delay.
 const maxBackoff = 30 * time.Second
 
@@ -156,7 +163,8 @@ const rotateSlack = 64
 // tier is cleaned independently).
 const maxRetained = 4096
 
-// job is the in-memory state of one job.
+// job is the in-memory state of one job. Only newJob and applyLocked
+// set state, attempts, casKey and errMsg.
 type job struct {
 	mu       sync.Mutex
 	id       string
@@ -211,13 +219,12 @@ type Stats struct {
 	Enqueued, Completed, Failed, Retried int64
 	// Recovered counts jobs re-enqueued by the startup replay
 	// (interrupted jobs plus completed jobs whose blobs failed
-	// verification); Checkpointed counts progress records written by
-	// the shutdown path.
-	Recovered, Checkpointed int64
+	// verification).
+	Recovered int64
 	// CorruptRecords counts journal lines dropped by checksum or JSON
 	// failure during replay (a torn final line is not counted).
 	CorruptRecords int64
-	// Running and Pending gauge current occupancy.
+	// Running and Pending count the retained jobs in each state.
 	Running, Pending int64
 }
 
@@ -237,15 +244,15 @@ type Manager struct {
 	jobs  map[string]*job
 	order []string // ids in enqueue-seq order
 
-	enqueued     atomic.Int64
-	completed    atomic.Int64
-	failed       atomic.Int64
-	retried      atomic.Int64
-	recovered    atomic.Int64
-	checkpointed atomic.Int64
-	corrupt      atomic.Int64
-	running      atomic.Int64
-	pending      atomic.Int64
+	// open counts the jobs neither done nor failed: Enqueue's bound.
+	open atomic.Int64
+
+	enqueued  atomic.Int64
+	completed atomic.Int64
+	failed    atomic.Int64
+	retried   atomic.Int64
+	recovered atomic.Int64
+	corrupt   atomic.Int64
 }
 
 // Open reads the journal, reconstructs job states, starts the worker
@@ -301,7 +308,9 @@ func Open(opts Options) (*Manager, error) {
 		m.wg.Add(1)
 		go m.worker()
 	}
-	go m.recover(len(recs))
+	// Recovery walks the replayed jobs only: one enqueued during its
+	// stall is already on the queue.
+	go m.recover(append([]string(nil), m.order...), len(recs))
 	return m, nil
 }
 
@@ -315,68 +324,95 @@ func (m *Manager) logf(format string, args ...any) {
 // layer gates readiness on it.
 func (m *Manager) Ready() <-chan struct{} { return m.ready }
 
-// replay folds journal records into in-memory job state, last write
-// wins per job. A state record only ever carries pending or running;
-// one naming any other state is counted as corrupt and skipped, so no
-// job is left in a state recovery does not know.
+// replay folds journal records into in-memory job state, in file order.
+// An enqueue record needs a spec and an ID. A state record only ever
+// carries pending or running; one naming any other state is counted as
+// corrupt and skipped, so no job is left in a state recovery does not
+// know. Every other record goes through applyLocked, which ignores the
+// ops it does not know (an older journal's progress records).
 func (m *Manager) replay(recs []*record) {
 	for _, rec := range recs {
-		switch rec.Op {
-		case "enqueue":
-			if rec.Spec == nil || rec.ID == "" {
-				continue
+		switch {
+		case rec.Op == "enqueue":
+			if rec.Spec != nil && rec.ID != "" && m.jobs[rec.ID] == nil {
+				m.newJob(rec)
 			}
-			jb := &job{
-				id: rec.ID, seq: rec.Seq, spec: *rec.Spec,
-				state: StatePending, updated: make(chan struct{}),
-			}
-			if _, dup := m.jobs[rec.ID]; !dup {
-				m.jobs[rec.ID] = jb
-				m.order = append(m.order, rec.ID)
-			}
-		case "state":
-			if rec.State != StatePending && rec.State != StateRunning {
-				m.corrupt.Add(1)
-				continue
-			}
+		case rec.Op == "state" && rec.State != StatePending && rec.State != StateRunning:
+			m.corrupt.Add(1)
+		default:
 			if jb := m.jobs[rec.ID]; jb != nil {
-				jb.state = rec.State
-				jb.attempts = rec.Attempt
-			}
-		case "progress":
-			if jb := m.jobs[rec.ID]; jb != nil {
-				jb.rowsDone = rec.Rows
-				if rec.Total > 0 {
-					jb.total = rec.Total
-				}
-			}
-		case "complete":
-			if jb := m.jobs[rec.ID]; jb != nil {
-				jb.state = StateDone
-				jb.casKey = rec.CAS
-				jb.rowsDone = rec.Rows
-				if rec.Total > 0 {
-					jb.total = rec.Total
-				}
-			}
-		case "fail":
-			if jb := m.jobs[rec.ID]; jb != nil {
-				jb.state = StateFailed
-				jb.errMsg = rec.Error
-				jb.rowsDone = rec.Rows
-				if rec.Total > 0 {
-					jb.total = rec.Total
-				}
+				jb.mu.Lock()
+				m.applyLocked(jb, rec)
+				jb.mu.Unlock()
 			}
 		}
 	}
+}
+
+// newJob registers the job an enqueue record names, pending, with m.mu
+// held (or before Open starts any goroutine).
+func (m *Manager) newJob(rec *record) *job {
+	jb := &job{
+		id: rec.ID, seq: rec.Seq, spec: *rec.Spec,
+		state: StatePending, updated: make(chan struct{}),
+	}
+	m.jobs[jb.id] = jb
+	m.order = append(m.order, jb.id)
+	m.open.Add(1)
+	return jb
+}
+
+// applyLocked folds one state, complete or fail record into jb, with
+// jb.mu held; it ignores any other op. A state record starts an attempt
+// (running) or schedules one (pending), clearing the result key, the
+// error and the live rows; complete and fail settle the job with the
+// rows they name. Attempt and Total are taken when set.
+func (m *Manager) applyLocked(jb *job, rec *record) {
+	wasOpen := jb.state == StatePending || jb.state == StateRunning
+	switch rec.Op {
+	case "state":
+		jb.state, jb.casKey, jb.errMsg, jb.rowsDone = rec.State, "", "", 0
+	case "complete":
+		jb.state, jb.casKey, jb.rowsDone = StateDone, rec.CAS, rec.Rows
+	case "fail":
+		jb.state, jb.errMsg, jb.rowsDone = StateFailed, rec.Error, rec.Rows
+	default:
+		return
+	}
+	jb.rows = nil // a settled job serves from the CAS, a new attempt starts over
+	if rec.Attempt > 0 {
+		jb.attempts = rec.Attempt
+	}
+	if rec.Total > 0 {
+		jb.total = rec.Total
+	}
+	if isOpen := jb.state == StatePending || jb.state == StateRunning; isOpen != wasOpen {
+		if isOpen {
+			m.open.Add(1)
+		} else {
+			m.open.Add(-1)
+		}
+	}
+	jb.touchLocked()
+}
+
+// commitLocked journals rec and then folds it into jb, with jb.mu held;
+// sync fsyncs the record first. A failed append is logged and the
+// transition still taken: the worst a lost record costs is a re-run on
+// the next boot.
+func (m *Manager) commitLocked(jb *job, rec *record, sync bool) {
+	rec.ID = jb.id
+	if err := m.j.append(rec, sync); err != nil {
+		m.logf("jobs: %s: %v", jb.id, err)
+	}
+	m.applyLocked(jb, rec)
 }
 
 // recover is the startup pass behind Ready: completed jobs' blobs are
 // verified (corrupt ones quarantined and re-enqueued), interrupted jobs
 // go back on the queue, and a bloated journal is rotated down to its
 // live records.
-func (m *Manager) recover(replayed int) {
+func (m *Manager) recover(ids []string, replayed int) {
 	defer close(m.ready)
 	if m.opts.StallReplay != nil {
 		select {
@@ -385,9 +421,6 @@ func (m *Manager) recover(replayed int) {
 			return
 		}
 	}
-	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	m.mu.Unlock()
 	requeued := 0
 	for _, id := range ids {
 		m.mu.Lock()
@@ -409,15 +442,12 @@ func (m *Manager) recover(replayed int) {
 			m.logf("jobs: %s: completed result %s lost or corrupt; recomputing", id, key)
 			fallthrough
 		case StatePending, StateRunning:
+			// Folded, not journaled: the journal already implies it, and
+			// the next boot's recovery derives it again.
 			jb.mu.Lock()
-			jb.state = StatePending
-			jb.casKey = ""
-			jb.rows = nil
-			jb.rowsDone = 0
-			jb.touchLocked()
+			m.applyLocked(jb, &record{Op: "state", State: StatePending})
 			jb.mu.Unlock()
 			m.recovered.Add(1)
-			m.pending.Add(1)
 			m.dispatch(jb)
 			requeued++
 		}
@@ -432,41 +462,40 @@ func (m *Manager) recover(replayed int) {
 // records than the retained jobs need.
 func (m *Manager) maybeRotate(replayed int) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if replayed <= 3*len(m.order)+rotateSlack {
+	retained := len(m.order)
+	m.mu.Unlock()
+	if replayed <= 3*retained+rotateSlack {
 		return
 	}
-	if err := m.j.rotate(m.liveRecordsLocked()); err != nil {
+	if err := m.rotate(); err != nil {
 		m.logf("jobs: %v", err)
 	}
 }
 
-// liveRecordsLocked renders the minimal journal for the retained jobs:
-// one enqueue record each plus its latest terminal or progress state.
-func (m *Manager) liveRecordsLocked() []*record {
+// rotate rewrites the journal down to the retained jobs: one enqueue
+// record each, then the one record whose fold restores the job's state
+// and attempt count (complete, fail, or pending). It holds m.mu and
+// every retained job's lock until the new file is in place, so no
+// transition lands in the old file after its job was copied.
+func (m *Manager) rotate() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	var recs []*record
 	for _, id := range m.order {
 		jb := m.jobs[id]
-		if jb == nil {
-			continue
-		}
 		jb.mu.Lock()
+		defer jb.mu.Unlock()
 		spec := jb.spec
-		recs = append(recs, &record{Seq: jb.seq, Op: "enqueue", ID: jb.id, Spec: &spec})
+		last := &record{Seq: jb.seq, Op: "state", ID: jb.id, State: StatePending, Attempt: jb.attempts}
 		switch jb.state {
 		case StateDone:
-			recs = append(recs, &record{Seq: jb.seq, Op: "complete", ID: jb.id,
-				CAS: jb.casKey, Rows: jb.rowsDone, Total: jb.total})
+			last.Op, last.State, last.CAS, last.Rows, last.Total = "complete", "", jb.casKey, jb.rowsDone, jb.total
 		case StateFailed:
-			recs = append(recs, &record{Seq: jb.seq, Op: "fail", ID: jb.id, Error: jb.errMsg,
-				Rows: jb.rowsDone, Total: jb.total})
-		default:
-			recs = append(recs, &record{Seq: jb.seq, Op: "state", ID: jb.id,
-				State: StatePending, Attempt: jb.attempts})
+			last.Op, last.State, last.Error, last.Rows, last.Total = "fail", "", jb.errMsg, jb.rowsDone, jb.total
 		}
-		jb.mu.Unlock()
+		recs = append(recs, &record{Seq: jb.seq, Op: "enqueue", ID: jb.id, Spec: &spec}, last)
 	}
-	return recs
+	return m.j.rotate(recs)
 }
 
 // jobID derives a job's name from its enqueue record's sequence number.
@@ -482,28 +511,20 @@ func (m *Manager) Enqueue(spec Spec) (Snapshot, error) {
 	if !ValidType(spec.Type) {
 		return Snapshot{}, fmt.Errorf("jobs: unknown job type %q", spec.Type)
 	}
-	specCopy := spec
-	rec := &record{Op: "enqueue", Spec: &specCopy}
-	// m.mu held across the bound check, the append and the pending
-	// count, so concurrent submitters cannot all pass the check at once
-	// and m.order stays in sequence order.
+	rec := &record{Op: "enqueue", Spec: &spec}
+	// m.mu held across the bound check, the append and the open count,
+	// so concurrent submitters cannot all pass the check at once and
+	// m.order stays in sequence order.
 	m.mu.Lock()
-	if int(m.pending.Load())+int(m.running.Load()) >= m.opts.QueueDepth {
+	if int(m.open.Load()) >= m.opts.QueueDepth {
 		m.mu.Unlock()
 		return Snapshot{}, ErrQueueFull
 	}
-	seq, err := m.j.append(rec, true)
-	if err != nil {
+	if err := m.j.append(rec, true); err != nil {
 		m.mu.Unlock()
 		return Snapshot{}, err
 	}
-	m.pending.Add(1)
-	jb := &job{
-		id: rec.ID, seq: seq, spec: specCopy,
-		state: StatePending, updated: make(chan struct{}),
-	}
-	m.jobs[jb.id] = jb
-	m.order = append(m.order, jb.id)
+	jb := m.newJob(rec)
 	m.trimRetainedLocked()
 	m.mu.Unlock()
 	m.enqueued.Add(1)
@@ -582,19 +603,30 @@ func (m *Manager) List() []Snapshot {
 	return out
 }
 
-// Stats returns the current counters.
+// Stats returns the current counters, counting the retained jobs'
+// states under m.mu.
 func (m *Manager) Stats() Stats {
-	return Stats{
+	st := Stats{
 		Enqueued:       m.enqueued.Load(),
 		Completed:      m.completed.Load(),
 		Failed:         m.failed.Load(),
 		Retried:        m.retried.Load(),
 		Recovered:      m.recovered.Load(),
-		Checkpointed:   m.checkpointed.Load(),
 		CorruptRecords: m.corrupt.Load(),
-		Running:        m.running.Load(),
-		Pending:        m.pending.Load(),
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, jb := range m.jobs {
+		jb.mu.Lock()
+		switch jb.state {
+		case StatePending:
+			st.Pending++
+		case StateRunning:
+			st.Running++
+		}
+		jb.mu.Unlock()
+	}
+	return st
 }
 
 // worker drains the queue until shutdown.
@@ -605,12 +637,7 @@ func (m *Manager) worker() {
 		case <-m.ctx.Done():
 			return
 		case jb := <-m.queue:
-			// running rises before pending falls so the Enqueue bound
-			// never sees a dip in occupancy between the two gauges.
-			m.running.Add(1)
-			m.pending.Add(-1)
 			m.runAttempt(jb)
-			m.running.Add(-1)
 		}
 	}
 }
@@ -629,15 +656,8 @@ func (s *sink) Emit(row []byte) error {
 	jb.mu.Lock()
 	jb.rows = append(jb.rows, bytes.Clone(row))
 	jb.rowsDone = len(jb.rows)
-	rows, total := jb.rowsDone, jb.total
 	jb.touchLocked()
 	jb.mu.Unlock()
-	if rows%progressEvery == 0 {
-		// Unsynced: progress records are an optimization for observers;
-		// recovery re-runs the job regardless and the rows re-serve
-		// from the cache tiers.
-		s.m.j.append(&record{Op: "progress", ID: jb.id, Rows: rows, Total: total}, false)
-	}
 	return nil
 }
 
@@ -649,23 +669,17 @@ func (s *sink) SetTotal(n int) {
 }
 
 // runAttempt executes one attempt and settles the job's next state:
-// done, retry-scheduled, failed, or left running for the shutdown
-// checkpoint.
+// done, retry-scheduled, failed, or left running for the next boot.
 func (m *Manager) runAttempt(jb *job) {
 	jb.mu.Lock()
 	if jb.state == StateDone || jb.state == StateFailed {
 		jb.mu.Unlock()
 		return
 	}
-	jb.attempts++
-	attempt := jb.attempts
-	jb.state = StateRunning
-	jb.rows = nil
-	jb.rowsDone = 0
+	attempt := jb.attempts + 1
+	m.commitLocked(jb, &record{Op: "state", State: StateRunning, Attempt: attempt}, false)
 	spec := jb.spec
-	jb.touchLocked()
 	jb.mu.Unlock()
-	m.j.append(&record{Op: "state", ID: jb.id, State: StateRunning, Attempt: attempt}, false)
 
 	err := m.runSafely(spec, jb)
 	if err == nil {
@@ -673,8 +687,8 @@ func (m *Manager) runAttempt(jb *job) {
 		return
 	}
 	if m.ctx.Err() != nil {
-		// Shutdown, not failure: leave the job running; Close
-		// checkpoints it and the next boot re-enqueues it.
+		// Shutdown, not failure: leave the job running; the next boot
+		// re-enqueues it.
 		return
 	}
 	retryable := m.opts.Retryable != nil && m.opts.Retryable(err)
@@ -705,16 +719,13 @@ func (m *Manager) complete(jb *job) {
 		blob.Write(row)
 		blob.WriteByte('\n')
 	}
-	rows, total := jb.rowsDone, jb.total
+	attempt := jb.attempts
 	jb.mu.Unlock()
 	sum := sha256.Sum256(blob.Bytes())
 	key := hex.EncodeToString(sum[:])
 	if err := m.opts.CAS.Put(key, blob.Bytes()); err != nil {
 		// The result cannot be made durable; treat it like a transient
 		// attempt failure so the retry budget drives it.
-		jb.mu.Lock()
-		attempt := jb.attempts
-		jb.mu.Unlock()
 		if attempt < m.opts.MaxAttempts {
 			m.retry(jb, attempt, err)
 		} else {
@@ -722,12 +733,8 @@ func (m *Manager) complete(jb *job) {
 		}
 		return
 	}
-	m.j.append(&record{Op: "complete", ID: jb.id, CAS: key, Rows: rows, Total: total}, true)
 	jb.mu.Lock()
-	jb.state = StateDone
-	jb.casKey = key
-	jb.rows = nil // serve from the CAS from here on
-	jb.touchLocked()
+	m.commitLocked(jb, &record{Op: "complete", CAS: key, Rows: jb.rowsDone, Total: jb.total, Attempt: attempt}, true)
 	jb.mu.Unlock()
 	m.completed.Add(1)
 }
@@ -736,64 +743,48 @@ func (m *Manager) complete(jb *job) {
 // after an exponential backoff.
 func (m *Manager) retry(jb *job, attempt int, cause error) {
 	m.retried.Add(1)
-	m.j.append(&record{Op: "state", ID: jb.id, State: StatePending, Attempt: attempt}, false)
 	jb.mu.Lock()
-	jb.state = StatePending
-	jb.errMsg = ""
-	jb.touchLocked()
+	m.commitLocked(jb, &record{Op: "state", State: StatePending, Attempt: attempt}, false)
 	jb.mu.Unlock()
 	delay := m.opts.Backoff << (attempt - 1)
 	if delay > maxBackoff {
 		delay = maxBackoff
 	}
 	m.logf("jobs: %s attempt %d failed transiently (%v); retrying in %s", jb.id, attempt, cause, delay)
-	m.pending.Add(1)
 	time.AfterFunc(delay, func() {
-		if m.closing.Load() {
-			m.pending.Add(-1)
-			return
+		if !m.closing.Load() {
+			m.dispatch(jb)
 		}
-		m.dispatch(jb)
 	})
 }
 
 // fail journals the terminal failure (fsynced) with the last attempt's
-// row count, so replay does not fall back on an earlier attempt's
-// progress record.
+// rows.
 func (m *Manager) fail(jb *job, attempt int, cause error, transient bool) {
 	msg := cause.Error()
 	if transient {
 		msg = fmt.Sprintf("retry budget exhausted after %d attempts: %v", attempt, cause)
 	}
 	jb.mu.Lock()
-	rows, total := jb.rowsDone, jb.total
-	jb.mu.Unlock()
-	m.j.append(&record{Op: "fail", ID: jb.id, Error: msg, Rows: rows, Total: total}, true)
-	jb.mu.Lock()
-	jb.state = StateFailed
-	jb.errMsg = msg
-	jb.touchLocked()
+	m.commitLocked(jb, &record{Op: "fail", Error: msg, Rows: jb.rowsDone, Total: jb.total, Attempt: attempt}, true)
 	jb.mu.Unlock()
 	m.failed.Add(1)
 	m.logf("jobs: %s failed permanently: %s", jb.id, msg)
 }
 
-// requeueLost puts a done job whose blob vanished back on the queue.
+// requeueLost puts a done job whose blob vanished back on the queue,
+// keeping its attempt count.
 func (m *Manager) requeueLost(jb *job) {
 	jb.mu.Lock()
-	if jb.state != StateDone {
-		jb.mu.Unlock()
-		return
+	lost := jb.state == StateDone
+	if lost {
+		m.commitLocked(jb, &record{Op: "state", State: StatePending, Attempt: jb.attempts}, false)
 	}
-	jb.state = StatePending
-	jb.casKey = ""
-	jb.rowsDone = 0
-	jb.touchLocked()
 	jb.mu.Unlock()
-	m.j.append(&record{Op: "state", ID: jb.id, State: StatePending, Attempt: 0}, false)
-	m.recovered.Add(1)
-	m.pending.Add(1)
-	m.dispatch(jb)
+	if lost {
+		m.recovered.Add(1)
+		m.dispatch(jb)
+	}
 }
 
 // StreamResult writes the job's result rows from row index offset
@@ -863,8 +854,8 @@ func (m *Manager) StreamResult(ctx context.Context, id string, offset int, write
 
 // CloseAbrupt approximates kill -9 at the journal level — a test hook
 // for crash drills that must stay in-process: workers stop, and the
-// journal handle closes with no checkpoint records and no final fsync.
-// Only what an acknowledged append already made durable survives.
+// journal handle closes with no final fsync. Only what an acknowledged
+// append already made durable survives.
 func (m *Manager) CloseAbrupt() {
 	if m.closing.Swap(true) {
 		return
@@ -890,10 +881,10 @@ func splitRows(blob []byte) [][]byte {
 	return rows
 }
 
-// Close drains the pool and checkpoints: no new attempts start, workers
-// are released, each still-running job gets a progress record, and the
-// journal is fsynced and closed. Safe to call once; the ctx bounds the
-// worker drain.
+// Close drains the pool: no new attempts start, workers are released,
+// and the journal is fsynced and closed. A job an attempt was running
+// stays running, and the next boot re-runs it. Safe to call once; the
+// ctx bounds the worker drain.
 func (m *Manager) Close(ctx context.Context) error {
 	if m.closing.Swap(true) {
 		return nil
@@ -904,27 +895,6 @@ func (m *Manager) Close(ctx context.Context) error {
 	select {
 	case <-done:
 	case <-ctx.Done():
-	}
-	// Checkpoint in-flight progress so observers of the next boot see
-	// where each job was; recovery re-runs them regardless.
-	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	m.mu.Unlock()
-	for _, id := range ids {
-		m.mu.Lock()
-		jb := m.jobs[id]
-		m.mu.Unlock()
-		if jb == nil {
-			continue
-		}
-		jb.mu.Lock()
-		isRunning := jb.state == StateRunning
-		rows, total := jb.rowsDone, jb.total
-		jb.mu.Unlock()
-		if isRunning {
-			m.j.append(&record{Op: "progress", ID: id, Rows: rows, Total: total}, false)
-			m.checkpointed.Add(1)
-		}
 	}
 	return m.j.close()
 }

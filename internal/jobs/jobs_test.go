@@ -349,16 +349,16 @@ func TestCompletedJobSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestFailedJobRowsSurviveRestart: a failed job's rows_done and
-// rows_total are its last attempt's, before and after a restart and a
-// journal rotation, not a progress record an earlier attempt left.
+// TestFailedJobRowsSurviveRestart: a failed job's attempts, rows_done
+// and rows_total are its last attempt's, before and after a restart and
+// a journal rotation, not what an earlier attempt left.
 func TestFailedJobRowsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	var calls atomic.Int64
 	m1 := openM(t, dir, Options{Runner: func(ctx context.Context, spec Spec, sink Sink) error {
-		// The first attempt passes a progress record, then fails
-		// transiently; the second fails for good after fewer rows.
-		rows, cause := progressEvery+6, fmt.Errorf("backend hiccup: %w", errTransient)
+		// The first attempt emits 70 rows, then fails transiently; the
+		// second fails for good after fewer rows.
+		rows, cause := 70, fmt.Errorf("backend hiccup: %w", errTransient)
 		if calls.Add(1) > 1 {
 			rows, cause = 10, errors.New("soc_text: parse error")
 		}
@@ -386,15 +386,13 @@ func TestFailedJobRowsSurviveRestart(t *testing.T) {
 		m := openM(t, dir, Options{Runner: rowRunner(1)})
 		<-m.Ready()
 		got, ok := m.Get(snap.ID)
-		if !ok || got.State != StateFailed || got.RowsDone != 10 || got.RowsTotal != 10 {
-			t.Errorf("after %s: snapshot = %+v, %v; want failed, rows 10/10", step, got, ok)
+		if !ok || got.State != StateFailed || got.Attempts != 2 || got.RowsDone != 10 || got.RowsTotal != 10 {
+			t.Errorf("after %s: snapshot = %+v, %v; want failed, 2 attempts, rows 10/10", step, got, ok)
 		}
 		return m
 	}
 	m2 := reopen("a restart")
-	m2.mu.Lock()
-	err = m2.j.rotate(m2.liveRecordsLocked())
-	m2.mu.Unlock()
+	err = m2.rotate()
 	m2.Close(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -677,10 +675,7 @@ func TestRotationPreservesJobs(t *testing.T) {
 
 	m2 := openM(t, dir, Options{Runner: rowRunner(1)})
 	<-m2.Ready()
-	m2.mu.Lock()
-	live := m2.liveRecordsLocked()
-	m2.mu.Unlock()
-	if err := m2.j.rotate(live); err != nil {
+	if err := m2.rotate(); err != nil {
 		t.Fatal(err)
 	}
 	// New enqueues after rotation must not collide with retained IDs.
@@ -706,7 +701,66 @@ func TestRotationPreservesJobs(t *testing.T) {
 	}
 }
 
-func TestCloseCheckpointsRunningJobs(t *testing.T) {
+// TestRotationDuringTransitions: rotations racing live transitions
+// neither deadlock nor lose a record: every job the live manager saw
+// done is done after a restart, and none re-runs. Run it under -race.
+func TestRotationDuringTransitions(t *testing.T) {
+	dir := t.TempDir()
+	m1 := openM(t, dir, Options{Runner: rowRunner(2)})
+	<-m1.Ready()
+	stop, rotated := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				rotated <- nil
+				return
+			default:
+			}
+			if err := m1.rotate(); err != nil {
+				rotated <- err
+				return
+			}
+		}
+	}()
+	var ids []string
+	for i := 0; i < 40; i++ {
+		snap, err := m1.Enqueue(Spec{Type: TypeOptimize, Request: fmt.Appendf(nil, `{"i":%d}`, i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, snap.ID)
+	}
+	for _, id := range ids {
+		waitState(t, m1, id, StateDone)
+	}
+	close(stop)
+	if err := <-rotated; err != nil {
+		t.Fatal(err)
+	}
+	m1.Close(context.Background())
+
+	var reran atomic.Int64
+	m2 := openM(t, dir, Options{Runner: func(ctx context.Context, spec Spec, sink Sink) error {
+		reran.Add(1)
+		return rowRunner(2)(ctx, spec, sink)
+	}})
+	defer m2.Close(context.Background())
+	<-m2.Ready()
+	for _, id := range ids {
+		if got, ok := m2.Get(id); !ok || got.State != StateDone {
+			t.Errorf("after a restart: %s = %+v, %v; want done", id, got, ok)
+		}
+	}
+	if n := reran.Load(); n != 0 {
+		t.Errorf("%d jobs re-ran after the restart", n)
+	}
+}
+
+// TestCloseLeavesRunningJobForNextBoot: Close stops a running attempt
+// without settling its job, which still counts as running; the next boot
+// re-runs it to done on attempt 2.
+func TestCloseLeavesRunningJobForNextBoot(t *testing.T) {
 	dir := t.TempDir()
 	started := make(chan struct{}, 1)
 	m1 := openM(t, dir, Options{Runner: func(ctx context.Context, spec Spec, sink Sink) error {
@@ -727,19 +781,202 @@ func TestCloseCheckpointsRunningJobs(t *testing.T) {
 	if err := m1.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if st := m1.Stats(); st.Checkpointed != 1 {
-		t.Errorf("Checkpointed = %d, want 1", st.Checkpointed)
+	if st := m1.Stats(); st.Running != 1 || st.Pending != 0 {
+		t.Errorf("after Close: Running = %d, Pending = %d; want 1 and 0", st.Running, st.Pending)
 	}
-	// The checkpointed progress is visible after restart, before the
-	// job re-runs.
-	stall := make(chan struct{})
-	m2 := openM(t, dir, Options{Runner: rowRunner(10), StallReplay: stall})
+	m2 := openM(t, dir, Options{Runner: rowRunner(10)})
 	defer m2.Close(context.Background())
-	got, ok := m2.Get(snap.ID)
-	if !ok || got.RowsDone != 3 || got.RowsTotal != 10 {
-		t.Errorf("restarted snapshot = %+v, %v; want rows 3/10", got, ok)
+	<-m2.Ready()
+	done := waitState(t, m2, snap.ID, StateDone)
+	if done.Attempts != 2 || done.RowsDone != 10 || done.RowsTotal != 10 {
+		t.Errorf("re-run snapshot = %+v; want attempt 2, rows 10/10", done)
+	}
+	if st := m2.Stats(); st.Recovered != 1 {
+		t.Errorf("Recovered = %d, want 1", st.Recovered)
+	}
+}
+
+// TestRestartKeepsJobSnapshots: a terminal job's snapshot is the same
+// live, after a restart, and after a rotation and a restart, for a job
+// done after a transient retry, one failed on an exhausted retry budget,
+// and one re-run after its result blob was lost.
+func TestRestartKeepsJobSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	var retried atomic.Int64
+	opts := Options{MaxAttempts: 2, Runner: func(ctx context.Context, spec Spec, sink Sink) error {
+		switch string(spec.Request) {
+		case `{"job":"retried"}`:
+			if retried.Add(1) == 1 {
+				return fmt.Errorf("backend hiccup: %w", errTransient)
+			}
+		case `{"job":"exhausted"}`:
+			sink.SetTotal(5)
+			sink.Emit([]byte(`{"row":0}`))
+			return fmt.Errorf("backend hiccup: %w", errTransient)
+		}
+		return rowRunner(3)(ctx, spec, sink)
+	}}
+	m1 := openM(t, dir, opts)
+	<-m1.Ready()
+	enqueue := func(name string) string {
+		t.Helper()
+		snap, err := m1.Enqueue(Spec{Type: TypeSweep, Request: fmt.Appendf(nil, `{"job":%q}`, name)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap.ID
+	}
+	retriedID, exhaustedID, lostID := enqueue("retried"), enqueue("exhausted"), enqueue("lost")
+	waitState(t, m1, retriedID, StateDone)
+	waitState(t, m1, exhaustedID, StateFailed)
+	first := waitState(t, m1, lostID, StateDone)
+	key := first.ResultKey
+	if err := os.Remove(filepath.Join(dir, "cas", "ca", key[:2], key[2:4], key)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m1.StreamResult(context.Background(), lostID, 0, func([]byte) error { return nil }); !errors.Is(err, ErrResultLost) {
+		t.Fatalf("StreamResult over a lost blob = %v, want ErrResultLost", err)
+	}
+	waitState(t, m1, lostID, StateDone)
+	ids := []string{retriedID, exhaustedID, lostID}
+	live := map[string]Snapshot{}
+	for _, id := range ids {
+		live[id], _ = m1.Get(id)
+	}
+	if live[retriedID].Attempts != 2 || live[exhaustedID].Attempts != 2 || live[lostID].Attempts != 2 {
+		t.Errorf("live snapshots = %+v; want 2 attempts each", live)
+	}
+	m1.Close(context.Background())
+
+	reopen := func(step string) *Manager {
+		t.Helper()
+		m := openM(t, dir, opts)
+		<-m.Ready()
+		for _, id := range ids {
+			if got, _ := m.Get(id); got != live[id] {
+				t.Errorf("after %s: %s = %+v, live %+v", step, id, got, live[id])
+			}
+		}
+		return m
+	}
+	m2 := reopen("a restart")
+	err := m2.rotate()
+	m2.Close(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopen("a rotation and a restart").Close(context.Background())
+}
+
+// TestEnqueueDuringReplayRunsOnce: a job accepted while recovery is
+// stalled is on the queue already; recovery requeues only the jobs it
+// replayed, so the new job runs one attempt.
+func TestEnqueueDuringReplayRunsOnce(t *testing.T) {
+	stall, gate := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int64
+	m := openM(t, t.TempDir(), Options{StallReplay: stall, Runner: func(ctx context.Context, spec Spec, sink Sink) error {
+		calls.Add(1)
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		return rowRunner(1)(ctx, spec, sink)
+	}})
+	defer m.Close(context.Background())
+	snap, err := m.Enqueue(Spec{Type: TypeOptimize, Request: []byte(`{}`)})
+	if err != nil {
+		t.Fatal(err)
 	}
 	close(stall)
-	<-m2.Ready()
-	waitState(t, m2, snap.ID, StateDone)
+	<-m.Ready()
+	time.Sleep(20 * time.Millisecond) // room for a second worker to pick it up
+	close(gate)
+	done := waitState(t, m, snap.ID, StateDone)
+	if n := calls.Load(); n != 1 || done.Attempts != 1 {
+		t.Errorf("runner called %d times, %d attempts; want 1 and 1", n, done.Attempts)
+	}
+}
+
+// parentJournal is a journal in the record shapes an older manager
+// wrote: progress records, complete and fail records without Attempt,
+// a lost blob's requeue as "state pending" with attempt 0, and one
+// state record naming a state no manager writes.
+func parentJournal() []*record {
+	spec := func(s string) *Spec { return &Spec{Type: TypeSweep, Request: []byte(s)} }
+	return []*record{
+		// j0000000001 fails on its second attempt.
+		{Seq: 1, Op: "enqueue", ID: "j0000000001", Spec: spec(`{"a":1}`)},
+		{Seq: 2, Op: "state", ID: "j0000000001", State: StateRunning, Attempt: 1},
+		{Seq: 3, Op: "progress", ID: "j0000000001", Rows: 64, Total: 70},
+		{Seq: 4, Op: "state", ID: "j0000000001", State: StatePending, Attempt: 1},
+		{Seq: 5, Op: "state", ID: "j0000000001", State: StateRunning, Attempt: 2},
+		{Seq: 6, Op: "fail", ID: "j0000000001", Rows: 10, Total: 10, Error: "soc_text: parse error"},
+		// j0000000007 completes.
+		{Seq: 7, Op: "enqueue", ID: "j0000000007", Spec: spec(`{"b":2}`)},
+		{Seq: 8, Op: "state", ID: "j0000000007", State: StateRunning, Attempt: 1},
+		{Seq: 9, Op: "progress", ID: "j0000000007", Rows: 64, Total: 80},
+		{Seq: 10, Op: "complete", ID: "j0000000007", Rows: 80, Total: 80, CAS: strings.Repeat("ab", 32)},
+		{Seq: 11, Op: "state", ID: "j0000000007", State: "cancelled"},
+		// j0000000012 lost its blob and was mid-re-run at shutdown.
+		{Seq: 12, Op: "enqueue", ID: "j0000000012", Spec: spec(`{"c":3}`)},
+		{Seq: 13, Op: "state", ID: "j0000000012", State: StateRunning, Attempt: 1},
+		{Seq: 14, Op: "complete", ID: "j0000000012", Rows: 3, Total: 3, CAS: strings.Repeat("cd", 32)},
+		{Seq: 15, Op: "state", ID: "j0000000012", State: StatePending},
+		{Seq: 16, Op: "state", ID: "j0000000012", State: StateRunning, Attempt: 2},
+		{Seq: 17, Op: "progress", ID: "j0000000012", Rows: 64, Total: 100},
+		// j0000000018 lost its blob and was requeued.
+		{Seq: 18, Op: "enqueue", ID: "j0000000018", Spec: spec(`{"d":4}`)},
+		{Seq: 19, Op: "state", ID: "j0000000018", State: StateRunning, Attempt: 1},
+		{Seq: 20, Op: "complete", ID: "j0000000018", Rows: 2, Total: 2, CAS: strings.Repeat("ef", 32)},
+		{Seq: 21, Op: "state", ID: "j0000000018", State: StatePending},
+	}
+}
+
+// TestParentJournalReplays: a journal an older manager wrote replays to
+// the snapshots its records imply. Attempts come from the last record
+// that carried one, rows and total from the terminal records; progress
+// records are ignored, and the unknown-state record counts as corrupt.
+func TestParentJournalReplays(t *testing.T) {
+	dir := t.TempDir()
+	var journal []byte
+	for _, rec := range parentJournal() {
+		line, err := frameRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal = append(journal, line...)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o777); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "jobs", journalName), journal, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	// The stall holds recovery, so the snapshots are replay's alone.
+	stall := make(chan struct{})
+	m := openM(t, dir, Options{Runner: rowRunner(1), StallReplay: stall, QueueDepth: 2})
+	defer m.Close(context.Background())
+	want := []Snapshot{
+		{ID: "j0000000001", Type: TypeSweep, State: StateFailed, Attempts: 2, RowsDone: 10, RowsTotal: 10, Error: "soc_text: parse error"},
+		{ID: "j0000000007", Type: TypeSweep, State: StateDone, Attempts: 1, RowsDone: 80, RowsTotal: 80, ResultKey: strings.Repeat("ab", 32)},
+		{ID: "j0000000012", Type: TypeSweep, State: StateRunning, Attempts: 2, RowsTotal: 3},
+		{ID: "j0000000018", Type: TypeSweep, State: StatePending, Attempts: 1, RowsTotal: 2},
+	}
+	got := m.List()
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d jobs, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("replayed %+v\nwant     %+v", got[i], want[i])
+		}
+	}
+	if st := m.Stats(); st.CorruptRecords != 1 || st.Running != 1 || st.Pending != 1 {
+		t.Errorf("stats = %+v; want 1 corrupt record, 1 running and 1 pending job", st)
+	}
+	// The two unfinished replayed jobs fill a queue bound of 2.
+	if _, err := m.Enqueue(Spec{Type: TypeOptimize, Request: []byte(`{}`)}); !errors.Is(err, ErrQueueFull) {
+		t.Errorf("Enqueue over 2 unfinished replayed jobs = %v, want ErrQueueFull", err)
+	}
 }

@@ -39,16 +39,19 @@ const journalName = "journal.jsonl"
 
 // record is one journal line.
 type record struct {
-	Seq int64  `json:"seq"`
-	Op  string `json:"op"` // enqueue | state | progress | complete | fail
-	ID  string `json:"id"`
+	Seq int64 `json:"seq"`
+	// Op is enqueue, state, complete or fail; replay ignores any other
+	// (an older journal's progress records).
+	Op string `json:"op"`
+	ID string `json:"id"`
 
 	// Spec rides on enqueue records only.
 	Spec *Spec `json:"spec,omitempty"`
-	// State and Attempt ride on state records.
+	// State rides on state records; Attempt on state, complete and fail
+	// records.
 	State   State `json:"state,omitempty"`
 	Attempt int   `json:"attempt,omitempty"`
-	// Rows rides on progress, complete and fail records; Total when known.
+	// Rows rides on complete and fail records; Total when known.
 	Rows  int `json:"rows,omitempty"`
 	Total int `json:"total,omitempty"`
 	// CAS is the content hash of the finished result blob (complete).
@@ -160,17 +163,12 @@ func (j *journal) fault(op diskcache.Op) diskcache.Fault {
 	return j.inject(op)
 }
 
-// append assigns the next sequence number to rec, writes its framed
+// append assigns the next sequence number to rec.Seq, writes its framed
 // line, and — when sync is set — fsyncs before returning, which is what
-// makes an acknowledged record durable. The assigned sequence number is
-// returned.
-func (j *journal) append(rec *record, sync bool) (int64, error) {
+// makes an acknowledged record durable.
+func (j *journal) append(rec *record, sync bool) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.appendLocked(rec, sync)
-}
-
-func (j *journal) appendLocked(rec *record, sync bool) (int64, error) {
 	j.seq++
 	rec.Seq = j.seq
 	rec.At = time.Now().Unix()
@@ -184,7 +182,7 @@ func (j *journal) appendLocked(rec *record, sync bool) (int64, error) {
 	}
 	line, err := frameRecord(rec)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if j.fault(diskcache.OpWrite) == diskcache.FaultShortWrite {
 		// The injected crash shape: a prefix of the line reaches the
@@ -194,15 +192,15 @@ func (j *journal) appendLocked(rec *record, sync bool) (int64, error) {
 		sync = false
 	}
 	if _, err := j.f.Write(line); err != nil {
-		return 0, fmt.Errorf("jobs: journal append: %w", err)
+		return fmt.Errorf("jobs: journal append: %w", err)
 	}
 	j.count++
 	if sync {
 		if err := j.f.Sync(); err != nil {
-			return 0, fmt.Errorf("jobs: journal fsync: %w", err)
+			return fmt.Errorf("jobs: journal fsync: %w", err)
 		}
 	}
-	return rec.Seq, nil
+	return nil
 }
 
 // rotate atomically replaces the journal with exactly recs (their

@@ -231,7 +231,10 @@ func TestRunEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live replay")
 	}
-	srv := server.New(server.Options{})
+	srv, err := server.NewWithData(server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -352,7 +355,10 @@ func TestRunJobsClass(t *testing.T) {
 // TestRunCancelled: a cancelled context stops the launch loop and
 // reports the prefix.
 func TestRunCancelled(t *testing.T) {
-	srv := server.New(server.Options{})
+	srv, err := server.NewWithData(server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	sched, err := BuildSchedule(ScheduleOptions{Seed: 5, Rate: 10, Duration: 30 * time.Second})

@@ -15,17 +15,14 @@ import (
 // again, and reports rows/s. After the first pass every row re-scores a
 // design the memo holds: this is what any cache of rows would have to
 // beat.
-func BenchmarkSweepRepeat(b *testing.B) { benchSweepRepeat(b, New(Options{})) }
+func BenchmarkSweepRepeat(b *testing.B) { benchSweepRepeat(b, mustNew(b, Options{})) }
 
 // BenchmarkSweepRepeatDisk answers the same sweep from a warm disk-backed
 // server (NewWithData). The first pass spills every row to the disk tier;
 // after it every row is a hit on the view its row entry keeps, so a
 // repeated row neither reads the disk nor re-scores.
 func BenchmarkSweepRepeatDisk(b *testing.B) {
-	s, err := NewWithData(Options{DataDir: b.TempDir()})
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := mustNew(b, Options{DataDir: b.TempDir()})
 	defer s.Close(context.Background())
 	benchSweepRepeat(b, s)
 }

@@ -177,7 +177,8 @@ func TestFleetRouteKeyAgreesWithServerKey(t *testing.T) {
 }
 
 // TestFleetConfigValidation pins the constructor contract: NewWithData
-// rejects a self outside the peer list, New panics on it.
+// rejects a self outside the peer list, or a self without peers, with an
+// error.
 func TestFleetConfigValidation(t *testing.T) {
 	_, err := NewWithData(Options{FleetPeers: fleetTestPeers, FleetSelf: "10.9.9.9:1"})
 	if err == nil {

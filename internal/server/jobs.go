@@ -49,18 +49,18 @@ func jobRetryable(err error) bool {
 	return errors.Is(err, solve.ErrTransient) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// NewWithData builds a server and, when opts.DataDir is set, opens the
-// durable tier under it: the disk cache at <dir>/cache (the L2 behind
-// the in-memory resultcache, and the CAS job results live in) and the
-// job journal at <dir>/jobs. An empty DataDir yields a purely in-memory
-// server, byte-for-byte equivalent to New.
+// NewWithData builds a server over the built-in benchmark SOCs,
+// returning an error for an inconsistent fleet configuration, and, when
+// opts.DataDir is set, opens the durable tier under it: the disk cache
+// at <dir>/cache (the L2 behind the in-memory resultcache, and the CAS
+// job results live in) and the job journal at <dir>/jobs. An empty
+// DataDir yields a purely in-memory server.
 func NewWithData(opts Options) (*Server, error) {
-	// Validate the fleet configuration up front: New panics on it (its
-	// signature predates fleet mode), and a flag typo deserves an error.
-	if _, err := newFleet(opts); err != nil {
+	fl, err := newFleet(opts)
+	if err != nil {
 		return nil, err
 	}
-	s := New(opts)
+	s := newServer(opts, fl)
 	if opts.DataDir == "" {
 		return s, nil
 	}
@@ -93,9 +93,10 @@ func NewWithData(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Close drains the durable job layer: running attempts stop, in-flight
-// progress is checkpointed, and the journal is fsynced and closed. The
-// ctx bounds the drain. A server without a data dir closes trivially.
+// Close drains the durable job layer: running attempts stop, and the
+// journal is fsynced and closed; a job an attempt was running is re-run
+// by the next boot. The ctx bounds the drain. A server without a data
+// dir closes trivially.
 func (s *Server) Close(ctx context.Context) error {
 	if s.jobMgr == nil {
 		return nil
@@ -104,7 +105,7 @@ func (s *Server) Close(ctx context.Context) error {
 }
 
 // CloseAbrupt approximates kill -9 for in-process crash drills: no
-// checkpoint, no final fsync (see jobs.Manager.CloseAbrupt).
+// final fsync (see jobs.Manager.CloseAbrupt).
 func (s *Server) CloseAbrupt() {
 	if s.jobMgr != nil {
 		s.jobMgr.CloseAbrupt()

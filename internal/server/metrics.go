@@ -145,7 +145,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("multisite_jobs_failed_total", "Jobs failed permanently.", jst.Failed)
 		counter("multisite_jobs_retried_total", "Transient-failure job re-runs.", jst.Retried)
 		counter("multisite_jobs_recovered_total", "Jobs re-enqueued by startup replay (interrupted, or completed with a lost blob).", jst.Recovered)
-		counter("multisite_jobs_checkpointed_total", "In-flight jobs checkpointed by graceful shutdown.", jst.Checkpointed)
 		counter("multisite_jobs_journal_corrupt_records_total", "Journal lines dropped by checksum or decode failure during replay.", jst.CorruptRecords)
 		gauge("multisite_jobs_running", "Job attempts currently executing.", jst.Running)
 		gauge("multisite_jobs_pending", "Jobs accepted and waiting for a worker.", jst.Pending)

@@ -150,8 +150,8 @@ type Options struct {
 	FleetSelf  string
 }
 
-// Server holds the shared state of the serving layer. Create with New;
-// serve via Handler.
+// Server holds the shared state of the serving layer. Create with
+// NewWithData; serve via Handler.
 type Server struct {
 	opts  Options
 	memo  *engine.Memo
@@ -190,16 +190,11 @@ type Server struct {
 	anytimeEvents atomic.Int64 // NDJSON anytime events streamed
 }
 
-// New builds a server over the built-in benchmark SOCs. It panics on an
-// inconsistent fleet configuration; NewWithData (which every production
-// path goes through) validates and returns the error instead.
-func New(opts Options) *Server {
+// newServer builds an in-memory server over the built-in benchmark SOCs
+// in the fleet NewWithData validated (nil outside fleet mode).
+func newServer(opts Options, fl *fleetInfo) *Server {
 	if opts.Concurrency <= 0 {
 		opts.Concurrency = 2 * runtime.GOMAXPROCS(0)
-	}
-	fl, err := newFleet(opts)
-	if err != nil {
-		panic(err)
 	}
 	s := &Server{
 		opts:      opts,

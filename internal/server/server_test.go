@@ -26,9 +26,19 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden HTTP outputs")
 
+// mustNew builds a server through NewWithData, failing tb on an error.
+func mustNew(tb testing.TB, opts Options) *Server {
+	tb.Helper()
+	s, err := NewWithData(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(opts)
+	s := mustNew(t, opts)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts

@@ -63,7 +63,7 @@ func checkView(t *testing.T, res cachedResult) {
 // proven-optimal portfolio result and a degraded one, which a deadline
 // cuts from a server whose exact backend hangs.
 func TestCachedViewMatchesDecode(t *testing.T) {
-	s := New(Options{Breaker: lenientBreaker()})
+	s := mustNew(t, Options{Breaker: lenientBreaker()})
 	indexTime := 0.3
 	costModels := []ScenarioRequest{
 		{},
@@ -149,7 +149,7 @@ func TestSweepAllocsPerRow(t *testing.T) {
 		runs = 10
 		rows = 6 * 4 * 2 // depths × contact yields × retest
 	)
-	s := New(Options{Workers: 1})
+	s := mustNew(t, Options{Workers: 1})
 	// sweepOp builds a sweep over six fixed depths (so the six designs are
 	// shared by every sweep) and four contact yields new to the i-th sweep
 	// (so no row repeats an earlier row's scenario).
