@@ -489,9 +489,9 @@ func (m *Manager) rotate() error {
 		last := &record{Seq: jb.seq, Op: "state", ID: jb.id, State: StatePending, Attempt: jb.attempts}
 		switch jb.state {
 		case StateDone:
-			last.Op, last.State, last.CAS, last.Rows, last.Total = "complete", "", jb.casKey, jb.rowsDone, jb.total
+			last = &record{Seq: jb.seq, Op: "complete", ID: jb.id, CAS: jb.casKey, Rows: jb.rowsDone, Total: jb.total, Attempt: jb.attempts}
 		case StateFailed:
-			last.Op, last.State, last.Error, last.Rows, last.Total = "fail", "", jb.errMsg, jb.rowsDone, jb.total
+			last = &record{Seq: jb.seq, Op: "fail", ID: jb.id, Error: jb.errMsg, Rows: jb.rowsDone, Total: jb.total, Attempt: jb.attempts}
 		}
 		recs = append(recs, &record{Seq: jb.seq, Op: "enqueue", ID: jb.id, Spec: &spec}, last)
 	}
