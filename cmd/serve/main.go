@@ -48,17 +48,18 @@
 //	serve -data-dir /tmp/ms -inject-disk "shortwrite,pass,eio,repeat"
 //
 // With -peers/-self the server joins a shared-nothing fleet: N serve
-// processes partition the content-addressed key space over a
-// consistent-hash ring, each keeping its caches and job journal fully
-// private. A request landing on the wrong shard is answered 307 to the
-// owner (curl -L follows it, re-POSTing the body); put cmd/gateway in
-// front for proxied routing with failover instead. Job IDs gain a shard
-// prefix ("s1-j0000000042") so any ID routes back to its owner:
+// processes behind cmd/gateway, which partitions the content-addressed
+// key space over a consistent-hash ring and places every request on its
+// key's owner. Each shard keeps its caches and job journal fully
+// private, and serves whatever reaches it with the bytes the owner
+// would send. The two flags set the shard's label ("s1"), which every
+// response carries in X-Shard and every job ID as a prefix
+// ("s1-j0000000042"), so any ID routes back to its owner:
 //
 //	serve -addr :8081 -data-dir /var/lib/ms1 -peers localhost:8081,localhost:8082,localhost:8083 -self localhost:8081
 //	serve -addr :8082 -data-dir /var/lib/ms2 -peers localhost:8081,localhost:8082,localhost:8083 -self localhost:8082
 //	serve -addr :8083 -data-dir /var/lib/ms3 -peers localhost:8081,localhost:8082,localhost:8083 -self localhost:8083
-//	curl -sL -X POST localhost:8081/v1/optimize -d '{"soc":"d695","channels":256,"depth":"64K"}'
+//	gateway -addr :8080 -peers localhost:8081,localhost:8082,localhost:8083
 //
 // SIGINT/SIGTERM drain in-flight requests before exiting (bounded by
 // -drain), then stop the job worker pool cleanly: running attempts stop

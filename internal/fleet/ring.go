@@ -3,11 +3,11 @@
 //
 // Every optimize/sweep/job result in the system is keyed by a SHA-256
 // (internal/cachekey), so the fleet story is pure key-space sharding: N
-// cmd/serve processes each own a slice of the ring, the gateway (or a
-// 307-redirecting peer) routes each request to the shard that owns its
-// key, and the shards share nothing — no coordination, no replication,
-// no cross-shard state. Any single shard can die without touching the
-// others' caches or journals.
+// cmd/serve processes each own a slice of the ring, the gateway — the
+// only party that holds a ring — routes each request to the shard that
+// owns its key, and the shards share nothing — no coordination, no
+// replication, no cross-shard state. Any single shard can die without
+// touching the others' caches or journals.
 //
 // The ring is the classic virtual-node construction: each member is
 // hashed onto the ring at replicas pseudo-random points (SHA-256 of
@@ -34,8 +34,8 @@ import (
 // replicas is the virtual-node count per member. 128 points per member
 // keeps the largest/smallest ownership share within ~2x at N=3 (the
 // property test bounds realized churn, which is what matters), at a few
-// KB of ring per member. Every fleet party builds its ring with it, so
-// the gateway and the peers always agree on placement.
+// KB of ring per member. Every gateway builds its ring with it, so two
+// gateways over the same -peers list agree on placement.
 const replicas = 128
 
 // Ring is an immutable consistent-hash ring over a member set. Build
@@ -52,7 +52,7 @@ type point struct {
 
 // New builds the ring over the given members (duplicates collapse,
 // order is irrelevant) with 128 virtual nodes per member. An empty
-// member set yields a ring whose lookups return "".
+// member set yields a ring whose lookups return nil.
 func New(members []string) *Ring {
 	uniq := make([]string, 0, len(members))
 	seen := make(map[string]bool, len(members))
@@ -87,18 +87,11 @@ func (r *Ring) Members() []string { return r.members }
 // Len is the member count.
 func (r *Ring) Len() int { return len(r.members) }
 
-// Owner returns the member owning key — the first virtual node at or
-// clockwise after the key's hash point — or "" on an empty ring.
-func (r *Ring) Owner(key string) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	return r.members[r.points[r.locate(key)].member]
-}
-
 // Owners returns up to n distinct members in ring order starting at
-// key's owner: the owner first, then the successors a router fails over
-// to when a peer is down. n > Len() is truncated.
+// key's owner — the member whose virtual node is the first at or
+// clockwise after the key's hash point: the owner first, then the
+// successors a router fails over to when a peer is down. n > Len() is
+// truncated; an empty ring returns nil.
 func (r *Ring) Owners(key string, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
 		return nil

@@ -43,7 +43,7 @@ func TestOwnerDeterministicAcrossInsertionOrder(t *testing.T) {
 		perm = append(perm, perm[rng.Intn(len(perm))])
 		r := New(perm)
 		for _, k := range keys {
-			if got, want := r.Owner(k), ref.Owner(k); got != want {
+			if got, want := r.Owners(k, 1)[0], ref.Owners(k, 1)[0]; got != want {
 				t.Fatalf("trial %d: Owner(%s) = %q under permuted members, want %q", trial, k[:12], got, want)
 			}
 		}
@@ -75,7 +75,7 @@ func TestChurnOnMembershipChange(t *testing.T) {
 				rRest := New(rest)
 				moved := 0
 				for _, k := range keys {
-					before, after := rFull.Owner(k), rRest.Owner(k)
+					before, after := rFull.Owners(k, 1)[0], rRest.Owners(k, 1)[0]
 					if before == after {
 						continue
 					}
@@ -95,7 +95,7 @@ func TestChurnOnMembershipChange(t *testing.T) {
 			rJoined := New(joined)
 			moved := 0
 			for _, k := range keys {
-				before, after := rFull.Owner(k), rJoined.Owner(k)
+				before, after := rFull.Owners(k, 1)[0], rJoined.Owners(k, 1)[0]
 				if before == after {
 					continue
 				}
@@ -120,8 +120,8 @@ func TestOwnersDistinctRingOrder(t *testing.T) {
 		if len(owners) != 3 {
 			t.Fatalf("Owners(%s, 3) = %v", k[:12], owners)
 		}
-		if owners[0] != r.Owner(k) {
-			t.Fatalf("Owners[0] = %s, Owner = %s", owners[0], r.Owner(k))
+		if owner := r.Owners(k, 1)[0]; owners[0] != owner {
+			t.Fatalf("Owners(k, 3)[0] = %s, Owners(k, 1)[0] = %s", owners[0], owner)
 		}
 		seen := map[string]bool{}
 		for _, o := range owners {
@@ -143,8 +143,8 @@ func TestOwnersDistinctRingOrder(t *testing.T) {
 				rest = append(rest, m)
 			}
 		}
-		if got := New(rest).Owner(k); got != owners[1] {
-			t.Fatalf("successor mismatch: Owners[1] = %s, ring-without-owner Owner = %s", owners[1], got)
+		if got := New(rest).Owners(k, 1)[0]; got != owners[1] {
+			t.Fatalf("successor mismatch: Owners[1] = %s, ring-without-owner owner = %s", owners[1], got)
 		}
 	}
 }
@@ -155,8 +155,8 @@ func TestOwnersTruncatesAndEmptyRing(t *testing.T) {
 		t.Fatalf("Owners truncation: got %v", got)
 	}
 	empty := New(nil)
-	if empty.Owner("k") != "" || empty.Owners("k", 1) != nil || empty.Len() != 0 {
-		t.Fatalf("empty ring: Owner=%q Owners=%v Len=%d", empty.Owner("k"), empty.Owners("k", 1), empty.Len())
+	if empty.Owners("k", 1) != nil || empty.Len() != 0 {
+		t.Fatalf("empty ring: Owners=%v Len=%d", empty.Owners("k", 1), empty.Len())
 	}
 }
 
@@ -170,7 +170,7 @@ func TestBalance(t *testing.T) {
 		r := New(members(n))
 		counts := map[string]int{}
 		for _, k := range keys {
-			counts[r.Owner(k)]++
+			counts[r.Owners(k, 1)[0]]++
 		}
 		fair := float64(len(keys)) / float64(n)
 		for m, c := range counts {

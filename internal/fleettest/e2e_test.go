@@ -87,7 +87,7 @@ func TestFleetByteIdenticalToSingleNode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("req %d: route key: %v", req.Index, err)
 		}
-		wantLabel, err := fleet.ShardLabel(f.PeerAddrs, ring.Owner(key))
+		wantLabel, err := fleet.ShardLabel(f.PeerAddrs, ring.Owners(key, 1)[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func TestFleetMergedJobListAndShardDown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantLabel, _ := fleet.ShardLabel(f.PeerAddrs, ring.Owner(key))
+		wantLabel, _ := fleet.ShardLabel(f.PeerAddrs, ring.Owners(key, 1)[0])
 		if len(byShard[wantLabel]) > 0 {
 			continue
 		}

@@ -1,14 +1,16 @@
 // Package gateway is the fleet's front door: a thin, stateless router
-// that places every request on the shard owning its content-addressed
-// routing key.
+// and the only party that places requests. It puts every request on the
+// shard owning its content-addressed routing key; a peer holds no ring
+// and serves whatever reaches it.
 //
-// The gateway computes the same canonical cache key the serving peers
-// do — both sides call server.FleetRouteKey, which wraps the shared
-// internal/cachekey derivation — then forwards the request to the ring
-// owner with X-Fleet-Routed set, so the peer serves it locally instead
-// of 307-redirecting. Responses stream through unbuffered: a sweep's
-// NDJSON rows, anytime events, and job-result streams reach the client
-// as the shard emits them.
+// The gateway derives the routing key with server.FleetRouteKey — the
+// very parse a serving peer runs, over the shared internal/cachekey
+// derivation — so the key it routes on is the key the owner caches
+// under. It forwards the request to the ring owner, and the response
+// streams through unbuffered: a sweep's NDJSON rows, anytime events,
+// and job-result streams reach the client as the shard emits them. A
+// peer that dies mid-body cuts the client's stream too, rather than
+// ending it cleanly.
 //
 // Each peer sits behind its own circuit breaker (internal/resilience).
 // A transport-level failure records against the peer's breaker and the
@@ -109,9 +111,8 @@ func New(opts Options) (*Gateway, error) {
 	// No overall timeout: streams are long-lived, and cancellation rides
 	// the inbound request's context.
 	client := &http.Client{
-		// Peers answer 307 only to unrouted requests, and the gateway
-		// marks everything routed, so it follows none: a stray 307
-		// reaches the client as sent.
+		// A relay follows no redirect: a peer's 3xx reaches the client
+		// as sent.
 		CheckRedirect: func(*http.Request, []*http.Request) error {
 			return http.ErrUseLastResponse
 		},
@@ -200,7 +201,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, candidates []s
 		}
 		resp, err := g.call(r, ps, body)
 		if err == nil {
-			g.stream(w, resp)
+			g.stream(w, ps, resp)
 			return
 		}
 		lastErr = err
@@ -240,9 +241,9 @@ func (g *Gateway) call(r *http.Request, ps *peerState, body []byte) (*http.Respo
 	return resp, nil
 }
 
-// do forwards the inbound request to one peer, marked routed. The body
-// is replayed from the buffered bytes, which is what makes the
-// single-retry failover safe for POSTs.
+// do forwards the inbound request to one peer. The body is replayed
+// from the buffered bytes, which is what makes the single-retry
+// failover safe for POSTs.
 func (g *Gateway) do(r *http.Request, ps *peerState, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
@@ -253,14 +254,16 @@ func (g *Gateway) do(r *http.Request, ps *peerState, body []byte) (*http.Respons
 		return nil, err
 	}
 	req.Header = r.Header.Clone()
-	req.Header.Set(server.HeaderFleetRouted, "1")
 	return g.client.Do(req)
 }
 
-// stream copies one peer response to the client without buffering:
+// stream copies peer ps's response to the client without buffering:
 // headers and status first, then body chunks flushed as they arrive, so
-// NDJSON rows stream end-to-end at the shard's pace.
-func (g *Gateway) stream(w http.ResponseWriter, resp *http.Response) {
+// NDJSON rows stream end-to-end at the shard's pace. A body read that
+// fails before EOF — the peer died mid-body — records against the
+// peer's breaker and aborts the client's response, so the client sees
+// the cut as it would from the peer, not a clean end of stream.
+func (g *Gateway) stream(w http.ResponseWriter, ps *peerState, resp *http.Response) {
 	defer resp.Body.Close()
 	h := w.Header()
 	for k, vs := range resp.Header {
@@ -279,8 +282,12 @@ func (g *Gateway) stream(w http.ResponseWriter, resp *http.Response) {
 				flusher.Flush()
 			}
 		}
-		if err != nil {
+		if err == io.EOF {
 			return
+		}
+		if err != nil {
+			record(ps, err)
+			panic(http.ErrAbortHandler)
 		}
 	}
 }
@@ -308,7 +315,7 @@ func (g *Gateway) handleJobRead(w http.ResponseWriter, r *http.Request) {
 		g.shardDown(w, ps)
 		return
 	}
-	g.stream(w, resp)
+	g.stream(w, ps, resp)
 }
 
 // shardDown answers a read whose owning shard is unreachable: 503 with
@@ -334,7 +341,7 @@ func (g *Gateway) probeJob(w http.ResponseWriter, r *http.Request) {
 			resp.Body.Close()
 			continue
 		}
-		g.stream(w, resp)
+		g.stream(w, ps, resp)
 		return
 	}
 	writeError(w, http.StatusNotFound, errors.New("job not found on any reachable shard"))
@@ -419,7 +426,7 @@ func (g *Gateway) handleAnyPeer(w http.ResponseWriter, r *http.Request) {
 			lastErr = err
 			continue
 		}
-		g.stream(w, resp)
+		g.stream(w, ps, resp)
 		return
 	}
 	g.unrouteable.Add(1)

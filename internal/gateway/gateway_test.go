@@ -2,10 +2,15 @@ package gateway
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -24,7 +29,7 @@ func fakePeer(label string) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/optimize", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTeapot)
-		fmt.Fprintf(w, "{\"peer\":%q,\"routed\":%q}\n", label, r.Header.Get(server.HeaderFleetRouted))
+		fmt.Fprintf(w, "{\"peer\":%q}\n", label)
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "{\"jobs\":[{\"id\":\"%s-j0000000002\"},{\"id\":\"%s-j0000000001\"}]}\n", label, label)
@@ -120,7 +125,7 @@ func TestGatewayDeadPeer(t *testing.T) {
 		name: "optimize retries the ring successor", method: "POST", path: "/v1/optimize", body: optimize,
 		down: func(t *testing.T, f *testFleet) (string, int, map[string]string, string) {
 			owner, successor := f.ownerLabels(t, "/v1/optimize", optimize)
-			return owner, http.StatusTeapot, nil, fmt.Sprintf("{\"peer\":%q,\"routed\":\"1\"}\n", successor)
+			return owner, http.StatusTeapot, nil, fmt.Sprintf("{\"peer\":%q}\n", successor)
 		},
 	}, {
 		name: "job read on a dead shard is 503", method: "GET", path: "/v1/jobs/s1-j0000000001",
@@ -197,8 +202,8 @@ func TestGatewayBreakerOpensAndCloses(t *testing.T) {
 		})
 	})
 	owner, successor := f.ownerLabels(t, "/v1/optimize", optimize)
-	fromSuccessor := fmt.Sprintf("{\"peer\":%q,\"routed\":\"1\"}\n", successor)
-	fromOwner := fmt.Sprintf("{\"peer\":%q,\"routed\":\"1\"}\n", owner)
+	fromSuccessor := fmt.Sprintf("{\"peer\":%q}\n", successor)
+	fromOwner := fmt.Sprintf("{\"peer\":%q}\n", owner)
 	expect := func(step, want string) {
 		t.Helper()
 		if code, body := f.serve("POST", "/v1/optimize", optimize); code != http.StatusTeapot || body != want {
@@ -331,4 +336,99 @@ func TestGatewayStreamsNDJSON(t *testing.T) {
 	if ct := first.resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("Content-Type %q, want application/x-ndjson", ct)
 	}
+}
+
+// TestGatewayCutStream: a peer that dies mid-body cuts the client's
+// stream too. The owner flushes one NDJSON row and then drops its
+// connection, which a direct client reads as io.ErrUnexpectedEOF; a
+// client behind a real gateway listener must read the same after that
+// row, not a clean end of stream, and the cut must count against the
+// owner's breaker.
+func TestGatewayCutStream(t *testing.T) {
+	const sweep = `{"soc":"d695","depths":"48K,64K"}`
+	// In a two-call window, the cut beside the success that delivered
+	// the headers trips the breaker.
+	f := newTestFleet(t, resilience.Options{Window: 2}, func(label string) http.Handler {
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			fmt.Fprintf(w, "{\"row\":0,\"peer\":%q}\n", label)
+			w.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler)
+		})
+		return mux
+	})
+	owner, _ := f.ownerLabels(t, "/v1/sweep", sweep)
+	gw := httptest.NewServer(f.g.Handler())
+	defer gw.Close()
+
+	resp, err := http.Post(gw.URL+"/v1/sweep", "application/json", strings.NewReader(sweep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := fmt.Sprintf("{\"row\":0,\"peer\":%q}\n", owner); string(body) != want {
+		t.Errorf("body before the cut %q, want %q", body, want)
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("client read error %v, want io.ErrUnexpectedEOF: the gateway ended a cut stream cleanly", err)
+	}
+	if got := f.sample(t, "multisite_fleet_peer_healthy", owner); got != "0" {
+		t.Errorf("owner healthy after a cut stream = %s, want 0 (the cut is a failure)", got)
+	}
+	if got := f.sample(t, "multisite_fleet_breaker_trips_total", owner); got != "1" {
+		t.Errorf("owner breaker trips = %s, want 1", got)
+	}
+}
+
+// TestGatewayMetricsGolden pins the gateway's /metrics schema, scraped
+// after one routed request over three fake peers: every family's HELP
+// and TYPE line and each per-peer label set, in order. Values are
+// masked as the server's metrics goldens mask them, and each peer's
+// ephemeral address reads "peer-<label>".
+func TestGatewayMetricsGolden(t *testing.T) {
+	f := newTestFleet(t, resilience.Options{}, fakePeer)
+	if code, body := f.serve("POST", "/v1/optimize", `{"soc":"d695","channels":256,"depth":"64K"}`); code != http.StatusTeapot {
+		t.Fatalf("routed request: status %d body %q, want %d", code, body, http.StatusTeapot)
+	}
+	_, metrics := f.serve("GET", "/metrics", "")
+	for label, ts := range f.servers {
+		metrics = strings.ReplaceAll(metrics, strconv.Quote(ts.Listener.Addr().String()), strconv.Quote("peer-"+label))
+	}
+	got := []byte(normalizeMetrics(metrics))
+	path := filepath.Join("testdata", "metrics.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("/metrics drifted from golden %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/metrics.golden")
+
+// normalizeMetrics replaces every sample line's value with "V", keeping
+// comment lines (# HELP / # TYPE) verbatim.
+func normalizeMetrics(text string) string {
+	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
+	for i, line := range lines {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		if j := strings.LastIndexByte(line, ' '); j >= 0 {
+			lines[i] = line[:j+1] + "V"
+		}
+	}
+	return strings.Join(lines, "\n") + "\n"
 }

@@ -19,8 +19,8 @@ type ShardStats struct {
 	// counters are then zero and carry no meaning.
 	Scraped bool `json:"scraped"`
 	// Requests counts compute-endpoint requests (optimize, sweep,
-	// compare, jobs) this shard served over the run — gateway-routed
-	// traffic plus any proxyless redirect follow-ups.
+	// compare, jobs) this shard served over the run: whatever reached
+	// it, gateway-routed or sent to it directly.
 	Requests      int64   `json:"requests"`
 	CacheHits     int64   `json:"cache_hits"`
 	CacheDedups   int64   `json:"cache_dedups"`

@@ -405,6 +405,29 @@ func TestRunLatencyFromDueTime(t *testing.T) {
 	}
 }
 
+// TestRunShortSweepFails: a 200 sweep whose body ends short of the rows
+// its X-Sweep-Scenarios header declares counts as a failed request; one
+// that delivers them all does not.
+func TestRunShortSweepFails(t *testing.T) {
+	for _, c := range []struct{ sent, errors int }{{2, 1}, {3, 0}} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("X-Sweep-Scenarios", "3")
+			for i := 0; i < c.sent; i++ {
+				fmt.Fprintf(w, "{\"row\":%d}\n", i)
+			}
+		}))
+		sched := &Schedule{Requests: []Request{{Class: ClassSweep, Path: "/v1/sweep", Body: json.RawMessage(`{}`)}}}
+		res, err := Run(context.Background(), sched, RunOptions{BaseURL: ts.URL, NoScrape: true})
+		ts.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Total != 1 || res.Errors != c.errors {
+			t.Errorf("%d of 3 declared rows: %d requests, %d errors; want 1 and %d", c.sent, res.Total, res.Errors, c.errors)
+		}
+	}
+}
+
 func TestPercentile(t *testing.T) {
 	sorted := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	for _, c := range []struct {

@@ -207,7 +207,9 @@ func Run(ctx context.Context, sched *Schedule, opts RunOptions) (*Result, error)
 // send issues one scheduled request, due at the instant due, and fully
 // consumes the response — for a sweep that means draining the whole
 // NDJSON stream, so the sample is the end-to-end delivery a client
-// experiences.
+// experiences. A sweep that ends short of the rows its
+// X-Sweep-Scenarios header declares failed, whatever its status: a
+// server timeout or a cut relay can end a 200 stream early.
 func send(ctx context.Context, client *http.Client, base string, r *Request, due time.Time) sample {
 	s := sample{class: r.Class, late: time.Since(due)}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+r.Path, bytes.NewReader(r.Body))
@@ -222,7 +224,8 @@ func send(ctx context.Context, client *http.Client, base string, r *Request, due
 		s.latency = time.Since(due)
 		return s
 	}
-	_, copyErr := io.Copy(io.Discard, resp.Body)
+	var rows rowCounter
+	_, copyErr := io.Copy(&rows, resp.Body)
 	resp.Body.Close()
 	s.latency = time.Since(due)
 	// 202 is the jobs class's success: the submission was journaled and
@@ -231,9 +234,23 @@ func send(ctx context.Context, client *http.Client, base string, r *Request, due
 		s.err = true
 		return s
 	}
+	if declared := resp.Header.Get("X-Sweep-Scenarios"); declared != "" {
+		if want, err := strconv.Atoi(declared); err != nil || int(rows) < want {
+			s.err = true
+			return s
+		}
+	}
 	s.cache = resp.Header.Get("X-Cache")
 	s.degraded = resp.Header.Get("X-Degraded") == "true"
 	return s
+}
+
+// rowCounter counts the '\n'-terminated rows of a body as it drains.
+type rowCounter int
+
+func (c *rowCounter) Write(p []byte) (int, error) {
+	*c += rowCounter(bytes.Count(p, []byte{'\n'}))
+	return len(p), nil
 }
 
 func aggregate(sched *Schedule, samples []sample, elapsed time.Duration) *Result {

@@ -1,52 +1,30 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"multisite/internal/fleet"
 )
 
 // fleetTestPeers is a two-member fleet with this test's server as one
-// peer; the other "peer" is never started — the proxyless protocol only
-// names it in Location headers.
+// peer; the other peer is never started, since a peer never contacts
+// another.
 var fleetTestPeers = []string{"127.0.0.1:19001", "127.0.0.1:19002"}
 
-func newFleetServer(t *testing.T, self string) (*Server, *httptest.Server) {
-	t.Helper()
-	return newTestServer(t, Options{FleetPeers: fleetTestPeers, FleetSelf: self})
-}
-
-// postNoFollow posts without following redirects, so a 307 answer can
-// be inspected instead of chased to a peer that is not running.
-func postNoFollow(t *testing.T, ts *httptest.Server, path, body string) *http.Response {
-	t.Helper()
-	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	resp, err := client.Post(ts.URL+path, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	return resp
-}
-
-// TestFleetProxylessRedirect pins the proxyless protocol: a request
-// whose routing key another shard owns is answered 307 with the owner's
-// URL; the same request marked X-Fleet-Routed (or sent to the owner) is
-// served locally with the shard and cache-key headers set.
-func TestFleetProxylessRedirect(t *testing.T) {
+// TestFleetPeerServesAnyKey pins that a peer places nothing: a request
+// whose routing key the other member owns is served where it lands,
+// with the bytes a single-node server answers, its shard label, and the
+// routing key as its cache key.
+func TestFleetPeerServesAnyKey(t *testing.T) {
 	body := `{"soc":"d695","channels":256,"depth":"64K"}`
 	key, _, err := FleetRouteKey("/v1/optimize", []byte(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := fleet.New(fleetTestPeers)
-	owner := ring.Owner(key)
+	owner := fleet.New(fleetTestPeers).Owners(key, 1)[0]
 	var other string
 	for _, p := range fleetTestPeers {
 		if p != owner {
@@ -54,48 +32,20 @@ func TestFleetProxylessRedirect(t *testing.T) {
 		}
 	}
 
-	// The wrong shard redirects to the owner, and counts it.
-	s, ts := newFleetServer(t, other)
-	resp := postNoFollow(t, ts, "/v1/optimize", body)
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("wrong shard: status = %d, want 307", resp.StatusCode)
+	s, ts := newTestServer(t, Options{FleetPeers: fleetTestPeers, FleetSelf: other})
+	resp, got := post(t, ts, "/v1/optimize", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("non-owner shard: status = %d, want 200 (body %s)", resp.StatusCode, got)
 	}
-	if loc := resp.Header.Get("Location"); loc != "http://"+owner+"/v1/optimize" {
-		t.Errorf("Location = %q, want the owner %q", loc, owner)
+	if h := resp.Header.Get(HeaderCacheKey); h != key {
+		t.Errorf("X-Cache-Key = %q, want the routing key %q", h, key)
 	}
-	if got := resp.Header.Get(HeaderShard); got != s.ShardLabel() {
-		t.Errorf("X-Shard = %q, want %q", got, s.ShardLabel())
+	if h := resp.Header.Get(HeaderShard); h != s.ShardLabel() {
+		t.Errorf("X-Shard = %q, want %q", h, s.ShardLabel())
 	}
-	if _, m := get(t, ts, "/metrics"); !strings.Contains(string(m), "multisite_fleet_redirects_total 1") {
-		t.Error("metrics missing multisite_fleet_redirects_total 1")
-	}
-
-	// A gateway-routed request is served locally even on the wrong shard.
-	req, err := http.NewRequest("POST", ts.URL+"/v1/optimize", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(HeaderFleetRouted, "1")
-	routed, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	routed.Body.Close()
-	if routed.StatusCode != http.StatusOK {
-		t.Fatalf("routed request on wrong shard: status = %d, want 200", routed.StatusCode)
-	}
-	if got := routed.Header.Get(HeaderCacheKey); got != key {
-		t.Errorf("X-Cache-Key = %q, want the routing key %q", got, key)
-	}
-
-	// The owner serves the bare request directly.
-	_, ts2 := newFleetServer(t, owner)
-	resp2, _ := post(t, ts2, "/v1/optimize", body)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("owner shard: status = %d, want 200", resp2.StatusCode)
-	}
-	if got := resp2.Header.Get(HeaderCacheKey); got != key {
-		t.Errorf("owner X-Cache-Key = %q, want %q", got, key)
+	_, single := newTestServer(t, Options{})
+	if _, want := post(t, single, "/v1/optimize", body); !bytes.Equal(got, want) {
+		t.Errorf("non-owner body differs from a single node's:\npeer:   %s\nsingle: %s", got, want)
 	}
 }
 

@@ -56,11 +56,11 @@ func jobRetryable(err error) bool {
 // job results live in) and the job journal at <dir>/jobs. An empty
 // DataDir yields a purely in-memory server.
 func NewWithData(opts Options) (*Server, error) {
-	fl, err := newFleet(opts)
+	shard, err := shardLabel(opts)
 	if err != nil {
 		return nil, err
 	}
-	s := newServer(opts, fl)
+	s := newServer(opts, shard)
 	if opts.DataDir == "" {
 		return s, nil
 	}
@@ -74,9 +74,14 @@ func NewWithData(opts Options) (*Server, error) {
 	}
 	s.disk = disk
 	s.rows = resultcache.NewOf[string, snapshotView](resultcache.Options{Capacity: opts.CacheCapacity})
+	// A fleet peer stamps its label into job IDs ("s1-j0000000042").
+	idPrefix := ""
+	if shard != "" {
+		idPrefix = shard + "-"
+	}
 	mgr, err := jobs.Open(jobs.Options{
 		Dir:         opts.DataDir + "/jobs",
-		IDPrefix:    s.fleet.jobIDPrefix(),
+		IDPrefix:    idPrefix,
 		CAS:         disk,
 		Runner:      s.runJob,
 		Workers:     opts.JobWorkers,

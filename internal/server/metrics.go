@@ -150,10 +150,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("multisite_jobs_pending", "Jobs accepted and waiting for a worker.", jst.Pending)
 	}
 
-	if s.fleet != nil {
-		gauge("multisite_fleet_ring_members", "Fleet members on this peer's consistent-hash ring.", int64(s.fleet.ring.Len()))
-		gauge("multisite_fleet_shard_index", "This peer's index in the sorted fleet member list (its label's number).", int64(fleet.LabelIndex(s.fleet.label)))
-		counter("multisite_fleet_redirects_total", "Proxyless requests answered 307 because another shard owns the routing key.", s.fleet.redirects.Load())
+	if s.shard != "" {
+		gauge("multisite_fleet_shard_index", "This peer's index in the sorted fleet member list (its label's number).", int64(fleet.LabelIndex(s.shard)))
 	}
 
 	// Per-backend circuit-breaker state: 0=closed, 1=open, 2=half-open.

@@ -230,11 +230,9 @@ func resolveCompareSolvers(req *CompareRequest) ([]string, int, error) {
 	return solvers, 0, nil
 }
 
-// admit reads the body posted to endpoint, parses it (parseRequest) and
-// applies fleet placement. It returns the op, or nil once it has
-// answered: a rejected body, or the proxyless 307 to the shard owning the
-// op's key. Validation comes first, so a peer rejects a bad body exactly
-// as the gateway does.
+// admit reads the body posted to endpoint and parses it (parseRequest).
+// It returns the op, or nil once it has rejected the body with the
+// status and error text the gateway would give it.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string) *op {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
@@ -244,9 +242,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string) 
 	o, status, err := parseRequest(endpoint, body)
 	if err != nil {
 		writeError(w, status, err)
-		return nil
-	}
-	if s.redirectRemote(w, r, o.key) {
 		return nil
 	}
 	return o

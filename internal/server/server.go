@@ -141,11 +141,12 @@ type Options struct {
 
 	// FleetPeers, when non-empty, puts the server in fleet mode: the
 	// full list of peer addresses (host:port, this server included)
-	// whose consistent-hash ring partitions the content-addressed key
-	// space. FleetSelf names this server's own entry in that list; it
-	// must match one of the peers after normalization. Requests whose
-	// routing key another peer owns are answered 307 unless a gateway
-	// marked them routed (see fleet.go).
+	// whose consistent-hash ring the gateway partitions the
+	// content-addressed key space with. FleetSelf names this server's
+	// own entry in that list; it must match one of the peers after
+	// normalization. Together they set the shard label that job IDs and
+	// X-Shard carry; the server still serves every request that reaches
+	// it (see fleet.go).
 	FleetPeers []string
 	FleetSelf  string
 }
@@ -169,9 +170,9 @@ type Server struct {
 	disk   *diskcache.Cache
 	jobMgr *jobs.Manager
 
-	// fleet is this server's view of the shard ring, nil outside fleet
+	// shard is this server's fleet label ("s0"), empty outside fleet
 	// mode (see fleet.go).
-	fleet *fleetInfo
+	shard string
 
 	// breakers holds one circuit breaker per registry backend; solvers
 	// maps each backend's canonical name to its served instance —
@@ -191,14 +192,14 @@ type Server struct {
 }
 
 // newServer builds an in-memory server over the built-in benchmark SOCs
-// in the fleet NewWithData validated (nil outside fleet mode).
-func newServer(opts Options, fl *fleetInfo) *Server {
+// with the shard label NewWithData validated (empty outside fleet mode).
+func newServer(opts Options, shard string) *Server {
 	if opts.Concurrency <= 0 {
 		opts.Concurrency = 2 * runtime.GOMAXPROCS(0)
 	}
 	s := &Server{
 		opts:      opts,
-		fleet:     fl,
+		shard:     shard,
 		memo:      engine.NewMemo(),
 		cache:     resultcache.NewOf[string, cachedResult](resultcache.Options{Capacity: opts.CacheCapacity}),
 		sem:       make(chan struct{}, opts.Concurrency),
@@ -256,13 +257,13 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("jobs", s.handleJobGet))
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.instrument("jobs", s.handleJobResult))
 	mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
-	if s.fleet == nil {
+	if s.shard == "" {
 		return mux
 	}
 	// In fleet mode every response names its shard, so any client (or
 	// the chaos drill) can verify which peer actually answered.
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(HeaderShard, s.fleet.label)
+		w.Header().Set(HeaderShard, s.shard)
 		mux.ServeHTTP(w, r)
 	})
 }
